@@ -97,13 +97,7 @@ def check_zerocopy(report):
 
 @experiment("E26 parse engine v2 — BENCH_parse_v2.json")
 def check_parse_v2(report):
-    bar = 3.0 if report["scale"] >= report["full_scale"] else 1.3
-    speedup = report["warm_parse"]["lazy_speedup"]
-    if speedup < bar:
-        yield (
-            f"lazy warm-parse speedup {speedup:.2f}x < {bar}x "
-            f"at scale {report['scale']}"
-        )
+    # No speed bar: there is no eager emission left to race against.
     for run in report["clean_runs"]:
         if run["lazy_hits"] + run["eager"] != run["records_out"]:
             yield f"{run['mode']}: lazy/eager split does not cover the output"

@@ -17,7 +17,7 @@ equal ``ParsedQuery`` streams.
 dictionary, the second preloads it.  Every witness must re-verify and
 intern on load (the preload hit rate), and each preloaded witness must
 avoid exactly one cold parse.  The five executor configurations then
-re-clean the log dict-warmed against an eager batch reference,
+re-clean the log dict-warmed against a cacheless batch reference,
 asserting byte-identical clean logs, equal comparable ledgers and zero
 conservation violations — the dictionary may only ever change speed.
 
@@ -274,9 +274,9 @@ def test_parse_v3(bench_config, tmp_path):
     }
 
     # ------------------------------------------------------------------
-    # Executor matrix, dict-warmed, vs an eager batch reference without
+    # Executor matrix, dict-warmed, vs a cacheless batch reference without
     # any dictionary — the sidecar must be invisible in every output.
-    reference = repro.clean(log, shared_config, lazy_parse=False)
+    reference = repro.clean(log, shared_config, parse_cache=False)
     assert reference.metrics.conservation_violations() == []
     reference_records = reference.clean_log.records()
     reference_view = reference.metrics.comparable()
@@ -332,7 +332,7 @@ def test_parse_v3(bench_config, tmp_path):
         ],
     )
     print_table(
-        "End-to-end, dict-warmed executors vs eager batch reference",
+        "End-to-end, dict-warmed executors vs cacheless batch reference",
         ["mode", "seconds", "preloaded", "cold", "identical", "metrics"],
         [
             (

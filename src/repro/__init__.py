@@ -3,7 +3,7 @@
 
 The package implements the paper's full stack:
 
-* :mod:`repro.sqlparser` — SQL front end (lexer, parser, AST, formatter);
+* :mod:`repro.sqlparser` — SQL front end (scanner, parser, AST, formatter);
 * :mod:`repro.skeleton` — skeleton queries and templates (Section 4.1.2);
 * :mod:`repro.log` — query-log model, IO, duplicate removal (Section 5.2);
 * :mod:`repro.patterns` — pattern mining, frequency/userPopularity, SWS;
@@ -51,7 +51,7 @@ from .obs import (
 )
 from .pipeline.api import clean
 from .pipeline.config import ExecutionConfig, PipelineConfig
-from .pipeline.framework import CleaningPipeline, PipelineResult, clean_log
+from .pipeline.framework import CleaningPipeline, PipelineResult
 from .pipeline.parallel import ParallelCleaner, ParallelStats
 from .pipeline.streaming import StreamingCleaner, StreamingStats
 from .store import (
@@ -66,7 +66,7 @@ from .store import (
     write_columnar,
 )
 
-__version__ = "1.10.0"
+__version__ = "2.0.0"
 
 __all__ = [
     "LogRecord",
@@ -100,6 +100,5 @@ __all__ = [
     "write_columnar",
     "RunCheckpoint",
     "CheckpointError",
-    "clean_log",
     "__version__",
 ]

@@ -121,8 +121,6 @@ def cmd_clean(args: argparse.Namespace) -> int:
     execution_kwargs = {"mode": mode, "workers": args.workers}
     if args.no_parse_cache:
         execution_kwargs["parse_cache"] = False
-    if args.no_lazy_parse:
-        execution_kwargs["lazy_parse"] = False
     if args.parse_cache_size is not None:
         execution_kwargs["parse_cache_size"] = args.parse_cache_size
     if args.template_dict is not None:
@@ -438,13 +436,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="disable the fingerprint-keyed parse fast path (every "
         "statement takes the full parser; output is identical either way)",
-    )
-    clean.add_argument(
-        "--no-lazy-parse",
-        action="store_true",
-        help="materialise SQL text and AST eagerly on every parse-cache "
-        "hit instead of deferring them until a stage asks (output is "
-        "identical either way)",
     )
     clean.add_argument(
         "--parse-cache-size",

@@ -2,7 +2,7 @@
 
 from .models import LogRecord, QueryLog
 from .dedup import DedupResult, delete_duplicates, threshold_sweep, normalize_statement_text
-from .io import read_csv, read_jsonl, write_csv, write_jsonl
+from .io import write_csv, write_jsonl
 from .session import assume_single_user, derive_users_from_ip, sessionize_by_gap
 
 __all__ = [
@@ -12,8 +12,6 @@ __all__ = [
     "delete_duplicates",
     "threshold_sweep",
     "normalize_statement_text",
-    "read_csv",
-    "read_jsonl",
     "write_csv",
     "write_jsonl",
     "assume_single_user",

@@ -7,9 +7,8 @@ lossless round-trips of synthetic logs with ground truth kept elsewhere.
 Since the :mod:`repro.store` input API landed, the one entry point for
 *reading* any log file is :func:`repro.open_log` — it sniffs the format,
 returns a streaming :class:`~repro.store.LogSource` and leaves
-materialisation (``.read()``) to the caller.  The historical
-:func:`read_csv` / :func:`read_jsonl` helpers are deprecated shims over
-it (warn once, behaviour kept).
+materialisation (``.read()``) to the caller; the row readers below are
+its kernels.
 
 Writers take an ``errors``-free path: they create missing parent
 directories and write **atomically** (a temp file in the target directory
@@ -17,7 +16,7 @@ followed by ``os.replace``), so a crash mid-write can never leave a
 truncated log behind — the same contract as the observability layer's
 ``JsonlSink`` and the checkpoint store.
 
-Both readers take an ``errors`` policy (:data:`repro.errors
+Both row readers take an ``errors`` policy (:data:`repro.errors
 .ERROR_POLICIES`): ``"strict"`` raises on the first malformed row (the
 historical behaviour), ``"lenient"`` skips it, and ``"quarantine"``
 skips it *and* records the raw line in the caller-supplied
@@ -31,7 +30,6 @@ import csv
 import json
 import os
 import tempfile
-import warnings
 from pathlib import Path
 from typing import IO, Callable, Dict, Iterable, Iterator, Optional, Union
 
@@ -40,7 +38,7 @@ from ..errors import (
     QuarantineChannel,
     validate_error_policy,
 )
-from .models import LogRecord, QueryLog
+from .models import LogRecord
 
 PathLike = Union[str, Path]
 
@@ -169,7 +167,7 @@ def iter_csv_records(
     """Yield the records of a CSV log one by one (file order).
 
     Raises immediately on a missing header column; malformed rows follow
-    the ``errors`` policy exactly like the historical ``read_csv``.
+    the ``errors`` policy.
     """
     validate_error_policy(errors)
     with open(path, newline="", encoding="utf-8") as handle:
@@ -248,58 +246,3 @@ def iter_jsonl_records(
                     )
                 continue
             yield record
-
-
-# ----------------------------------------------------------------------
-# Deprecated one-call readers
-
-
-def _forwarded_read(
-    path: PathLike,
-    fmt: str,
-    errors: str,
-    channel: Optional[QuarantineChannel],
-    shim: str,
-) -> QueryLog:
-    warnings.warn(
-        f"{shim}() is deprecated; use repro.open_log(path).read() "
-        "(or pass the path straight to repro.clean)",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-    from ..store.sources import open_log
-
-    with open_log(path, format=fmt, errors=errors, channel=channel) as source:
-        return source.read()
-
-
-def read_csv(
-    path: PathLike,
-    *,
-    errors: str = "strict",
-    channel: Optional[QuarantineChannel] = None,
-) -> QueryLog:
-    """Deprecated one-call CSV reader — use :func:`repro.open_log`.
-
-    .. deprecated:: 1.6
-        ``repro.open_log(path, format="csv").read()`` returns the same
-        :class:`QueryLog` and also offers chunked, bounded-memory
-        iteration via ``open_chunks()``.
-    """
-    return _forwarded_read(path, "csv", errors, channel, "read_csv")
-
-
-def read_jsonl(
-    path: PathLike,
-    *,
-    errors: str = "strict",
-    channel: Optional[QuarantineChannel] = None,
-) -> QueryLog:
-    """Deprecated one-call JSONL reader — use :func:`repro.open_log`.
-
-    .. deprecated:: 1.6
-        ``repro.open_log(path, format="jsonl").read()`` returns the same
-        :class:`QueryLog` and also offers chunked, bounded-memory
-        iteration via ``open_chunks()``.
-    """
-    return _forwarded_read(path, "jsonl", errors, channel, "read_jsonl")

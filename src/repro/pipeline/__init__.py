@@ -28,7 +28,6 @@ from .framework import (
     ParseStageResult,
     PipelineResult,
     clean_block,
-    clean_log,
     dedup_stage,
     detect_stage,
     mine_stage,
@@ -53,7 +52,7 @@ from .parallel import (
 )
 from .report import export_report
 from .statistics import AntipatternCensus, Overview, census_by_label
-from .streaming import StreamingCleaner, StreamingStats, clean_log_streaming
+from .streaming import StreamingCleaner, StreamingStats
 
 __all__ = [
     # unified API
@@ -109,7 +108,4 @@ __all__ = [
     "StageMetrics",
     "InMemorySink",
     "JsonlSink",
-    # deprecated one-call wrappers
-    "clean_log",
-    "clean_log_streaming",
 ]

@@ -55,7 +55,6 @@ def clean(
     execution: Optional[Union[ExecutionConfig, str]] = None,
     recorder: Optional[Recorder] = None,
     parse_cache: Optional[bool] = None,
-    lazy_parse: Optional[bool] = None,
     transfer: Optional[str] = None,
     template_dict: Optional[Union[str, Path]] = None,
     checkpoint_dir: Optional[Union[str, Path]] = None,
@@ -78,12 +77,6 @@ def clean(
         flag for this call — ``False`` forces every statement down the
         full parse path (the clean log is identical either way; only
         speed and the ``parse_cache_*`` counters change).
-    :param lazy_parse: overrides the execution config's ``lazy_parse``
-        flag for this call — ``False`` makes every cache hit splice its
-        SQL text and AST eagerly instead of deferring them until a
-        consumer asks.  Byte-identical output either way; only speed and
-        the ``parse_lazy_hits`` / ``parse_eager`` /
-        ``parse_materialised`` counters change.
     :param transfer: overrides the execution config's ``transfer`` mode
         for this call — how parallel shards reach the workers:
         ``"pickle"`` ships each shard's columnar buffer as one pickle-5
@@ -147,11 +140,6 @@ def clean(
         effective = replace(
             effective,
             execution=replace(effective.execution, parse_cache=parse_cache),
-        )
-    if lazy_parse is not None:
-        effective = replace(
-            effective,
-            execution=replace(effective.execution, lazy_parse=lazy_parse),
         )
     if transfer is not None:
         effective = replace(

@@ -79,17 +79,6 @@ class ExecutionConfig:
     :param parse_cache_size: maximum number of cached templates per
         cache instance (batch keeps one cache per run; streaming one per
         pipeline instance; parallel one per shard).
-    :param lazy_parse: emit *lazy* queries on parse-cache fingerprint
-        hits — the query carries only its record, interned skeleton and
-        constant vector; SQL text, AST and clause features materialise
-        on first access (solver, quarantine writer, output).  Mining and
-        detection run on the interned skeleton, so warm parses skip the
-        splice entirely.  Outputs stay byte-identical to eager mode (the
-        E22/E26 differential harnesses pin this); only the
-        executor-dependent ``parse_lazy_hits`` / ``parse_eager`` /
-        ``parse_materialised`` counters change.  Ignored when
-        ``parse_cache`` is off (the fast path needs the cache's interned
-        prototypes).
     :param template_dict: path of a persistent template dictionary
         sidecar (:meth:`~repro.skeleton.cache.TemplateCache.save_dict`).
         When set, the run preloads its parse cache from the sidecar
@@ -117,7 +106,6 @@ class ExecutionConfig:
     task_timeout: Optional[float] = None
     parse_cache: bool = True
     parse_cache_size: int = 4096
-    lazy_parse: bool = True
     template_dict: Optional[str] = None
     source_chunk_records: int = 8192
 

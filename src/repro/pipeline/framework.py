@@ -27,7 +27,7 @@ from __future__ import annotations
 import os
 import warnings
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Iterable, List, Optional, Sequence, Tuple, Union
 
 from ..antipatterns.base import run_detectors
 from ..antipatterns.cth import CthCensusRow, cth_census
@@ -56,14 +56,6 @@ from .statistics import Overview, census_by_label
 if TYPE_CHECKING:  # pragma: no cover - import cycle guards
     from .parallel import ParallelStats
     from .streaming import StreamingStats
-
-
-#: Records per memo window in :func:`parse_log` — repeated statement
-#: texts inside a window resolve through one dict probe instead of a
-#: cache fetch + interner check.  Matches the shard codec's chunk-memo
-#: scale; cleared (not LRU-evicted) at the boundary so the dict never
-#: grows past the window.
-_PARSE_MEMO_CHUNK = 4096
 
 
 @dataclass
@@ -150,6 +142,56 @@ def dedup_stage(
     return result
 
 
+def parse_record(
+    record: LogRecord,
+    cache: Optional[TemplateCache],
+    *,
+    fold_variables: bool,
+    strict_triple: bool,
+    interner: Optional[TemplateInterner],
+) -> Union[ParsedQuery, Tuple[SqlError, str]]:
+    """Full-parse one record: its prototype query, or ``(error, reason)``.
+
+    The one place a statement reaches the parser, for every executor.
+    With a cache this is the one-shot
+    :meth:`~repro.skeleton.cache.TemplateCache.build` after a ``fetch``
+    miss (which admits a success itself; a failure is stored here).
+    Without one it is the plain ``parse`` +
+    :meth:`~repro.patterns.models.ParsedQuery.from_statement`.  A
+    :class:`~repro.sqlparser.errors.SqlError` — including
+    :class:`~repro.sqlparser.errors.UnsupportedStatementError`, which
+    callers classify as non-SELECT — becomes a
+    :data:`~repro.errors.PARSE_ERROR` outcome; a ``RecursionError``
+    (hundreds of nested conjuncts exceed the tree walkers' depth)
+    becomes :data:`~repro.errors.NESTING_DEPTH`.
+    """
+    try:
+        if cache is not None:
+            return cache.build(
+                record,
+                fold_variables=fold_variables,
+                strict_triple=strict_triple,
+                interner=interner,
+            )
+        return ParsedQuery.from_statement(
+            record,
+            parse(record.sql),
+            fold_variables=fold_variables,
+            strict_triple=strict_triple,
+            interner=interner,
+        )
+    except SqlError as error:
+        failure = (error, PARSE_ERROR)
+    except RecursionError:
+        failure = (
+            SqlError("statement exceeds supported nesting depth"),
+            NESTING_DEPTH,
+        )
+    if cache is not None:
+        cache.store(record.sql, failure)
+    return failure
+
+
 def parse_log(
     log: Iterable[LogRecord],
     *,
@@ -169,14 +211,14 @@ def parse_log(
     template and clause features and only swaps in its own log record.
 
     With a :class:`~repro.skeleton.cache.TemplateCache` the reuse goes
-    further: statements that differ *only in constants* are instantiated
-    from the cached template of their fingerprint class in one lexer
-    pass, skipping the parser entirely (the fast path).  The cache
-    object may outlive this call (streaming feeds one record at a time);
-    a given cache must only ever serve one ``(fold_variables,
-    strict_triple)`` combination, which holds because every caller
-    derives both from a single config.  Without a cache the classic
-    per-run dict keyed by exact text is used.
+    further: statements that differ *only in constants* bind to the
+    cached template of their fingerprint class, skipping the parser
+    entirely (the fast path).  The cache object may outlive this call
+    (streaming feeds one record at a time); a given cache must only
+    ever serve one ``(fold_variables, strict_triple)`` combination,
+    which holds because every caller derives both from a single config.
+    Without a cache the classic per-run dict keyed by exact text is
+    used.  Either way a miss goes through :func:`parse_record`.
 
     Parse failures are part of the paper's accounting, not exceptions:
     under ``strict`` and ``lenient`` they keep the classic
@@ -191,23 +233,18 @@ def parse_log(
     against the interner even on a cache hit — a prewarmed or pickled
     :class:`~repro.skeleton.cache.TemplateCache` may carry ids from a
     *previous* run's interner, which must never leak into this one.
-    (Exception: a per-chunk memo of *emitted* outcomes lets records that
-    repeat a statement text within the chunk skip the cache probe and
-    the interner check — the first occurrence in the chunk already
-    verified its id against this run's interner, and an interner never
-    forgets an id within a run.)
 
-    A *lazy* cache (``TemplateCache(lazy=True)``) makes fingerprint hits
-    emit :class:`~repro.skeleton.cache.LazyParsedQuery` objects that
-    defer the splice and the AST until a downstream consumer actually
-    touches them; the count of lazy emissions is booked as
-    ``parse_lazy_hits`` (with ``parse_eager`` its complement, so
-    ``parse_lazy_hits + parse_eager == records_out`` is a ledger law).
+    Cache hits that bind to an interned skeleton emit
+    :class:`~repro.skeleton.cache.LazyParsedQuery` objects that defer
+    the splice and the AST until a downstream consumer actually touches
+    them; the count of lazy emissions is booked as ``parse_lazy_hits``
+    (with ``parse_eager`` its complement — cold-built prototypes and
+    their exact-text repeats — so ``parse_lazy_hits + parse_eager ==
+    records_out`` is a ledger law).
 
-    Every statement that reaches the full parser — a cache miss's
-    one-shot :meth:`~repro.skeleton.cache.TemplateCache.build`, or a
-    cacheless full parse — is booked as ``parse_cold``, so with a cache
-    in play ``parse_cold == parse_cache_misses`` is another ledger law.
+    Every statement that reaches the full parser is booked as
+    ``parse_cold``, so with a cache in play ``parse_cold ==
+    parse_cache_misses`` is another ledger law.
     """
     recorder = recorder or NULL
     result = ParseStageResult()
@@ -224,77 +261,25 @@ def parse_log(
         #: sql text -> prototype ParsedQuery, or an (error, reason) pair
         #: (only consulted when no TemplateCache was provided).
         exact: dict = {}
-        #: sql text -> this run's emitted outcome (query with verified
-        #: interned_id, or failure tuple); bounded by clearing whenever
-        #: it reaches the chunk size, so it stays hot-loop small while
-        #: still short-circuiting the heavy repetition real logs show.
-        memo: dict = {}
-        memo_get = memo.get
         intern = interner.intern
         append_query = result.queries.append
         for record in log:
-            sql = record.sql
-            cached = memo_get(sql)
-            memo_hit = cached is not None
-            if memo_hit:
-                if cache is not None:
-                    # The memo shortcut stands in for a cache probe that
-                    # would have hit; book it so the cache's
-                    # hits + misses == records_in ledger law survives.
-                    cache.hits += 1
+            if cache is not None:
+                cached = cache.fetch(record)
             else:
-                if cache is not None:
-                    cached = cache.fetch(record)
-                else:
-                    cached = exact.get(sql)
-                if cached is None:
-                    cold_parses += 1
-                    try:
-                        if cache is not None:
-                            # One-shot cold path: the scanner pass the
-                            # miss already paid for feeds the parser,
-                            # and template/clauses/splice come from a
-                            # single normalisation (parse engine v3).
-                            cached = cache.build(
-                                record,
-                                fold_variables=fold_variables,
-                                strict_triple=strict_triple,
-                                interner=interner,
-                            )
-                        else:
-                            statement = parse(sql)
-                            cached = ParsedQuery.from_statement(
-                                record,
-                                statement,
-                                fold_variables=fold_variables,
-                                strict_triple=strict_triple,
-                                interner=interner,
-                            )
-                    except SqlError as error:
-                        cached = (error, PARSE_ERROR)
-                    except RecursionError:
-                        # Pathologically deep expressions (hundreds of
-                        # nested conjuncts) exceed the tree-walker
-                        # capacity; classify them like any other
-                        # unprocessable statement instead of crashing.
-                        cached = (
-                            SqlError(
-                                "statement exceeds supported nesting depth"
-                            ),
-                            NESTING_DEPTH,
-                        )
-                    if cache is not None:
-                        # build() admits successes itself; only failures
-                        # still need the explicit store.
-                        if type(cached) is tuple:
-                            cache.store(sql, cached)
-                    else:
-                        exact[sql] = cached
-                if len(memo) >= _PARSE_MEMO_CHUNK:
-                    memo.clear()
-            if isinstance(cached, tuple):
-                if not memo_hit:
-                    memo[sql] = cached
+                cached = exact.get(record.sql)
+            if cached is None:
+                cold_parses += 1
+                cached = parse_record(
+                    record,
+                    cache,
+                    fold_variables=fold_variables,
+                    strict_triple=strict_triple,
+                    interner=interner,
+                )
+                if cache is None:
+                    exact[record.sql] = cached
+            if type(cached) is tuple:
                 error, reason = cached
                 if isinstance(error, UnsupportedStatementError):
                     result.non_select.append(record)
@@ -305,11 +290,7 @@ def parse_log(
                 else:
                     result.syntax_errors.append((record, str(error)))
                 continue
-            if memo_hit:
-                query = rebind_query(cached, record, cached.interned_id)
-            else:
-                query = rebind_query(cached, record, intern(cached.template_id))
-                memo[sql] = query
+            query = rebind_query(cached, record, intern(cached.template_id))
             if type(query) is LazyParsedQuery:
                 lazy_emitted += 1
             append_query(query)
@@ -357,9 +338,7 @@ def parse_stage(
     """
     execution = config.execution
     if cache is None and execution.parse_cache:
-        cache = TemplateCache(
-            execution.parse_cache_size, lazy=execution.lazy_parse
-        )
+        cache = TemplateCache(execution.parse_cache_size)
     return parse_log(
         log,
         fold_variables=config.fold_variables,
@@ -647,7 +626,7 @@ class CleaningPipeline:
         # can read back how many lazy queries the *downstream* stages
         # forced to materialise, once they have all executed.
         cache = (
-            TemplateCache(execution.parse_cache_size, lazy=execution.lazy_parse)
+            TemplateCache(execution.parse_cache_size)
             if execution.parse_cache
             else None
         )
@@ -712,18 +691,3 @@ class CleaningPipeline:
             quarantine=channel,
         )
 
-
-def clean_log(log: QueryLog, config: Optional[PipelineConfig] = None) -> QueryLog:
-    """Deprecated one-call convenience — use :func:`repro.clean`.
-
-    .. deprecated:: 1.1
-        ``clean_log(log, config)`` is ``repro.clean(log, config).clean_log``.
-    """
-    warnings.warn(
-        "clean_log() is deprecated; use repro.clean(log, config).clean_log",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from .api import clean
-
-    return clean(log, config).clean_log

@@ -376,11 +376,6 @@ def _process_parse_cache(config: PipelineConfig) -> Optional[TemplateCache]:
             cache = TemplateCache(execution.parse_cache_size)
         _WORKER_CACHE = cache
         _WORKER_CACHE_KEY = key
-    # The lazy knob is not part of the cache key — the same entries
-    # serve both modes — but a persistent cache must follow the current
-    # run's setting (set_lazy also purges lazily-bound L1 values when
-    # turning the fast path off).
-    _WORKER_CACHE.set_lazy(execution.lazy_parse)
     return _WORKER_CACHE
 
 
@@ -425,9 +420,7 @@ def _clean_shard_log(
     # materialise.  A passed-in cache is the worker's persistent one —
     # its materialised counter spans runs, hence the baseline delta.
     if cache is None and execution.parse_cache:
-        cache = TemplateCache(
-            execution.parse_cache_size, lazy=execution.lazy_parse
-        )
+        cache = TemplateCache(execution.parse_cache_size)
     base_materialised = cache.materialised if cache is not None else 0
 
     validated = validate_stage(shard_log, config, recorder, channel)
@@ -988,9 +981,7 @@ class ParallelCleaner:
                     strict_triple=self.config.strict_triple,
                 )
             if witnesses:
-                dict_cache = TemplateCache(
-                    execution.parse_cache_size, lazy=execution.lazy_parse
-                )
+                dict_cache = TemplateCache(execution.parse_cache_size)
                 dict_preloaded = dict_cache.preload(
                     witnesses,
                     fold_variables=self.config.fold_variables,

@@ -32,22 +32,16 @@ import warnings
 from dataclasses import dataclass, replace
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
-from ..errors import (
-    NESTING_DEPTH,
-    PARSE_ERROR,
-    QuarantineChannel,
-    RecordFailure,
-    record_fault,
-)
+from ..errors import QuarantineChannel, RecordFailure, record_fault
 from ..log.dedup import normalize_statement_text
 from ..log.models import LogRecord, QueryLog
 from ..obs import Recorder
 from ..patterns.models import Block, ParsedQuery
 from ..skeleton.cache import LazyParsedQuery, TemplateCache, rebind_query
 from ..skeleton.interner import TemplateInterner
-from ..sqlparser import SqlError, UnsupportedStatementError, parse
+from ..sqlparser import UnsupportedStatementError
 from .config import PipelineConfig
-from .framework import clean_block
+from .framework import clean_block, parse_record
 
 
 @dataclass
@@ -75,7 +69,7 @@ class StreamingStats:
     parse_cache_hits: int = 0
     parse_cache_misses: int = 0
     parse_cache_evictions: int = 0
-    #: queries emitted as lazy skeleton binds (``lazy_parse`` fast path).
+    #: queries emitted as lazy skeleton binds (parse-cache fast path).
     parse_lazy_hits: int = 0
     #: lazy queries a downstream consumer forced to materialise
     #: (mirrored from the cache's counter at every flush).
@@ -130,8 +124,6 @@ class StreamingCleaner:
         bound per open block comes from ``config.execution
         .max_block_queries`` — the memory ceiling is roughly ``open
         users × max_block_queries``.
-    :param max_block_queries: deprecated constructor override of the
-        config knob; kept for one release.
     :param recorder: observability recorder; a fresh
         :class:`~repro.obs.Recorder` by default, so per-stage metrics
         are always collected (pass :data:`repro.obs.NULL` to opt out).
@@ -150,27 +142,12 @@ class StreamingCleaner:
     def __init__(
         self,
         config: Optional[PipelineConfig] = None,
-        max_block_queries: Optional[int] = None,
         *,
         recorder: Optional[Recorder] = None,
         template_witnesses: Optional[Iterable[str]] = None,
     ) -> None:
         self.config = config or PipelineConfig()
         self.recorder = Recorder() if recorder is None else recorder
-        if max_block_queries is not None:
-            warnings.warn(
-                "StreamingCleaner(max_block_queries=...) is deprecated; set "
-                "PipelineConfig.execution=ExecutionConfig(max_block_queries=...)",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            # Route through ExecutionConfig so its validation applies.
-            self.config = replace(
-                self.config,
-                execution=replace(
-                    self.config.execution, max_block_queries=max_block_queries
-                ),
-            )
         self.max_block_queries = self.config.execution.max_block_queries
         self.stats = StreamingStats()
         #: records set aside under the ``quarantine`` error policy.
@@ -187,9 +164,7 @@ class StreamingCleaner:
         # open table when the clock actually passes that deadline.
         execution = self.config.execution
         self._parse_cache: Optional[TemplateCache] = (
-            TemplateCache(
-                execution.parse_cache_size, lazy=execution.lazy_parse
-            )
+            TemplateCache(execution.parse_cache_size)
             if execution.parse_cache
             else None
         )
@@ -269,13 +244,16 @@ class StreamingCleaner:
 
     def _parse(self, record: LogRecord) -> Optional[ParsedQuery]:
         cache = self._parse_cache
-        if cache is not None:
-            cached = cache.fetch(record)
-            if cached is None:
-                cached = self._cold_parse(record)
-        else:
+        cached = cache.fetch(record) if cache is not None else None
+        if cached is None:
             self.stats.parse_cold += 1
-            cached = self._full_parse(record)
+            cached = parse_record(
+                record,
+                cache,
+                fold_variables=self._fold_variables,
+                strict_triple=self._strict_triple,
+                interner=self._interner,
+            )
         if type(cached) is tuple:
             error, reason = cached
             if isinstance(error, UnsupportedStatementError):
@@ -291,54 +269,6 @@ class StreamingCleaner:
         if type(query) is LazyParsedQuery:
             self.stats.parse_lazy_hits += 1
         return query
-
-    def _cold_parse(self, record: LogRecord):
-        """Cold path after a cache miss: the one-shot
-        :meth:`~repro.skeleton.cache.TemplateCache.build` (parse engine
-        v3), with failures stored as the shared (error, reason) pair.
-        Books ``parse_cold`` — unlike :meth:`_full_parse`, which the
-        checkpoint restore also uses and which must stay counter-free.
-        """
-        self.stats.parse_cold += 1
-        cache = self._parse_cache
-        try:
-            return cache.build(
-                record,
-                fold_variables=self._fold_variables,
-                strict_triple=self._strict_triple,
-                interner=self._interner,
-            )
-        except SqlError as error:
-            cached = (error, PARSE_ERROR)
-        except RecursionError:
-            cached = (
-                SqlError("statement exceeds supported nesting depth"),
-                NESTING_DEPTH,
-            )
-        cache.store(record.sql, cached)
-        return cached
-
-    def _full_parse(self, record: LogRecord):
-        """Full parse of one record: a bound ParsedQuery, or the
-        (error, reason) pair of a failure — the cacheable outcome shape
-        shared with :func:`~repro.pipeline.framework.parse_log`."""
-        try:
-            statement = parse(record.sql)
-            return ParsedQuery.from_statement(
-                record,
-                statement,
-                fold_variables=self._fold_variables,
-                strict_triple=self._strict_triple,
-                interner=self._interner,
-            )
-        except SqlError as error:
-            # Includes UnsupportedStatementError — classified at use.
-            return (error, PARSE_ERROR)
-        except RecursionError:
-            return (
-                SqlError("statement exceeds supported nesting depth"),
-                NESTING_DEPTH,
-            )
 
     def _parse_reject(self, record: LogRecord, reason: str, detail: str) -> None:
         if self._error_policy == "quarantine":
@@ -691,7 +621,14 @@ class StreamingCleaner:
             queries: List[ParsedQuery] = []
             for data in record_dicts:
                 record = record_from_dict(data)
-                parsed = self._full_parse(record)
+                # Cacheless, so the restore books no parse counters.
+                parsed = parse_record(
+                    record,
+                    None,
+                    fold_variables=self._fold_variables,
+                    strict_triple=self._strict_triple,
+                    interner=self._interner,
+                )
                 if type(parsed) is tuple:
                     raise ValueError(
                         "checkpoint is inconsistent: open-block record "
@@ -703,33 +640,3 @@ class StreamingCleaner:
         oldest = state["oldest_open"]
         self._oldest_open = float("inf") if oldest is None else oldest  # type: ignore[assignment]
 
-
-def clean_log_streaming(
-    log: QueryLog,
-    config: Optional[PipelineConfig] = None,
-    max_block_queries: Optional[int] = None,
-) -> Tuple[QueryLog, StreamingStats]:
-    """Deprecated one-call streaming clean — use :func:`repro.clean`.
-
-    .. deprecated:: 1.1
-        ``repro.clean(log, config, execution="streaming")`` returns a
-        result whose ``clean_log`` / ``streaming_stats`` carry the same
-        two values.
-    """
-    warnings.warn(
-        "clean_log_streaming() is deprecated; use "
-        "repro.clean(log, config, execution='streaming')",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    effective = config or PipelineConfig()
-    if max_block_queries is not None:
-        effective = replace(
-            effective,
-            execution=replace(
-                effective.execution, max_block_queries=max_block_queries
-            ),
-        )
-    cleaner = StreamingCleaner(effective)
-    cleaned = cleaner.run(log)
-    return cleaned, cleaner.stats

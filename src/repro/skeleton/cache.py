@@ -4,22 +4,16 @@ SkyServer-style logs are dominated by machine-generated statements that
 repeat a small set of templates with different constants (the premise of
 the paper's Section 3).  The full parse path re-derives the same
 skeleton, template and clause features thousands of times; this module
-short-circuits that with a two-level bounded LRU keyed by the lexer's
-:func:`~repro.sqlparser.lexer.fingerprint_statement`:
+short-circuits that with three bounded LRU tiers, probed in order by
+:meth:`TemplateCache.fetch`:
 
 * **L1 (exact text)** — statement text → prototype
   :class:`~repro.patterns.models.ParsedQuery` *or* a cached parse
-  failure.  A hit costs one dict probe plus a ``dataclasses.replace`` to
-  swap in the new log record.  Failures live only here: parser error
-  messages carry line/column positions that depend on the exact
-  whitespace, so they are never shared across texts.
-* **L2 (fingerprint key)** — canonical-token-stream key → an interned
-  :class:`_Entry` holding the prototype and precomputed *splice
-  templates* of its clause texts.  A hit costs one scanner pass plus a
-  literal-substitution rebuild of the AST; the template, template id,
-  predicate count and output set are shared (interned) from the
-  prototype, because they are functions of the token structure alone.
-* **Raw-template memo (L1.5)** — constant-stripped raw text → a
+  failure.  A hit costs one dict probe plus a record rebind.  Failures
+  live only here: parser error messages carry line/column positions
+  that depend on the exact whitespace, so they are never shared across
+  texts.
+* **Raw-template memo** — constant-stripped raw text → a
   *witness-verified* L2 entry.  Workloads like SkyServer's collapse to
   a few dozen raw templates, so once a template's first member has paid
   for a full fingerprint scan, later members skip the scanner entirely:
@@ -29,13 +23,19 @@ short-circuits that with a two-level bounded LRU keyed by the lexer's
   witness's literal spans must equal the scanner's token spans
   position for position (see :func:`_raw_scan`); anything else marks
   the raw key unsafe and members keep taking the scanner path.
+* **L2 (fingerprint key)** — canonical-token-stream key from
+  :func:`~repro.sqlparser.scanner.scan` → an interned :class:`_Entry`
+  holding the prototype and precomputed *splice templates* of its
+  clause texts.  L2 is where an entry's safety is verified, and it
+  serves every member whose raw key is unsafe.
 
-In **lazy mode** (``TemplateCache(lazy=True)`` — parse engine v2) an L2
-hit skips even the AST rebuild: it emits a :class:`LazyParsedQuery`
-carrying only the interned skeleton and the member's constant vector,
-and the AST / clause texts / equality filter materialise on first
-access.  Mining, registry and detection run on the shared skeleton
-fields, so a typical run never builds most members' ASTs at all.
+A raw-memo or L2 hit emits a :class:`LazyParsedQuery` carrying only the
+interned skeleton and the member's constant vector; the AST, clause
+texts and equality filter materialise on first access.  Mining,
+registry and detection run on the shared skeleton fields, so a typical
+run never builds most members' ASTs at all.  A miss goes through
+:meth:`TemplateCache.build`, the one-shot cold path that parses the
+statement and admits its entry.
 
 Correctness rests on one invariant and one escape hatch:
 
@@ -47,12 +47,12 @@ Correctness rests on one invariant and one escape hatch:
 * The parser is not a pure token-stream echo: it folds unary minus into
   number literals, consumes ``CAST`` type sizes into the type name, and
   accepts string-literal aliases.  Instead of enumerating those cases,
-  :func:`_build_entry` *verifies* at entry-build time that the
-  prototype's source-order literal vector equals the scanner's constant
-  vector and that the splice templates reproduce the prototype's clause
-  texts exactly.  Any mismatch marks the key **unsafe**: every statement
-  with that key permanently takes the full parse path.  Ambiguity can
-  therefore only ever cost speed, never correctness.
+  :func:`_entry_from_markers` *verifies* at entry-build time that the
+  constants the prototype actually rendered equal the scanner's
+  constant vector, in order.  Any mismatch marks the key **unsafe**:
+  every statement with that key permanently takes the full parse path
+  (so does every ``UNION``, which has no marker rendering).  Ambiguity
+  can therefore only ever cost speed, never correctness.
 """
 
 from __future__ import annotations
@@ -91,14 +91,7 @@ from .features import (
     single_equality_filter,
 )
 from .fingerprint import template_fingerprint
-from .template import (
-    ClauseTexts,
-    QueryTemplate,
-    _clause_strings,
-    _leading_select,
-    build_template_canonical,
-    normalize_case,
-)
+from .template import ClauseTexts, QueryTemplate, _clause_strings
 
 #: Default bound of each cache level (distinct texts / distinct keys).
 DEFAULT_PARSE_CACHE_SIZE = 4096
@@ -142,20 +135,6 @@ def _source_fields(cls: type) -> Tuple[str, ...]:
             order = tuple(f.name for f in dataclasses.fields(cls))
         _FIELD_ORDER_CACHE[cls] = order
     return order
-
-
-def _collect_value(value: object, out: List[Tuple[str, str]]) -> None:
-    """Append the subtree's number/string literals in source order."""
-    if isinstance(value, ast.Literal):
-        if value.kind == "number" or value.kind == "string":
-            out.append((value.kind, value.value))
-    elif isinstance(value, ast.Node):
-        for name in _source_fields(type(value)):
-            _collect_value(getattr(value, name), out)
-    elif type(value) is tuple:
-        for item in value:
-            if isinstance(item, ast.Node):
-                _collect_value(item, out)
 
 
 def _substitute_value(
@@ -262,8 +241,7 @@ def _render_constant(kind: str, value: str) -> str:
 #   render order to token order *by value* (the splice slots depend on
 #   that correspondence), and any parser divergence from the token
 #   stream — a folded ``- -5``, a CAST size, a consumed alias — breaks
-#   the equality and marks the key unsafe, exactly as the legacy
-#   source-order traversal check did.
+#   the equality and marks the key unsafe.
 #
 # NULL literals and (under ``fold_variables``) variables render
 # differently in the template (``<null>`` / ``<var>``) than in the
@@ -400,11 +378,8 @@ class _MarkerFormatter(_CanonFormatter):
 
 
 def _collect_literal_nodes(value: object, out: List[ast.Literal]) -> None:
-    """Append the subtree's number/string literal *nodes* in source order.
-
-    Same traversal as :func:`_collect_value`, but keeping the node
-    objects so positions can be matched by identity.
-    """
+    """Append the subtree's number/string literal *nodes* in source order
+    (the order :func:`_substitute_value` consumes constants in)."""
     if isinstance(value, ast.Literal):
         if value.kind == "number" or value.kind == "string":
             out.append(value)
@@ -442,7 +417,7 @@ _EQ_MATERIALISE = "materialise"
 class LazyParsedQuery(ParsedQuery):
     """A skeleton-only :class:`ParsedQuery` bound to an interned entry.
 
-    Emitted by the cache on an L2 hit in lazy mode: only the fields the
+    Emitted by the cache on a raw-memo or L2 hit: only the fields the
     post-parse stages actually touch (record, template, template id,
     predicate count, outputs, interned id) are populated eagerly — the
     AST (``statement`` / ``select``), the clause texts and the equality
@@ -494,15 +469,12 @@ class LazyParsedQuery(ParsedQuery):
         proto = entry.proto
         if constants == entry.constants:
             statement = proto.statement
-            select = proto.select
         else:
-            state = [0]
-            statement = _substitute_value(proto.statement, constants, state)
-            select = statement
-            while isinstance(select, ast.Union):
-                select = select.left
+            statement = _substitute_value(proto.statement, constants, [0])
+        # Entries are never built for UNIONs, so the statement is its
+        # own leading SELECT.
         d["statement"] = statement
-        d["select"] = select
+        d["select"] = statement
         d["_stats"].materialised += 1
 
     def _bind_clauses(self) -> ClauseTexts:
@@ -716,85 +688,23 @@ def _equality_binding(proto: ParsedQuery) -> Optional[tuple]:
     return (_EQ_MATERIALISE,)
 
 
-def _build_entry(
-    proto: ParsedQuery, fingerprint: StatementFingerprint
-) -> Optional[_Entry]:
-    """Intern ``proto`` for its fingerprint key, or ``None`` if unsafe.
-
-    The safety checks compare what the scanner *predicted* against what
-    the parser actually *built*; any divergence (unary-minus edge cases,
-    CAST type sizes, string aliases, formatter surprises) disqualifies
-    the whole key class rather than risking a wrong instantiation.
-    """
-    return _build_entry_canonical(
-        proto, fingerprint, normalize_case(proto.statement)
-    )
-
-
-def _build_entry_canonical(
-    proto: ParsedQuery,
-    fingerprint: StatementFingerprint,
-    canonical: ast.Node,
-) -> Optional[_Entry]:
-    """:func:`_build_entry` given the already-normalised statement.
-
-    Substituting markers into the canonical tree commutes with case
-    normalisation (:func:`normalize_case` never rewrites literal nodes
-    and preserves structure), so the one-shot build path shares a single
-    normalisation pass between the template, the clause texts and this
-    sentinel — and the splice self-check below independently verifies
-    the result either way.
-    """
-    literals: List[Tuple[str, str]] = []
-    _collect_value(proto.statement, literals)
-    if tuple(literals) != fingerprint.constants:
-        return None
-    markers = tuple(
-        ("number", "\x00%d\x01" % index) for index in range(len(literals))
-    )
-    state = [0]
-    sentinel_statement = _substitute_value(canonical, markers, state)
-    if state[0] != len(literals):
-        return None
-    select = _leading_select(sentinel_statement)  # type: ignore[arg-type]
-    sc, fc, wc, _, _ = _clause_strings(select)
-    splices = (_make_splice(sc), _make_splice(fc), _make_splice(wc))
-    # End-to-end self-check: splicing the prototype's own constants must
-    # reproduce its true clause texts byte for byte.
-    rendered = [_render_constant(kind, value) for kind, value in literals]
-    clauses = proto.clauses
-    if (
-        _render_splice(splices[0], rendered) != clauses.sc
-        or _render_splice(splices[1], rendered) != clauses.fc
-        or _render_splice(splices[2], rendered) != clauses.wc
-    ):
-        return None
-    return _Entry(
-        proto,
-        fingerprint.constants,
-        splices,
-        _equality_binding(proto),
-        len(null_comparison_predicates(proto.select)),
-    )
-
-
 def _entry_from_markers(
     proto: ParsedQuery,
     fingerprint: StatementFingerprint,
     splices: Tuple[_Splice, _Splice, _Splice],
     marker: _MarkerFormatter,
 ) -> Optional[_Entry]:
-    """:func:`_build_entry_canonical` from an existing marker rendering.
+    """Intern ``proto`` for its fingerprint key, or ``None`` if unsafe.
 
-    The fused cold path already rendered the statement once with indexed
+    The cold path already rendered the statement once with indexed
     markers at the constant leaves, so the splices are given; admission
     reduces to the safety check.  The marker formatter recorded each
     constant's ``(kind, value)`` at the moment it was emitted, so one
     sequence equality against the scanner's constant vector verifies
-    everything the legacy checks did: that the parser built exactly the
-    literals the scanner predicted (folded ``- -5``, CAST sizes and
-    consumed aliases all break it) *and* that render order — which the
-    splice slots encode — is token order, value for value.  Two
+    that the parser built exactly the literals the scanner predicted
+    (folded ``- -5``, CAST sizes and consumed aliases all break it)
+    *and* that render order — which the splice slots encode — is token
+    order, value for value.  Two
     identical constants transposed would pass, and splice identical
     bytes either way.
     """
@@ -809,45 +719,8 @@ def _entry_from_markers(
     )
 
 
-def _instantiate(
-    entry: _Entry, constants: Tuple[Tuple[str, str], ...], record
-) -> ParsedQuery:
-    """Materialise the key class's parse for ``record``'s constants."""
-    proto = entry.proto
-    if constants == entry.constants:
-        return dataclasses.replace(proto, record=record)
-    state = [0]
-    statement = _substitute_value(proto.statement, constants, state)
-    select = statement
-    while isinstance(select, ast.Union):
-        select = select.left
-    rendered = [_render_constant(kind, value) for kind, value in constants]
-    clauses = ClauseTexts(
-        sc=_render_splice(entry.splices[0], rendered),
-        fc=_render_splice(entry.splices[1], rendered),
-        wc=_render_splice(entry.splices[2], rendered),
-    )
-    equality = (
-        single_equality_filter(select)
-        if proto.equality_filter is not None
-        else None
-    )
-    return ParsedQuery(
-        record=record,
-        statement=statement,  # type: ignore[arg-type]
-        select=select,  # type: ignore[arg-type]
-        template=proto.template,
-        template_id=proto.template_id,
-        clauses=clauses,
-        predicate_count=proto.predicate_count,
-        equality_filter=equality,
-        outputs=proto.outputs,
-        interned_id=proto.interned_id,
-    )
-
-
 # ----------------------------------------------------------------------
-# Raw-template memo (L1.5): skip the scanner for known raw templates
+# Raw-template memo: skip the scanner for known raw templates
 #
 # One regex strips number/string literals straight out of the raw text.
 # It deliberately knows nothing about comments, delimited identifiers or
@@ -882,7 +755,7 @@ def _raw_scan(text: str) -> Optional[RawTemplate]:
     refusal, mirrored here, keeps placeholders out of the input).  The
     constants come back already in the scanner's ``(kind, value)``
     format — same unquoting, same ``''`` collapse — so a verified raw
-    key can feed :meth:`_Entry.bind` and :func:`_instantiate` directly.
+    key can feed :meth:`_Entry.bind` directly.
     """
     if _FP_UNSAFE.search(text):
         return None
@@ -916,7 +789,7 @@ CacheResult = Union[ParsedQuery, Tuple[BaseException, str]]
 
 
 class TemplateCache:
-    """Bounded two-level LRU for the parse fast path.
+    """Bounded three-tier LRU for the parse fast path.
 
     One instance serves one executor run (batch), one cleaner instance
     (streaming) or one worker shard (parallel) — instances are picklable
@@ -924,24 +797,14 @@ class TemplateCache:
     shared concurrently.
 
     :param max_entries: LRU bound applied to each level independently.
-    :param lazy: emit :class:`LazyParsedQuery` on L2 hits instead of
-        materialising the AST eagerly (the parse engine v2 fast path).
-        Byte-identical output either way — laziness only changes *when*
-        the AST is built, and :attr:`materialised` counts those deferred
-        builds.
     """
 
-    def __init__(
-        self,
-        max_entries: int = DEFAULT_PARSE_CACHE_SIZE,
-        lazy: bool = False,
-    ) -> None:
+    def __init__(self, max_entries: int = DEFAULT_PARSE_CACHE_SIZE) -> None:
         if max_entries < 1:
             raise ValueError(
                 f"max_entries must be a positive integer, got {max_entries!r}"
             )
         self.max_entries = max_entries
-        self.lazy = lazy
         self.hits = 0
         self.misses = 0
         self.evictions = 0
@@ -953,14 +816,14 @@ class TemplateCache:
         #: scanner for this raw key.
         self._by_raw: "OrderedDict[str, object]" = OrderedDict()
         #: (sql, fingerprint, raw, scan) remembered from the last miss so
-        #: that the build()/store() that follows does not rescan the text
-        #: (the scan carries the token stream the parser consumes).
+        #: that the build() that follows does not rescan the text (the
+        #: scan carries the token stream the parser consumes).
         self._pending: Optional[
             Tuple[
                 str,
                 Optional[StatementFingerprint],
                 Optional[RawTemplate],
-                Optional[Scan],
+                Scan,
             ]
         ] = None
 
@@ -972,26 +835,6 @@ class TemplateCache:
         a query's ``statement`` after a run still bumps it.
         """
         return self._lazy_stats.materialised
-
-    def set_lazy(self, lazy: bool) -> None:
-        """Switch the emission mode of subsequent fetches.
-
-        Turning laziness *off* also drops lazy values promoted into L1,
-        so an eager run served by a reused (worker-persistent) cache
-        never emits a lazy query.
-        """
-        lazy = bool(lazy)
-        if lazy == self.lazy:
-            return
-        self.lazy = lazy
-        if not lazy:
-            exact = self._exact
-            for sql in [
-                sql
-                for sql, value in exact.items()
-                if type(value) is LazyParsedQuery
-            ]:
-                del exact[sql]
 
     def __len__(self) -> int:
         return len(self._exact)
@@ -1007,7 +850,8 @@ class TemplateCache:
         A returned :class:`~repro.patterns.models.ParsedQuery` is already
         bound to ``record``; a returned tuple is the shared parse
         failure of this exact statement text.  ``None`` means miss — the
-        caller must full-parse and :meth:`store` the outcome.
+        caller must :meth:`build` the record (and :meth:`store` the
+        failure if that raises).
         """
         sql = record.sql
         exact = self._exact
@@ -1017,11 +861,7 @@ class TemplateCache:
             self.hits += 1
             if type(cached) is tuple:
                 return cached
-            if cached.record is record:
-                return cached
-            if type(cached) is LazyParsedQuery:
-                return rebind_query(cached, record, cached.interned_id)
-            return dataclasses.replace(cached, record=record)
+            return rebind_query(cached, record, cached.interned_id)
         raw = _raw_scan(sql)
         if raw is not None:
             memo = self._by_raw.get(raw[0])
@@ -1036,21 +876,16 @@ class TemplateCache:
                 for index in folds:
                     constants[index] = ("number", "-" + constants[index][1])
                 self.hits += 1
-                if self.lazy:
-                    return entry.bind(record, tuple(constants), self._lazy_stats)
-                return _instantiate(entry, tuple(constants), record)
+                return entry.bind(record, tuple(constants), self._lazy_stats)
         scanned = scan(sql)
         fingerprint = scanned.fingerprint
         if fingerprint is not None:
             entry = self._by_key.get(fingerprint.key)
             if type(entry) is _Entry:
                 self._by_key.move_to_end(fingerprint.key)
-                if self.lazy:
-                    result: CacheResult = entry.bind(
-                        record, fingerprint.constants, self._lazy_stats
-                    )
-                else:
-                    result = _instantiate(entry, fingerprint.constants, record)
+                result = entry.bind(
+                    record, fingerprint.constants, self._lazy_stats
+                )
                 self.hits += 1
                 self._admit_raw(raw, fingerprint, entry)
                 # Promote into L1 so an exact repeat skips the scanner.
@@ -1060,30 +895,11 @@ class TemplateCache:
         self._pending = (sql, fingerprint, raw, scanned)
         return None
 
-    def store(self, sql: str, result: CacheResult) -> None:
-        """Admit a full-parse outcome produced after a :meth:`fetch` miss."""
-        pending = self._pending
-        self._pending = None
-        if pending is not None and pending[0] == sql:
-            fingerprint, raw = pending[1], pending[2]
-        else:
-            fingerprint = scan(sql).fingerprint
-            raw = _raw_scan(sql)
-        self._remember_exact(sql, result)
-        if fingerprint is None or type(result) is tuple:
-            # No usable key, or a failure: failures stay L1-only because
-            # their messages carry text-specific line/column positions.
-            return
-        by_key = self._by_key
-        entry = by_key.get(fingerprint.key)
-        if entry is None:
-            entry = _build_entry(result, fingerprint)
-            entry = _UNSAFE if entry is None else entry
-            by_key[fingerprint.key] = entry
-            if len(by_key) > self.max_entries:
-                by_key.popitem(last=False)
-                self.evictions += 1
-        self._admit_raw(raw, fingerprint, entry)
+    def store(self, sql: str, failure: Tuple[BaseException, str]) -> None:
+        """Record the ``(error, reason)`` failure of a :meth:`build` that
+        raised.  Failures stay L1-only: their messages carry text-specific
+        line/column positions, so they are never shared across texts."""
+        self._remember_exact(sql, failure)
 
     def build(
         self,
@@ -1102,46 +918,50 @@ class TemplateCache:
         texts and the interned splice :class:`_Entry` together — the
         legacy parse-then-re-derive path case-normalised the tree three
         times and formatted it four.  On success the prototype is
-        admitted into L1/L2/raw exactly as a fetch-miss followed by
-        :meth:`store` would admit it.
+        admitted into L1, and its entry into L2 and the raw memo.
 
         Failures (:class:`~repro.sqlparser.errors.SqlError` subclasses,
-        ``RecursionError``) propagate to the caller; the pending scan
-        state is kept so the caller's :meth:`store` of the failure tuple
-        does not rescan the text.
+        ``RecursionError``) propagate to the caller, which records them
+        with :meth:`store`.
         """
         sql = record.sql
         pending = self._pending
-        if pending is not None and pending[0] == sql and pending[3] is not None:
-            fingerprint, raw, scanned = pending[1], pending[2], pending[3]
+        self._pending = None
+        if pending is not None and pending[0] == sql:
+            _, fingerprint, raw, scanned = pending
         else:
             scanned = scan(sql)
             fingerprint = scanned.fingerprint
             raw = _raw_scan(sql)
-            self._pending = (sql, fingerprint, raw, scanned)
         if scanned.error is not None:
             raise scanned.error
         statement = Parser(scanned.tokens).parse_statement()
-        self._pending = None
-        select = statement
-        while isinstance(select, ast.Union):
-            select = select.left
-        assert isinstance(select, ast.SelectStatement)
         marker = None
-        if fingerprint is not None and not isinstance(statement, ast.Union):
+        if fingerprint is None or isinstance(statement, ast.Union):
+            # No marker rendering: without a fingerprint there is no key
+            # to intern (and no guarantee the text is free of the marker
+            # alphabet's control characters), and a UNION's template
+            # folds a full statement rendering into its suffix, which
+            # isn't worth a marker variant for how rarely unions appear.
+            # Both derive exactly as the cacheless path does; a UNION's
+            # key is pinned unsafe below (exact-text L1 only).
+            proto = ParsedQuery.from_statement(
+                record,
+                statement,
+                fold_variables=fold_variables,
+                strict_triple=strict_triple,
+                interner=interner,
+            )
+        else:
             # Fused derivation: one marker-rendering of the raw parse
             # tree yields the template (markers → placeholders), the
             # splices (split on the markers) and the clause texts (one
             # splice-render with the statement's own constants) — and
             # the case-normalising formatter makes the canonical tree
-            # itself unnecessary.  The fingerprint's existence
-            # guarantees the text is free of the marker alphabet's
-            # control characters.  Unions fall back: their template
-            # folds a full statement rendering into the suffix, which
-            # isn't worth a marker variant for how rarely they appear.
+            # itself unnecessary.
             marker = _MarkerFormatter(fold_variables)
             msc, mfc, mwc, mprefix, msuffix = _clause_strings(
-                select, marker
+                statement, marker
             )
             template = QueryTemplate(
                 ssc=marker.template_text(msc),
@@ -1162,33 +982,25 @@ class TemplateCache:
             rendered = [
                 _render_constant(kind, value) for kind, value in marker.consts
             ]
-            sc = _render_splice(splices[0], rendered)
-            fc = _render_splice(splices[1], rendered)
-            wc = _render_splice(splices[2], rendered)
-        else:
-            canonical = normalize_case(statement)
-            canonical_select = _leading_select(canonical)  # type: ignore[arg-type]
-            sc, fc, wc, _, _ = _clause_strings(canonical_select)
-            template = build_template_canonical(
-                canonical,  # type: ignore[arg-type]
-                fold_variables=fold_variables,
-                strict_triple=strict_triple,
+            template_id = template_fingerprint(template)
+            proto = ParsedQuery(
+                record=record,
+                statement=statement,
+                select=statement,
+                template=template,
+                template_id=template_id,
+                clauses=ClauseTexts(
+                    sc=_render_splice(splices[0], rendered),
+                    fc=_render_splice(splices[1], rendered),
+                    wc=_render_splice(splices[2], rendered),
+                ),
+                predicate_count=count_predicates(statement),
+                equality_filter=single_equality_filter(statement),
+                outputs=frozenset(output_columns(statement)),
+                interned_id=(
+                    -1 if interner is None else interner.intern(template_id)
+                ),
             )
-        template_id = template_fingerprint(template)
-        proto = ParsedQuery(
-            record=record,
-            statement=statement,
-            select=select,
-            template=template,
-            template_id=template_id,
-            clauses=ClauseTexts(sc=sc, fc=fc, wc=wc),
-            predicate_count=count_predicates(select),
-            equality_filter=single_equality_filter(select),
-            outputs=frozenset(output_columns(select)),
-            interned_id=(
-                -1 if interner is None else interner.intern(template_id)
-            ),
-        )
         self._remember_exact(sql, proto)
         if fingerprint is not None:
             by_key = self._by_key
@@ -1197,10 +1009,6 @@ class TemplateCache:
                 if marker is not None:
                     entry = _entry_from_markers(
                         proto, fingerprint, splices, marker
-                    )
-                else:
-                    entry = _build_entry_canonical(
-                        proto, fingerprint, canonical
                     )
                 entry = _UNSAFE if entry is None else entry
                 by_key[fingerprint.key] = entry
@@ -1443,7 +1251,6 @@ class TemplateCache:
         finally:
             if gc_was_enabled:
                 gc.enable()
-            self._pending = None
             self.hits, self.misses, self.evictions = hits, misses, evictions
         return loaded
 
@@ -1462,7 +1269,7 @@ class TemplateCache:
         ever warm caches serving the same ``(fold_variables,
         strict_triple)`` parse knobs it was built under.
         """
-        clone = TemplateCache(self.max_entries, lazy=self.lazy)
+        clone = TemplateCache(self.max_entries)
         # Lazy L1 values hold this cache's materialisation counter; a
         # seeded cache must count its own, so they stay behind (the
         # interned L2 entry regenerates them on the first key hit).

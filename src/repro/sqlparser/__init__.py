@@ -1,4 +1,4 @@
-"""SQL front end: lexer, parser, AST and canonical formatter.
+"""SQL front end: scanner, parser, AST and canonical formatter.
 
 Typical use::
 
@@ -9,7 +9,7 @@ Typical use::
 """
 
 from .errors import LexerError, ParseError, SqlError, UnsupportedStatementError
-from .lexer import StatementFingerprint, fingerprint_statement, tokenize
+from .scanner import StatementFingerprint, fingerprint_statement, tokenize
 from .parser import parse, parse_select, parse_tokens
 from .formatter import format_expression, format_sql
 from . import ast_nodes as ast

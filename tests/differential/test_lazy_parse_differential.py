@@ -1,12 +1,13 @@
 """Differential suite: the lazy parse fast path tells the same story.
 
-``lazy_parse`` changes *when* SQL text and ASTs materialise, and
+Lazy emission changes *when* SQL text and ASTs materialise, and
 nothing else.  For a generated workload this suite pins every executor
-configuration's lazy run to its own eager run: identical clean
-records, an equal ``comparable()`` ledger counter for counter, and
-zero conservation violations — plus the lazy-specific accounting laws
-(``parse_lazy_hits + parse_eager == parse.records_out``, eager runs
-booking zero lazy hits).
+configuration's cached (lazy) run to its own cacheless run, which
+parses every statement eagerly: identical clean records, an equal
+``comparable()`` ledger counter for counter, and zero conservation
+violations — plus the lazy-specific accounting laws (``parse_lazy_hits
++ parse_eager == parse.records_out``, eager runs booking zero lazy
+hits).
 """
 
 from __future__ import annotations
@@ -43,69 +44,54 @@ class TestLazyParseMatrix:
         execution = EXECUTIONS[name]
         lazy = repro.clean(workload_log, _config(), execution=execution)
         eager = repro.clean(
-            workload_log, _config(), execution=execution, lazy_parse=False
+            workload_log, _config(), execution=execution, parse_cache=False
         )
         assert lazy.clean_log.records() == eager.clean_log.records()
         assert lazy.metrics.comparable() == eager.metrics.comparable()
         assert lazy.metrics.conservation_violations() == []
         assert eager.metrics.conservation_violations() == []
 
-        lazy_parse = lazy.metrics.stages["parse"].counters
-        eager_parse = eager.metrics.stages["parse"].counters
+        lazy_counters = lazy.metrics.stages["parse"].counters
+        eager_counters = eager.metrics.stages["parse"].counters
         # The ledger law, by hand (the conservation check above already
         # enforces it, but pin the counters exist and carry traffic).
         assert (
-            lazy_parse["parse_lazy_hits"] + lazy_parse["parse_eager"]
-            == lazy_parse["records_out"]
+            lazy_counters["parse_lazy_hits"] + lazy_counters["parse_eager"]
+            == lazy_counters["records_out"]
         )
-        assert lazy_parse["parse_lazy_hits"] > 0, (
+        assert lazy_counters["parse_lazy_hits"] > 0, (
             "a repetitive workload must take the lazy path"
         )
-        assert eager_parse["parse_lazy_hits"] == 0
-        assert eager_parse["parse_materialised"] == 0
+        assert eager_counters["parse_lazy_hits"] == 0
+        assert eager_counters["parse_materialised"] == 0
         # Materialisation is bounded by emission.
         assert (
-            lazy_parse["parse_materialised"] <= lazy_parse["parse_lazy_hits"]
+            lazy_counters["parse_materialised"] <= lazy_counters["parse_lazy_hits"]
         )
 
-    def test_lazy_parse_off_without_cache_is_harmless(self, workload_log):
-        """``lazy_parse`` is moot when the cache is off — the run takes
-        the classic exact-dict path and books zero lazy traffic."""
-        result = repro.clean(
-            workload_log, _config(), parse_cache=False
-        )
-        reference = repro.clean(
-            workload_log, _config(), parse_cache=False, lazy_parse=False
-        )
-        assert result.clean_log.records() == reference.clean_log.records()
-        counters = result.metrics.stages["parse"].counters
-        assert counters["parse_lazy_hits"] == 0
-        assert counters["parse_cache_hits"] == 0
+    def test_cli_no_parse_cache_reaches_the_run(self, workload_log, tmp_path):
+        """``--no-parse-cache`` flows through to the execution config: the
+        run books no cache or lazy traffic and writes the same clean log
+        as the default cached run."""
+        import json
 
-    def test_cli_knob_reaches_the_run(self, workload_log, tmp_path):
-        """--no-lazy-parse flows through to the execution config."""
         from repro.cli.main import main
         from repro.log.io import write_csv
 
         source = tmp_path / "log.csv"
         write_csv(workload_log, source)
-        out = tmp_path / "clean.csv"
-        metrics = tmp_path / "metrics.json"
-        code = main(
-            [
-                "clean",
-                str(source),
-                "--output",
-                str(out),
-                "--metrics-json",
-                str(metrics),
-                "--no-lazy-parse",
-            ]
-        )
-        assert code == 0
-        import json
-
-        ledger = json.loads(metrics.read_text())
-        parse = ledger["stages"]["parse"]["counters"]
-        assert parse["parse_lazy_hits"] == 0
-        assert parse["parse_cache_hits"] > 0
+        counters = {}
+        outputs = {}
+        for name, extra in (("cached", []), ("cacheless", ["--no-parse-cache"])):
+            out = tmp_path / f"{name}.csv"
+            metrics = tmp_path / f"{name}.json"
+            argv = ["clean", str(source), "--output", str(out)]
+            argv += ["--metrics-json", str(metrics), *extra]
+            assert main(argv) == 0
+            ledger = json.loads(metrics.read_text())
+            counters[name] = ledger["stages"]["parse"]["counters"]
+            outputs[name] = out.read_bytes()
+        assert outputs["cacheless"] == outputs["cached"]
+        assert counters["cached"]["parse_lazy_hits"] > 0
+        assert counters["cacheless"]["parse_lazy_hits"] == 0
+        assert counters["cacheless"]["parse_cache_hits"] == 0

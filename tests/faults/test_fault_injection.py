@@ -173,17 +173,50 @@ class TestQuarantinePolicy:
         for name, view in views.items():
             assert view == baseline, f"{name} ledger diverges from batch"
 
-    def test_quarantine_reasons_cover_all_classes(self, poisoned_log):
+    @pytest.mark.parametrize("parse_cache", [True, False], ids=["cache", "nocache"])
+    @pytest.mark.parametrize("mode", ["batch", "streaming"])
+    def test_quarantine_reasons_cover_all_classes(
+        self, mode, parse_cache, poisoned_log
+    ):
+        """Every failure class gets the same ``(reason, record)``
+        verdict from every executor, with the parse cache on or off.
+        The parse failures — plus an unsupported statement, counted as
+        non-SELECT — repeat once, so the cache also answers a stored
+        failure."""
+        repeats = [
+            LogRecord(seq=910, sql="DROP TABLE T", timestamp=46.0, user="user7"),
+            LogRecord(seq=911, sql="SELEKT definitely not sql !!",
+                      timestamp=47.0, user="user5"),
+            LogRecord(seq=912, sql="DROP TABLE T", timestamp=48.0, user="user7"),
+            LogRecord(seq=913, sql=DEEP_SQL, timestamp=49.0, user="user6"),
+        ]
         config = PipelineConfig(error_policy="quarantine")
-        result = repro.clean(poisoned_log, config)
+        result = repro.clean(
+            QueryLog(poisoned_log.records() + repeats),
+            config,
+            execution=mode,
+            parse_cache=parse_cache,
+        )
         assert result.quarantine.by_reason() == {
             INVALID_TIMESTAMP: 2,
             INVALID_STATEMENT: 2,
-            PARSE_ERROR: 1,
-            NESTING_DEPTH: 1,
+            PARSE_ERROR: 2,
+            NESTING_DEPTH: 2,
         }
         stages = {entry.stage for entry in result.quarantine}
         assert stages == {"validate", "parse"}
+        assert [
+            (entry.reason, entry.record.seq)
+            for entry in result.quarantine
+            if entry.stage == "parse"
+        ] == [
+            (PARSE_ERROR, 904),
+            (NESTING_DEPTH, 905),
+            (PARSE_ERROR, 911),
+            (NESTING_DEPTH, 913),
+        ]
+        assert result.metrics.stages["parse"].counters["non_select"] == 2
+        assert result.metrics.conservation_violations() == []
 
     @pytest.mark.parametrize("execution", EXECUTIONS)
     def test_validate_and_parse_counters(self, execution, poisoned_log):

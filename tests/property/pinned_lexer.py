@@ -2,9 +2,9 @@
 
 This is the hand-written ``Lexer`` that shipped in
 ``repro.sqlparser.lexer`` through parse engines v1–v3, moved here
-verbatim when parse engine v4 removed the production escape hatch
-(``REPRO_LEGACY_LEXER=1`` now warns that the path is gone and proceeds
-with the scanner).  It stays in-tree *unchanged* as the executable
+verbatim when parse engine v4 removed the production escape hatch (the
+``lexer`` module itself is gone too; :mod:`repro.sqlparser.scanner` is
+the only tokenizer).  It stays in-tree *unchanged* as the executable
 specification of the tokenizer: the property suite fuzzes every
 scanner rewrite against it, so the simplest possible implementation —
 one character at a time, no tables shared with the code under test —

@@ -9,8 +9,7 @@ shapes, strings with doubled-quote escapes — render each template with
 two independent constant assignments, and check:
 
 * equal keys ⇒ identical query templates (Definition 4), and
-* the cache's splice (eager) or lazy bind is byte-equal to a fresh
-  parse: same :class:`ParsedQuery`, same clause texts, same formatted
+* the cache's lazy bind is byte-equal to a fresh parse: same :class:`ParsedQuery`, same clause texts, same formatted
   statement.
 
 Statements the scanner punts on (``None``) or the parser rejects are
@@ -25,7 +24,7 @@ from repro.patterns.models import ParsedQuery
 from repro.skeleton import build_template
 from repro.skeleton.cache import TemplateCache
 from repro.sqlparser import SqlError, format_sql, parse
-from repro.sqlparser.lexer import fingerprint_statement
+from repro.sqlparser.scanner import fingerprint_statement
 
 # ---------------------------------------------------------------------
 # Generators: SkyServer-flavoured statements with constant "holes"
@@ -109,11 +108,11 @@ class TestFingerprintDifferential:
             return
         assert build_template(tree_a) == build_template(tree_b)
 
-    @given(pair=statements(), lazy=st.booleans())
+    @given(pair=statements())
     @settings(max_examples=300, deadline=None)
-    def test_cache_output_byte_equal_to_fresh_parse(self, pair, lazy):
+    def test_cache_output_byte_equal_to_fresh_parse(self, pair):
         """Warm a cache with one rendering, fetch the other: whatever
-        comes back (lazy bind, splice, or a safety-net full parse) must
+        comes back (lazy bind or a safety-net full parse) must
         be indistinguishable from parsing the text directly."""
         sql_a, sql_b = pair
         rec_a, rec_b = record(0, sql_a), record(1, sql_b)
@@ -121,12 +120,12 @@ class TestFingerprintDifferential:
         direct = try_parse(rec_b)
         if proto is None or direct is None:
             return
-        cache = TemplateCache(lazy=lazy)
+        cache = TemplateCache()
         if cache.fetch(rec_a) is None:
-            cache.store(sql_a, proto)
+            cache.build(rec_a)
         via_cache = cache.fetch(rec_b)
         if via_cache is None:
-            cache.store(sql_b, try_parse(rec_b))
+            cache.build(rec_b)
             via_cache = cache.fetch(record(2, sql_b))
             direct = try_parse(record(2, sql_b))
         assert not isinstance(via_cache, tuple)

@@ -289,32 +289,17 @@ class TestV3ScannerDifferential:
         assert_same_scan_as_v3(text)
 
 
-class TestLegacyEscapeHatch:
-    """``REPRO_LEGACY_LEXER=1`` is gone: the v4 façade warns that the
-    legacy path was removed and proceeds with the scanner."""
 
-    def test_forwarding_default_is_scanner(self):
-        import warnings
+class TestPackageSurface:
+    """``repro.sqlparser`` exports the scanner's own front-end objects."""
 
-        from repro.sqlparser import lexer
+    def test_sqlparser_reexports_scanner(self):
+        import repro.sqlparser as package
+        from repro.sqlparser import scanner
 
-        assert lexer._USE_LEGACY is False
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            tokens = lexer.tokenize("SELECT a FROM t")
-        assert [t.value for t in tokens[:-1]] == ["SELECT", "a", "FROM", "t"]
-
-    def test_escape_hatch_warns_removed_and_proceeds(self, monkeypatch):
-        from repro.sqlparser import lexer
-
-        monkeypatch.setattr(lexer, "_USE_LEGACY", True)
-        with pytest.warns(DeprecationWarning, match="was removed"):
-            tokens = lexer.tokenize("SELECT a FROM t WHERE x = 1")
-        assert tokens == scan("SELECT a FROM t WHERE x = 1").tokens
-
-    def test_lexer_module_keeps_compat_surface(self):
-        from repro.sqlparser import lexer
-
-        assert lexer.fingerprint_statement("SELECT 1") is not None
-        assert lexer.StatementFingerprint is not None
-        assert not hasattr(lexer, "Lexer")
+        assert package.tokenize is scanner.tokenize
+        assert package.fingerprint_statement is scanner.fingerprint_statement
+        assert package.StatementFingerprint is scanner.StatementFingerprint
+        text = "SELECT a FROM t WHERE x = 1"
+        assert package.tokenize(text) == scan(text).tokens
+        assert package.fingerprint_statement(text) == scan(text).fingerprint

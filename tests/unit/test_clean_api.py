@@ -1,7 +1,4 @@
-"""Unit tests for the unified ``repro.clean()`` entry point and the
-deprecation shims around the old one-call helpers."""
-
-import warnings
+"""Unit tests for the unified ``repro.clean()`` entry point."""
 
 import pytest
 
@@ -9,8 +6,6 @@ import repro
 from repro.antipatterns import DetectionContext
 from repro.log import LogRecord, QueryLog
 from repro.pipeline import ExecutionConfig, PipelineConfig
-from repro.pipeline.framework import clean_log
-from repro.pipeline.streaming import StreamingCleaner, clean_log_streaming
 
 KEYS = frozenset({"empid", "id", "objid"})
 
@@ -107,69 +102,7 @@ class TestLeanResultGuards:
             assert isinstance(result.clean_log, QueryLog)
 
 
-class TestDeprecatedWrappers:
-    def test_clean_log_warns_and_behaves(self):
-        log = stifle_log()
-        with pytest.warns(DeprecationWarning, match="repro.clean"):
-            cleaned = clean_log(log, config())
-        assert cleaned == repro.clean(log, config()).clean_log
-
-    def test_clean_log_streaming_warns_and_behaves(self):
-        log = stifle_log()
-        with pytest.warns(DeprecationWarning, match="repro.clean"):
-            cleaned, stats = clean_log_streaming(log, config())
-        reference = repro.clean(log, config(), execution="streaming")
-        assert cleaned == reference.clean_log
-        assert stats.records_out == reference.streaming_stats.records_out
-
-    def test_clean_log_streaming_bound_still_respected(self):
-        log = stifle_log(10)
-        with pytest.warns(DeprecationWarning):
-            cleaned, stats = clean_log_streaming(
-                log, config(), max_block_queries=4
-            )
-        assert stats.blocks_force_closed >= 2
-        assert stats.max_open_queries <= 4
-
-    def test_each_shim_warns_exactly_once(self):
-        """Every shim emits exactly one DeprecationWarning per call —
-        no doubled warnings from nested deprecated paths, no silence."""
-        log = stifle_log()
-
-        def sole_warning(func):
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                func()
-            deprecations = [
-                w for w in caught if issubclass(w.category, DeprecationWarning)
-            ]
-            assert len(deprecations) == 1, [str(w.message) for w in caught]
-            return str(deprecations[0].message)
-
-        assert "repro.clean" in sole_warning(lambda: clean_log(log, config()))
-        assert "repro.clean" in sole_warning(
-            lambda: clean_log_streaming(log, config())
-        )
-        assert "max_block_queries" in sole_warning(
-            lambda: StreamingCleaner(config(), max_block_queries=4)
-        )
-
-    def test_streaming_cleaner_bound_shim_forwards_behaviour(self):
-        """``StreamingCleaner(max_block_queries=)`` must behave exactly
-        like the replacement ``ExecutionConfig(max_block_queries=)``."""
-        log = stifle_log(10)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            shimmed = StreamingCleaner(config(), max_block_queries=4)
-        shim_clean = list(shimmed.process(log.records()))
-        modern = StreamingCleaner(
-            config(execution=ExecutionConfig(max_block_queries=4))
-        )
-        modern_clean = list(modern.process(log.records()))
-        assert shim_clean == modern_clean
-        assert shimmed.stats.blocks_force_closed == modern.stats.blocks_force_closed
-        assert shimmed.stats.max_open_queries <= 4
-
+class TestExports:
     def test_exports(self):
         assert callable(repro.clean)
         assert repro.ExecutionConfig is ExecutionConfig

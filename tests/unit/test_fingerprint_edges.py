@@ -27,7 +27,7 @@ from repro.log.models import LogRecord
 from repro.patterns.models import ParsedQuery
 from repro.skeleton.cache import TemplateCache
 from repro.sqlparser import SqlError, format_sql, parse
-from repro.sqlparser.lexer import fingerprint_statement
+from repro.sqlparser.scanner import fingerprint_statement
 
 
 def record(seq: int, sql: str) -> LogRecord:
@@ -39,13 +39,20 @@ def fresh_parse(rec: LogRecord) -> ParsedQuery:
 
 
 def cached_parse(cache: TemplateCache, rec: LogRecord) -> ParsedQuery:
-    """Fetch through ``cache``, full-parsing and storing on a miss."""
+    """Fetch through ``cache``, cold-building on a miss."""
     cached = cache.fetch(rec)
     if cached is None:
-        cached = fresh_parse(rec)
-        cache.store(rec.sql, cached)
+        cached = cache.build(rec)
     assert not isinstance(cached, tuple), cached
     return cached
+
+
+def serving(cache: TemplateCache, seeded: bool) -> TemplateCache:
+    """The warmed ``cache`` itself, or — as a parallel worker receives
+    it — a fresh cache revived from its pool seed."""
+    if seeded:
+        return TemplateCache.from_seed(cache.export_seed())
+    return cache
 
 
 class TestDelimiterKeys:
@@ -71,29 +78,34 @@ class TestDelimiterKeys:
                 == fingerprint_statement(other).key
             )
 
-    @pytest.mark.parametrize("lazy", [False, True])
+    @pytest.mark.parametrize("seeded", [False, True])
     @pytest.mark.parametrize("sql", FORMS)
-    def test_cached_equals_uncached_per_form(self, sql, lazy):
-        """Warm each form's own key, then fetch a constant variant: the
-        cached instantiation must equal a fresh full parse, and its
-        clause texts must render the same bytes."""
-        cache = TemplateCache(lazy=lazy)
+    def test_cached_equals_uncached_per_form(self, sql, seeded):
+        """Warm each form's own key, then fetch a constant variant (from
+        the warm cache or from its pool seed): the cached instantiation
+        must equal a fresh full parse, and its clause texts must render
+        the same bytes."""
+        cache = TemplateCache()
         cached_parse(cache, record(0, sql))
+        cache = serving(cache, seeded)
         variant = record(1, sql.replace("= 1", "= 2"))
         via_cache = cached_parse(cache, variant)
+        assert cache.misses == (0 if seeded else 1)
         direct = fresh_parse(variant)
         assert via_cache == direct
         assert via_cache.clauses == direct.clauses
         assert format_sql(via_cache.statement) == format_sql(direct.statement)
 
-    @pytest.mark.parametrize("lazy", [False, True])
-    def test_forms_never_cross_pollinate(self, lazy):
+    @pytest.mark.parametrize("seeded", [False, True])
+    def test_forms_never_cross_pollinate(self, seeded):
         """Warm the cache with *all* forms, then fetch variants of each:
         every answer must match its own form's fresh parse (pre-fix the
-        shared key made one form splice another's prototype)."""
-        cache = TemplateCache(lazy=lazy)
+        shared key made one form splice another's prototype).  A pool
+        seed must keep the forms apart too."""
+        cache = TemplateCache()
         for seq, sql in enumerate(self.FORMS):
             cached_parse(cache, record(seq, sql))
+        cache = serving(cache, seeded)
         for seq, sql in enumerate(self.FORMS):
             variant = record(100 + seq, sql.replace("= 1", "= 42"))
             assert cached_parse(cache, variant) == fresh_parse(variant)
@@ -165,13 +177,15 @@ class TestNumberEdges:
             "SELECT a FROM t WHERE b = 1.5e-3",
         ],
     )
-    @pytest.mark.parametrize("lazy", [False, True])
-    def test_accepted_edges_round_trip_through_cache(self, sql, lazy):
+    @pytest.mark.parametrize("seeded", [False, True])
+    def test_accepted_edges_round_trip_through_cache(self, sql, seeded):
         """Shapes both sides accept: the cached instantiation of a
-        sibling constant must be byte-equal to its fresh parse."""
+        sibling constant — from the warm cache or from its pool seed —
+        must be byte-equal to its fresh parse."""
         assert fingerprint_statement(sql) is not None
-        cache = TemplateCache(lazy=lazy)
+        cache = TemplateCache()
         cached_parse(cache, record(0, sql))
+        cache = serving(cache, seeded)
         sibling = record(1, sql.replace("b =", "b ="))  # same template
         other = record(2, "SELECT a FROM t WHERE b = 7")
         via_cache = cached_parse(cache, other)
@@ -208,9 +222,8 @@ class TestNumberEdges:
         cache = TemplateCache()
         rec = record(0, sql)
         assert cache.fetch(rec) is None
-        try:
-            fresh_parse(rec)
-        except SqlError as error:
-            cache.store(sql, (error, "parse_error"))
+        with pytest.raises(SqlError) as raised:
+            cache.build(rec)
+        cache.store(sql, (raised.value, "parse_error"))
         hit = cache.fetch(record(1, sql))
         assert isinstance(hit, tuple)

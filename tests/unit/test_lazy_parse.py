@@ -1,12 +1,12 @@
 """Unit tests of the lazy parse fast path (Parse engine v2).
 
-A lazy :class:`TemplateCache` answers L2 fingerprint hits with
+A :class:`TemplateCache` answers raw-memo and L2 fingerprint hits with
 :class:`LazyParsedQuery` objects that carry only the record, the
 interned skeleton facts and the constant vector; SQL text, AST and
 clause features bind on first access.  These tests pin the binding
 rules, the equality contract against eager queries, the materialisation
-counter, and the cache-lifecycle hygiene (seed export, mode switch,
-pickling) the executors rely on.
+counter, and the cache-lifecycle hygiene (seed export, pickling) the
+executors rely on.
 """
 
 import pickle
@@ -29,7 +29,7 @@ def fresh_parse(rec: LogRecord) -> ParsedQuery:
 
 def warm(cache: TemplateCache, rec: LogRecord) -> None:
     assert cache.fetch(rec) is None
-    cache.store(rec.sql, fresh_parse(rec))
+    cache.build(rec)
 
 
 SQL_A = "SELECT objid, ra FROM PhotoObj WHERE objid = 1 AND ra > 0.5"
@@ -38,8 +38,8 @@ SQL_B = "SELECT objid, ra FROM PhotoObj WHERE objid = 2 AND ra > 9.25"
 
 @pytest.fixture
 def lazy_hit():
-    """A lazy cache warmed with SQL_A, plus the lazy bind of SQL_B."""
-    cache = TemplateCache(lazy=True)
+    """A cache warmed with SQL_A, plus the lazy bind of SQL_B."""
+    cache = TemplateCache()
     warm(cache, record(0, SQL_A))
     rec = record(1, SQL_B)
     query = cache.fetch(rec)
@@ -87,7 +87,7 @@ class TestLazyBinding:
         assert cache.materialised == 1
 
     def test_single_equality_filter_binds_indexed_constant(self):
-        cache = TemplateCache(lazy=True)
+        cache = TemplateCache()
         warm(cache, record(0, "SELECT name FROM SpecObj WHERE name = 'a'"))
         rec = record(1, "SELECT name FROM SpecObj WHERE name = 'b''c'")
         query = cache.fetch(rec)
@@ -97,7 +97,7 @@ class TestLazyBinding:
         assert cache.materialised == 0
 
     def test_null_predicates_answer_from_entry(self):
-        cache = TemplateCache(lazy=True)
+        cache = TemplateCache()
         warm(cache, record(0, "SELECT a FROM t WHERE a = NULL AND b = 1"))
         query = cache.fetch(record(1, "SELECT a FROM t WHERE a = NULL AND b = 2"))
         assert type(query) is LazyParsedQuery
@@ -161,13 +161,6 @@ class TestRebind:
 
 
 class TestCacheLifecycle:
-    def test_set_lazy_off_purges_lazy_l1_values(self, lazy_hit):
-        cache, _, _ = lazy_hit
-        cache.set_lazy(False)
-        query = cache.fetch(record(3, SQL_B))
-        assert type(query) is ParsedQuery
-        assert query == fresh_parse(record(3, SQL_B))
-
     def test_seed_round_trip_serves_lazy_from_l2(self, lazy_hit):
         cache, _, _ = lazy_hit
         revived = TemplateCache.from_seed(cache.export_seed())
@@ -186,10 +179,3 @@ class TestCacheLifecycle:
         clone = pickle.loads(pickle.dumps(query))
         assert type(clone) is LazyParsedQuery
         assert clone == fresh_parse(rec)
-
-    def test_eager_cache_never_emits_lazy(self):
-        cache = TemplateCache(lazy=False)
-        warm(cache, record(0, SQL_A))
-        query = cache.fetch(record(1, SQL_B))
-        assert type(query) is ParsedQuery
-        assert cache.materialised == 0

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.sqlparser.errors import LexerError
-from repro.sqlparser.lexer import tokenize
+from repro.sqlparser.scanner import tokenize
 from repro.sqlparser.tokens import TokenKind
 
 

@@ -1,7 +1,5 @@
 """Unit tests for the LogSource protocol and its adapters."""
 
-import warnings
-
 import pytest
 
 import repro
@@ -161,32 +159,3 @@ class TestAsSource:
             resolved, owned = as_source(value)
             assert isinstance(resolved, LogSource) and owned is True
             assert resolved.read().records() == log.records()
-
-
-class TestDeprecatedReaders:
-    def test_read_csv_warns_once_and_forwards(self, on_disk):
-        log, paths = on_disk
-        from repro.log import read_csv
-
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            result = read_csv(paths["csv"])
-        assert result == log
-        deprecations = [
-            w for w in caught if issubclass(w.category, DeprecationWarning)
-        ]
-        assert len(deprecations) == 1
-        assert "open_log" in str(deprecations[0].message)
-
-    def test_read_jsonl_warns_once_and_forwards(self, on_disk):
-        log, paths = on_disk
-        from repro.log import read_jsonl
-
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            result = read_jsonl(paths["jsonl"])
-        assert result == log
-        deprecations = [
-            w for w in caught if issubclass(w.category, DeprecationWarning)
-        ]
-        assert len(deprecations) == 1

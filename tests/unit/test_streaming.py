@@ -97,16 +97,7 @@ class TestStreamingBasics:
         # still cleans: several partial IN-merges instead of one big one
         assert len(cleaned) < 10
 
-    def test_constructor_bound_is_deprecated_but_works(self):
-        with pytest.warns(DeprecationWarning):
-            cleaner = StreamingCleaner(config(), max_block_queries=4)
-        assert cleaner.max_block_queries == 4
-        assert cleaner.config.execution.max_block_queries == 4
-
     def test_invalid_bound(self):
-        with pytest.raises(ValueError):
-            with pytest.warns(DeprecationWarning):
-                StreamingCleaner(max_block_queries=1)
         with pytest.raises(ValueError):
             config(max_block_queries=1)
 

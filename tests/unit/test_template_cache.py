@@ -23,8 +23,8 @@ from repro.pipeline.config import ExecutionConfig
 from repro.pipeline.framework import parse_log
 from repro.skeleton import build_template
 from repro.skeleton.cache import TemplateCache
-from repro.sqlparser import parse
-from repro.sqlparser.lexer import fingerprint_statement
+from repro.sqlparser import SqlError, parse
+from repro.sqlparser.scanner import fingerprint_statement
 
 
 def record(sql, seq=0, user="u"):
@@ -90,7 +90,7 @@ class TestTemplateCacheMechanics:
         cache = TemplateCache()
         proto = record("SELECT a FROM t WHERE b = 1", seq=0)
         assert cache.fetch(proto) is None
-        cache.store(proto.sql, full_parse(proto))
+        cache.build(proto)
         member = record("SELECT a FROM t WHERE b = 22", seq=1)
         hit = cache.fetch(member)
         assert hit is not None
@@ -101,7 +101,7 @@ class TestTemplateCacheMechanics:
         cache = TemplateCache()
         first = record("SELECT a FROM t WHERE b = 1", seq=0)
         cache.fetch(first)
-        cache.store(first.sql, full_parse(first))
+        cache.build(first)
         second = record(first.sql, seq=7)
         hit = cache.fetch(second)
         assert hit.record is second
@@ -116,7 +116,7 @@ class TestTemplateCacheMechanics:
         ]
         for rec in records(statements):
             assert cache.fetch(rec) is None
-            cache.store(rec.sql, full_parse(rec))
+            cache.build(rec)
         assert len(cache) == 2
         assert cache.key_entries == 2
         assert cache.evictions >= 2  # one per level for the oldest entry
@@ -129,10 +129,9 @@ class TestTemplateCacheMechanics:
         cache = TemplateCache()
         bad = record("SELECT FROM WHERE ((", seq=0)
         assert cache.fetch(bad) is None
-        try:
-            parse(bad.sql)
-        except Exception as error:
-            cache.store(bad.sql, (error, "parse_error"))
+        with pytest.raises(SqlError) as raised:
+            cache.build(bad)
+        cache.store(bad.sql, (raised.value, "parse_error"))
         assert cache.key_entries == 0
         again = cache.fetch(record(bad.sql, seq=1))
         assert isinstance(again, tuple)
@@ -152,16 +151,21 @@ class TestUnsafeFallback:
             ("SELECT a AS 'label' FROM t", "SELECT a AS 'other' FROM t"),
             # Double unary minus folds differently in parser vs scanner.
             ("SELECT - -5 FROM t", "SELECT - -7 FROM t"),
+            # UNION keys are never interned: exact-text L1 only.
+            (
+                "SELECT a FROM t UNION ALL SELECT b FROM u WHERE c = 1",
+                "SELECT a FROM t UNION ALL SELECT b FROM u WHERE c = 2",
+            ),
         ],
     )
     def test_ambiguous_keys_always_full_parse(self, proto_sql, member_sql):
         cache = TemplateCache()
         proto = record(proto_sql, seq=0)
         assert cache.fetch(proto) is None
-        cache.store(proto.sql, full_parse(proto))
+        cache.build(proto)
         member = record(member_sql, seq=1)
         assert cache.fetch(member) is None  # unsafe key → full parse
-        cache.store(member.sql, full_parse(member))
+        cache.build(member)
         # The exact texts still hit through L1, with correct rebinding.
         repeat = record(member_sql, seq=2)
         hit = cache.fetch(repeat)
@@ -172,7 +176,7 @@ class TestUnsafeFallback:
         cache = TemplateCache()
         proto = record("SELECT - -5 FROM t", seq=0)
         cache.fetch(proto)
-        cache.store(proto.sql, full_parse(proto))
+        cache.build(proto)
         clone = pickle.loads(pickle.dumps(cache))
         fresh = record("SELECT - -9 FROM t", seq=1)
         assert clone.fetch(fresh) is None  # still treated as unsafe
@@ -181,7 +185,7 @@ class TestUnsafeFallback:
         cache = TemplateCache()
         proto = record("SELECT a FROM t WHERE b = 1", seq=0)
         cache.fetch(proto)
-        cache.store(proto.sql, full_parse(proto))
+        cache.build(proto)
         clone = pickle.loads(pickle.dumps(cache))
         member = record("SELECT a FROM t WHERE b = 5", seq=1)
         hit = clone.fetch(member)
@@ -190,18 +194,18 @@ class TestUnsafeFallback:
 
 
 class TestRawTemplateMemo:
-    """The L1.5 raw-template memo: scanner-free binds, verified once."""
+    """The raw-template memo: scanner-free binds, verified once."""
 
     def warmed(self, proto_sql):
         cache = TemplateCache()
         proto = record(proto_sql, seq=0)
         assert cache.fetch(proto) is None
-        cache.store(proto.sql, full_parse(proto))
+        cache.build(proto)
         return cache
 
     def test_members_bind_without_the_scanner(self):
         cache = self.warmed("SELECT a FROM t WHERE b = 1 AND n = 'x'")
-        # Admission happened at store time: one verified raw template.
+        # Admission happened at build time: one verified raw template.
         (memo,) = cache._by_raw.values()
         assert type(memo) is tuple
         member = record("SELECT a FROM t WHERE b = 972 AND n = 'o''k'", seq=1)
@@ -271,7 +275,7 @@ class TestRawTemplateMemo:
         ):
             rec = record(sql, seq=i)
             assert cache.fetch(rec) is None
-            cache.store(rec.sql, full_parse(rec))
+            cache.build(rec)
         assert len(cache._by_raw) == 2
 
 
@@ -347,6 +351,7 @@ STATEMENTS = [
     "SELECT a FROM t WHERE b = -2.5e3",
     "SELECT count(*) FROM t GROUP BY a HAVING count(*) > 3",
     "SELECT a FROM t UNION ALL SELECT b FROM u WHERE c = 1",
+    "SELECT a FROM t UNION ALL SELECT b FROM u WHERE c = 2",
     "DROP TABLE t",
     "INSERT INTO t VALUES (1)",
     "SELECT broken FROM WHERE ((",
@@ -378,7 +383,7 @@ class TestCachedParseLogDifferential:
         a = record("SELECT a, b FROM t WHERE a = 0 AND b >= 3", seq=0)
         b = record("SELECT a, b FROM t WHERE a = 7 AND b >= 900", seq=1)
         cache.fetch(a)
-        cache.store(a.sql, full_parse(a))
+        cache.build(a)
         hit = cache.fetch(b)
         assert hit is not None
         proto = cache.fetch(record(a.sql, seq=2))
@@ -449,7 +454,7 @@ def test_cache_hit_equals_full_parse_property(template, n, n2, s):
     cache = TemplateCache()
     proto = record(template.format(n=0, n2=1, s="seed"), seq=0)
     cache.fetch(proto)
-    cache.store(proto.sql, full_parse(proto))
+    cache.build(proto)
     member = record(template.format(n=n, n2=n2, s=s), seq=1)
     result = cache.fetch(member)
     if result is None:  # unsafe/bail fallback is allowed, wrongness is not
