@@ -9,10 +9,10 @@ measures the rebuilt data plane on the same ~100k-query log
 * **parallel-1** — the inline degenerate fan-out, which must cost at
   most 1.2× batch (it runs the same shared stages minus the global
   artifacts, so the data plane may not add measurable overhead);
-* **parallel-4 × transfer ∈ {pickle, shm}** — the real fan-out, cold
-  pool, recording bytes shipped per shard under both transfer modes;
-* **parallel-4 shm, warm** — the same run again over the reused warm
-  pool (same executor generation — no refork).
+* **parallel-4, cold** — the real fan-out on a freshly provisioned
+  pool, recording the columnar buffer bytes shipped per shard;
+* **parallel-4, warm** — the same run again over the reused warm pool
+  (same executor generation — no refork).
 
 Always asserted: every run byte-identical to batch with an equal
 ``comparable()`` ledger and zero conservation violations, and the
@@ -84,17 +84,14 @@ def _parallel_run(log, config, reference, **execution_knobs):
     return {
         "mode": "parallel",
         "workers": stats.workers,
-        "transfer": run_config.execution.transfer,
         "shards": stats.shard_count,
         "seconds": seconds,
         "throughput": len(log) / seconds,
         "bytes_shipped": stats.bytes_shipped,
-        "shm_segments": stats.shm_segments,
         "shards_retried": stats.shards_retried,
         "per_shard": [
             {
                 "shard": s.shard,
-                "transfer": s.transfer,
                 "records_in": s.records_in,
                 "bytes": s.bytes_shipped,
             }
@@ -134,7 +131,6 @@ def test_parallel_zerocopy(bench_config):
         {
             "mode": "batch",
             "workers": 1,
-            "transfer": "-",
             "seconds": batch_seconds,
             "throughput": len(log) / batch_seconds,
             "identical_to_batch": True,
@@ -152,23 +148,16 @@ def test_parallel_zerocopy(bench_config):
     inline["overhead_vs_batch"] = inline["seconds"] / batch_seconds
     report["runs"].append(inline)
 
-    # parallel-4 under both transfer modes, cold pool each time.
-    four = {}
-    for transfer in ("pickle", "shm"):
-        shutdown_worker_pools()
-        run = _parallel_run(
-            log, shared_config, reference, workers=4, transfer=transfer
-        )
-        run["pool_generation"] = get_worker_pool(4).generation
-        run["speedup_vs_batch"] = batch_seconds / run["seconds"]
-        report["runs"].append(run)
-        four[transfer] = run
+    # parallel-4 on a cold pool.
+    shutdown_worker_pools()
+    cold = _parallel_run(log, shared_config, reference, workers=4)
+    cold["pool_generation"] = get_worker_pool(4).generation
+    cold["speedup_vs_batch"] = batch_seconds / cold["seconds"]
+    report["runs"].append(cold)
 
     # the warm repeat: same pool object, same executor generation.
     generation_before = get_worker_pool(4).generation
-    warm = _parallel_run(
-        log, shared_config, reference, workers=4, transfer="shm"
-    )
+    warm = _parallel_run(log, shared_config, reference, workers=4)
     warm["warm_pool"] = True
     warm["pool_generation"] = get_worker_pool(4).generation
     warm["speedup_vs_batch"] = batch_seconds / warm["seconds"]
@@ -178,16 +167,10 @@ def test_parallel_zerocopy(bench_config):
     )
     shutdown_worker_pools()
 
-    # both transfer modes ship the identical payload bytes; segments
-    # only exist under shm, one per shard.
-    assert four["pickle"]["bytes_shipped"] == four["shm"]["bytes_shipped"]
-    assert four["pickle"]["shm_segments"] == 0
-    assert four["shm"]["shm_segments"] == four["shm"]["shards"]
-    assert all(
-        entry["bytes"] > 0
-        for run in four.values()
-        for entry in run["per_shard"]
-    )
+    # every shard shipped a non-empty buffer, and a warm repeat ships
+    # the same plan byte for byte.
+    assert all(entry["bytes"] > 0 for entry in cold["per_shard"])
+    assert warm["bytes_shipped"] == cold["bytes_shipped"]
 
     merged = {}
     if OUTPUT_PATH.exists():
@@ -204,7 +187,6 @@ def test_parallel_zerocopy(bench_config):
         [
             "mode",
             "workers",
-            "transfer",
             "shards",
             "seconds",
             "records/s",
@@ -215,7 +197,6 @@ def test_parallel_zerocopy(bench_config):
             (
                 run["mode"] + (" (warm)" if run.get("warm_pool") else ""),
                 run["workers"],
-                run["transfer"],
                 run.get("shards", "-"),
                 f"{run['seconds']:.2f}",
                 f"{run['throughput']:,.0f}",

@@ -40,9 +40,9 @@ OUTPUT_PATH = Path(__file__).parent / "BENCH_parse_v2.json"
 EXECUTIONS = (
     ("batch", "batch"),
     ("streaming", "streaming"),
-    ("parallel-1", ExecutionConfig(mode="parallel", workers=1, chunk_size=2048)),
-    ("parallel-2", ExecutionConfig(mode="parallel", workers=2, chunk_size=2048)),
-    ("parallel-4", ExecutionConfig(mode="parallel", workers=4, chunk_size=2048)),
+    ("parallel-1", ExecutionConfig(mode="parallel", workers=1)),
+    ("parallel-2", ExecutionConfig(mode="parallel", workers=2)),
+    ("parallel-4", ExecutionConfig(mode="parallel", workers=4)),
 )
 
 

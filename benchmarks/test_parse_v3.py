@@ -206,7 +206,6 @@ def _execution(name, dict_path):
         return ExecutionConfig(
             mode=mode,
             workers=int(workers),
-            chunk_size=2048,
             template_dict=str(dict_path),
         )
     return ExecutionConfig(mode=mode, template_dict=str(dict_path))

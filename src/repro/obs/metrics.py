@@ -123,15 +123,13 @@ EXECUTOR_DEPENDENT_COUNTERS = {
 #: .comparable`): it exists only under the parallel executor, so these
 #: are observability for the data plane, not cross-executor contracts.
 #: ``bytes_shipped`` is the total encoded shard-buffer bytes handed to
-#: workers (each shard's buffer counted once; retries reuse it);
-#: ``shm_segments`` counts shared-memory segments created under
-#: ``transfer="shm"`` (0 under ``"pickle"``).
+#: workers (each shard's buffer counted once; retries reuse it; 0 when
+#: the run's single shard ran inline).
 MERGE_COUNTERS = (
     "records_out",
     "shards_retried",
     "shards_failed",
     "bytes_shipped",
-    "shm_segments",
     "interner_size",
 )
 

@@ -55,7 +55,6 @@ def clean(
     execution: Optional[Union[ExecutionConfig, str]] = None,
     recorder: Optional[Recorder] = None,
     parse_cache: Optional[bool] = None,
-    transfer: Optional[str] = None,
     template_dict: Optional[Union[str, Path]] = None,
     checkpoint_dir: Optional[Union[str, Path]] = None,
     resume: bool = False,
@@ -77,13 +76,6 @@ def clean(
         flag for this call — ``False`` forces every statement down the
         full parse path (the clean log is identical either way; only
         speed and the ``parse_cache_*`` counters change).
-    :param transfer: overrides the execution config's ``transfer`` mode
-        for this call — how parallel shards reach the workers:
-        ``"pickle"`` ships each shard's columnar buffer as one pickle-5
-        bytes object, ``"shm"`` hands workers a shared-memory segment
-        to attach to.  Byte-identical output either way; only transfer
-        cost and the merge-stage ``bytes_shipped`` / ``shm_segments``
-        counters change.  Ignored by batch and streaming runs.
     :param template_dict: overrides the execution config's
         ``template_dict`` path for this call — a persistent template
         dictionary sidecar the run preloads its parse cache from and
@@ -140,11 +132,6 @@ def clean(
         effective = replace(
             effective,
             execution=replace(effective.execution, parse_cache=parse_cache),
-        )
-    if transfer is not None:
-        effective = replace(
-            effective,
-            execution=replace(effective.execution, transfer=transfer),
         )
     if template_dict is not None:
         effective = replace(

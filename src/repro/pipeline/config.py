@@ -16,9 +16,6 @@ from ..patterns.sws import SwsConfig
 #: Execution modes understood by :func:`repro.clean`.
 EXECUTION_MODES = ("batch", "streaming", "parallel")
 
-#: Shard transfer modes of the parallel executor's data plane.
-TRANSFER_MODES = ("pickle", "shm")
-
 
 @dataclass(frozen=True)
 class ExecutionConfig:
@@ -32,34 +29,14 @@ class ExecutionConfig:
         ``"streaming"`` (bounded memory, one pass, statistics only) or
         ``"parallel"`` (hash-sharded by user across worker processes).
     :param workers: worker-process count for parallel mode; ``0`` means
-        one per available CPU.
+        one per available CPU.  A parallel run shards the log into about
+        ``2 × workers`` tasks (never splitting a user) and fans them out
+        over the warm process-wide pool for that worker count (see
+        :func:`repro.pipeline.parallel.get_worker_pool`).
     :param max_block_queries: force-close bound per open block in
         streaming mode — the memory ceiling is roughly ``open users ×
         max_block_queries``.  Ignored by batch and parallel modes (they
         hold whole blocks by construction).
-    :param chunk_size: target number of records per worker task in
-        parallel mode.  ``0`` (the default) sizes shards adaptively —
-        about ``2 × workers`` tasks, rebalanced by per-shard record
-        counts, which amortises per-task overhead while still riding out
-        one slow shard.  An explicit positive value pins the classic
-        fixed-size packing.  Smaller chunks balance skewed users better
-        but cost more inter-process traffic; a chunk never splits a
-        user.
-    :param transfer: how parallel shards travel to the workers.
-        ``"pickle"`` (the default) encodes each shard into one
-        contiguous columnar buffer and ships it as a single pickle-5
-        bytes object; ``"shm"`` places the same buffer in a
-        ``multiprocessing.shared_memory`` segment that workers attach to
-        without copying.  The clean log is byte-identical either way —
-        only transfer cost and the merge-stage ``bytes_shipped`` /
-        ``shm_segments`` counters change.
-    :param pool_reuse: keep the worker process pool warm between runs.
-        ``True`` (the default) parks the pool in a process-wide registry
-        (see :func:`repro.pipeline.parallel.get_worker_pool`) so
-        subsequent :func:`repro.clean` calls skip worker start-up and
-        reuse each worker's persistent parse cache; pools are shut down
-        atexit and rebuilt transparently after a crash.  ``False`` gives
-        the run a private pool torn down when it finishes.
     :param max_shard_retries: how many times a failed parallel shard is
         re-submitted (worker crash, timeout, transient stage exception)
         before it is declared terminally failed and handed to the error
@@ -78,7 +55,7 @@ class ExecutionConfig:
         parser whenever a fingerprint is ambiguous).
     :param parse_cache_size: maximum number of cached templates per
         cache instance (batch keeps one cache per run; streaming one per
-        pipeline instance; parallel one per shard).
+        pipeline instance; parallel one per worker process).
     :param template_dict: path of a persistent template dictionary
         sidecar (:meth:`~repro.skeleton.cache.TemplateCache.save_dict`).
         When set, the run preloads its parse cache from the sidecar
@@ -98,9 +75,6 @@ class ExecutionConfig:
     mode: str = "batch"
     workers: int = 0
     max_block_queries: int = 10_000
-    chunk_size: int = 0
-    transfer: str = "pickle"
-    pool_reuse: bool = True
     max_shard_retries: int = 2
     retry_backoff: float = 0.05
     task_timeout: Optional[float] = None
@@ -119,15 +93,6 @@ class ExecutionConfig:
         if self.max_block_queries < 2:
             raise ValueError(
                 f"max_block_queries must be >= 2, got {self.max_block_queries}"
-            )
-        if self.chunk_size < 0:
-            raise ValueError(
-                f"chunk_size must be >= 0 (0 = adaptive), got {self.chunk_size}"
-            )
-        if self.transfer not in TRANSFER_MODES:
-            raise ValueError(
-                f"transfer must be one of {TRANSFER_MODES}, "
-                f"got {self.transfer!r}"
             )
         if self.max_shard_retries < 0:
             raise ValueError(

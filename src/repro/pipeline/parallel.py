@@ -7,16 +7,12 @@ parallel *by user*.  The :class:`ParallelCleaner` exploits that:
 1. **Shard** — records are hash-sharded by ``user_key()`` (a stable
    CRC-32, so shard assignment is identical across processes and runs)
    into per-task record lists; a user's whole timeline always lands in
-   exactly one task.  With the default ``chunk_size=0`` the shard count
-   adapts to the fan-out (≈ ``2 × workers`` tasks, rebalanced by record
-   counts); an explicit ``chunk_size`` pins the classic fixed packing.
+   exactly one task.  The shard count adapts to the fan-out: about
+   ``2 × workers`` tasks, rebalanced by record counts.
 2. **Fan out** — each shard is packed into one contiguous columnar
    buffer (:func:`repro.store.columnar.encode_shard`) and handed to a
-   worker either as a single pickle-5 bytes object
-   (``transfer="pickle"``) or as a ``multiprocessing.shared_memory``
-   segment the worker attaches to without copying
-   (``transfer="shm"``).  The worker decodes lazily straight into the
-   batch pipeline's own stage functions
+   worker as a single pickle-5 bytes object.  The worker decodes it
+   straight into the batch pipeline's own stage functions
    (:func:`~repro.pipeline.framework.dedup_stage` →
    :func:`~repro.pipeline.framework.parse_stage` →
    :func:`~repro.pipeline.framework.mine_stage` →
@@ -33,27 +29,18 @@ record-for-record identical to the batch pipeline's.  Global artifacts
 of scope here, exactly as in the streaming path.
 
 **Warm worker pools.**  Forking and tearing down a process pool per run
-dominates small runs, so pools are reusable: :func:`get_worker_pool`
-parks one :class:`WorkerPool` per worker count in a process-wide
-registry, reused across :func:`repro.clean` calls (disable per run with
-``execution.pool_reuse=False``).  Each worker keeps a persistent
-:class:`~repro.skeleton.cache.TemplateCache` across shards *and* runs,
-optionally pre-seeded with interned prototypes via
-:func:`set_worker_seed` — outputs stay byte-identical because the cache
-is correctness-checked per hit, only the ``parse_cache_*`` counters
-(executor-dependent by contract) change.  All registry pools are shut
-down atexit; a raising run discards its pool rather than leaving queued
-shards running behind the caller's back.
-
-**Shared-memory lifecycle.**  The parent owns every segment: it
-creates, fills and — once the shard has completed, terminally failed,
-or the run is over — closes *and unlinks* it.  Workers attach without
-registering with the resource tracker (the parent's unlink is the
-single point of truth), read the buffer eagerly during decode, and
-close their mapping before the report returns.  A worker SIGKILLed
-mid-shard therefore leaks nothing: the kernel drops its mapping, the
-segment survives for the retried worker, and the parent unlinks it on
-the way out.
+dominates small runs, so every fan-out runs on a reusable pool:
+:func:`get_worker_pool` parks one :class:`WorkerPool` per worker count in
+a process-wide registry, reused across :func:`repro.clean` calls.  Each
+worker keeps a persistent :class:`~repro.skeleton.cache.TemplateCache`
+across shards *and* runs, optionally pre-seeded with interned prototypes
+via :func:`set_worker_seed` — outputs stay byte-identical because the
+cache is correctness-checked per hit, only the ``parse_cache_*``
+counters (executor-dependent by contract) change.  All registry pools
+are shut down atexit, or earlier by :func:`shutdown_worker_pools`; a
+raising run discards its pool rather than leaving queued shards running
+behind the caller's back.  A log that plans to a single shard (one
+worker, one user, or nothing at all) never leaves the parent.
 
 **Fault tolerance.**  The fan-out runs on
 :class:`concurrent.futures.ProcessPoolExecutor` rather than
@@ -81,7 +68,6 @@ import zlib
 from concurrent import futures
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
-from multiprocessing import shared_memory
 from typing import (
     TYPE_CHECKING,
     Dict,
@@ -90,7 +76,6 @@ from typing import (
     Optional,
     Sequence,
     Tuple,
-    Union,
 )
 
 from ..errors import (
@@ -190,11 +175,8 @@ class ShardReport:
     #: into the run-level dictionary — shard-local ids are meaningless
     #: outside the worker, the fingerprints travel home with the report.
     interner: TemplateInterner = field(default_factory=TemplateInterner)
-    #: how the shard reached its worker — ``"pickle"`` / ``"shm"`` for
-    #: pool runs, ``"inline"`` when it never left the parent (both
-    #: annotated by the parent, not the worker).
-    transfer: str = "inline"
-    #: encoded payload size shipped for this shard (0 when inline).
+    #: encoded payload size shipped for this shard (0 when it ran
+    #: inline); annotated by the parent, not the worker.
     bytes_shipped: int = 0
 
 
@@ -224,8 +206,6 @@ class ParallelStats:
     :param bytes_shipped: total encoded shard-buffer bytes the run
         shipped to workers (each shard's buffer counted once — retries
         reuse it); also on the merge stage as ``bytes_shipped``.
-    :param shm_segments: shared-memory segments the run created (0 under
-        ``transfer="pickle"``); also on the merge stage.
     """
 
     workers: int
@@ -239,7 +219,6 @@ class ParallelStats:
     shards_retried: int = 0
     shards_failed: int = 0
     bytes_shipped: int = 0
-    shm_segments: int = 0
 
     @property
     def records_in(self) -> int:
@@ -268,33 +247,29 @@ def shard_index(user_key: str, shard_count: int) -> int:
 
 
 def shard_records(
-    log: Iterable[LogRecord], workers: int, chunk_size: int
+    log: Iterable[LogRecord], workers: int
 ) -> List[List[LogRecord]]:
     """Split ``log`` into per-task record lists, never splitting a user.
 
     Records are first hashed into fine-grained buckets (several per
     worker, so one heavy user cannot serialise the whole run), then the
-    buckets are packed in index order into tasks.  ``chunk_size == 0``
-    sizes the tasks adaptively: the packing budget is chosen so the run
-    yields about ``2 × workers`` shards balanced by record count —
-    enough tasks that one slow shard cannot straggle the run, few
-    enough that per-task overhead (encode, submit, report) stays
-    amortised.  A positive ``chunk_size`` bounds every task at that many
-    records instead — except that a single bucket larger than the
-    budget stays one task, because a user's timeline is indivisible.
+    buckets are packed in index order into tasks.  The packing budget is
+    chosen so the run yields about ``2 × workers`` shards balanced by
+    record count — enough tasks that one slow shard cannot straggle the
+    run, few enough that per-task overhead (encode, submit, report)
+    stays amortised.  A single bucket larger than the budget stays one
+    task, because a user's timeline is indivisible.
 
     ``log`` only needs to be iterable — :meth:`ParallelCleaner
     .run_source` feeds a chunk-flattening generator through here, and
     the sharding is insensitive to how the records were chunked on the
     way in: bucket membership is per user, task packing depends only on
     bucket sizes, and each worker sorts its shard into time order.
-    Bucket membership is independent of ``chunk_size`` entirely and, by
-    the CRC invariant, deterministic per user — changing the worker or
-    shard count only repacks buckets, it never splits a user's records
-    across tasks.
+    Bucket membership is, by the CRC invariant, deterministic per user —
+    changing the worker count only repacks buckets, it never splits a
+    user's records across tasks.
     """
-    adaptive = chunk_size == 0
-    bucket_count = max(64, workers * 16) if adaptive else max(32, workers * 8)
+    bucket_count = max(64, workers * 16)
     buckets: Dict[int, List[LogRecord]] = {}
     total = 0
     for record in log:
@@ -304,14 +279,11 @@ def shard_records(
     if not buckets:
         return []
 
-    if adaptive:
-        # One shard per worker would stall the run on its slowest shard;
-        # 2× gives the pool a second wave to rebalance into.  A single
-        # worker gets a single shard (the fan-out runs inline anyway).
-        target = 2 * workers if workers > 1 else 1
-        budget = -(-total // max(1, min(target, len(buckets))))
-    else:
-        budget = chunk_size
+    # One shard per worker would stall the run on its slowest shard; 2×
+    # gives the pool a second wave to rebalance into.  A single worker
+    # gets a single shard (it runs inline anyway).
+    target = 2 * workers if workers > 1 else 1
+    budget = -(-total // min(target, len(buckets)))
 
     shards: List[List[LogRecord]] = []
     current: List[LogRecord] = []
@@ -377,30 +349,6 @@ def _process_parse_cache(config: PipelineConfig) -> Optional[TemplateCache]:
         _WORKER_CACHE = cache
         _WORKER_CACHE_KEY = key
     return _WORKER_CACHE
-
-
-def _attach_shm(name: str) -> shared_memory.SharedMemory:
-    """Attach to a parent-owned segment without tracker registration.
-
-    The parent is the single owner: it created the segment and will
-    unlink it.  Registering the attachment with this process's resource
-    tracker would make the tracker try to clean up (or warn about) a
-    segment it does not own — ``track=False`` exists for exactly this
-    on Python 3.13+; older interpreters get the same effect by muting
-    ``register`` for the duration of the attach (bpo-39959).
-    """
-    try:
-        return shared_memory.SharedMemory(name=name, track=False)
-    except TypeError:  # Python < 3.13: no track parameter
-        pass
-    from multiprocessing import resource_tracker
-
-    original = resource_tracker.register
-    resource_tracker.register = lambda *args, **kwargs: None  # type: ignore[assignment]
-    try:
-        return shared_memory.SharedMemory(name=name)
-    finally:
-        resource_tracker.register = original
 
 
 def _clean_shard_log(
@@ -477,47 +425,19 @@ def _clean_shard_log(
     )
 
 
-def _clean_shard(
-    payload: Tuple[int, Sequence[LogRecord], PipelineConfig],
-    cache: Optional[TemplateCache] = None,
-) -> ShardReport:
-    """Worker body over plain records (the in-process/inline path).
-
-    Without an explicit ``cache`` each call gets a fresh per-call parse
-    cache by construction, because :func:`parse_stage` builds one when
-    none is passed.  The inline path hands the run's dictionary-warmed
-    cache through here — shared serially across the shards, mirroring
-    the pool path's persistent per-worker cache.
-    """
-    shard, records, config = payload
-    return _clean_shard_log(shard, QueryLog(records), config, cache=cache)
-
-
 def _clean_shard_encoded(
-    payload: Tuple[int, str, Union[bytes, str], int, PipelineConfig]
+    payload: Tuple[int, bytes, PipelineConfig]
 ) -> ShardReport:
-    """Worker body over an encoded shard buffer (the pool path).
+    """Worker body: clean one encoded shard buffer (the pool path).
 
-    ``data`` is the contiguous :func:`~repro.store.columnar
-    .encode_shard` buffer itself (``transfer="pickle"``) or the name of
-    the shared-memory segment holding it (``transfer="shm"``).  Decoding
-    reads the buffer eagerly, so the shm mapping is closed before any
-    stage runs — a crash after this point cannot pin the segment.
+    ``payload`` is ``(shard, buffer, config)``, where ``buffer`` is the
+    contiguous :func:`~repro.store.columnar.encode_shard` encoding of
+    the shard's records.  The worker's persistent parse cache serves
+    every shard it is handed.
     """
-    shard, kind, data, nbytes, config = payload
+    shard, buffer, config = payload
     cache = _process_parse_cache(config)
-    if kind == "shm":
-        segment = _attach_shm(data)  # type: ignore[arg-type]
-        try:
-            view = segment.buf[:nbytes]
-            try:
-                records = decode_shard(view)
-            finally:
-                view.release()
-        finally:
-            segment.close()
-    else:
-        records = decode_shard(data)
+    records = decode_shard(buffer)
     return _clean_shard_log(shard, QueryLog(records), config, cache=cache)
 
 
@@ -650,60 +570,6 @@ def set_worker_seed(
     shutdown_worker_pools(wait=False)
 
 
-# ----------------------------------------------------------------------
-# Shard transfer (parent side)
-
-
-@dataclass
-class _ShardTransfer:
-    """One shard's encoded buffer en route to a worker."""
-
-    kind: str  # "pickle" | "shm"
-    data: Union[bytes, str]  # the buffer itself, or the segment name
-    nbytes: int
-    segment: Optional[shared_memory.SharedMemory] = None
-
-
-def _encode_transfer(
-    records: Sequence[LogRecord], kind: str
-) -> _ShardTransfer:
-    blob = encode_shard(records)
-    if kind == "shm":
-        segment = shared_memory.SharedMemory(
-            create=True, size=max(1, len(blob))
-        )
-        segment.buf[:len(blob)] = blob
-        return _ShardTransfer("shm", segment.name, len(blob), segment)
-    return _ShardTransfer("pickle", blob, len(blob))
-
-
-def _release_transfer(transfer: Optional[_ShardTransfer]) -> None:
-    """Close and unlink a transfer's segment (idempotent, crash-safe)."""
-    if transfer is None or transfer.segment is None:
-        return
-    segment, transfer.segment = transfer.segment, None
-    try:
-        segment.close()
-    finally:
-        try:
-            segment.unlink()
-        except FileNotFoundError:  # pragma: no cover - already gone
-            pass
-
-
-@dataclass
-class _TransferStats:
-    """Parent-side transfer accounting for one run."""
-
-    bytes_shipped: int = 0
-    shm_segments: int = 0
-
-    def add(self, transfer: _ShardTransfer) -> None:
-        self.bytes_shipped += transfer.nbytes
-        if transfer.kind == "shm":
-            self.shm_segments += 1
-
-
 class ParallelCleaner:
     """Clean a query log on several CPU cores.
 
@@ -754,52 +620,46 @@ class ParallelCleaner:
 
     def _run_inline(
         self,
-        payloads: Dict[int, Tuple[int, List[LogRecord], PipelineConfig]],
+        records: List[LogRecord],
         quarantine: QuarantineChannel,
         cache: Optional[TemplateCache] = None,
-    ) -> Tuple[List[ShardReport], int, List[int], _TransferStats]:
-        """Run shards in-process (one worker, or nothing to fan out).
+    ) -> Tuple[List[ShardReport], int, List[int]]:
+        """Run a single-shard plan in-process.
 
         Same retry and error-policy contract as the pool path, minus the
         timeout (there is no separate process to abandon) and minus the
         codec — the records never leave the parent, so encoding them
-        would be pure overhead.
+        would be pure overhead.  ``cache`` is the run's
+        dictionary-warmed parse cache, if any.
         """
         execution = self.config.execution
-        max_attempts = execution.max_shard_retries + 1
-        reports: List[ShardReport] = []
-        retried = 0
-        failed: List[int] = []
-        for shard, payload in sorted(payloads.items()):
-            attempt = 0
-            while True:
-                attempt += 1
-                try:
-                    reports.append(_clean_shard(payload, cache))
-                    break
-                except RecordFailure:
-                    raise  # strict-policy verdict, not a fault — no retry
-                except Exception as exc:
-                    if attempt >= max_attempts:
-                        self._terminal_failure(
-                            shard, payload[1], attempt, repr(exc), quarantine
-                        )
-                        failed.append(shard)
-                        break
-                    retried += 1
-                    if execution.retry_backoff:
-                        time.sleep(
-                            execution.retry_backoff * 2 ** (attempt - 1)
-                        )
-        return reports, retried, failed, _TransferStats()
+        attempt = 0
+        while True:
+            attempt += 1
+            try:
+                report = _clean_shard_log(
+                    0, QueryLog(records), self.config, cache=cache
+                )
+            except RecordFailure:
+                raise  # strict-policy verdict, not a fault — no retry
+            except Exception as exc:
+                if attempt > execution.max_shard_retries:
+                    self._terminal_failure(
+                        0, records, attempt, repr(exc), quarantine
+                    )
+                    return [], attempt - 1, [0]
+                if execution.retry_backoff:
+                    time.sleep(execution.retry_backoff * 2 ** (attempt - 1))
+            else:
+                return [report], attempt - 1, []
 
     def _run_pool(
         self,
-        payloads: Dict[int, Tuple[int, List[LogRecord], PipelineConfig]],
+        shards: List[List[LogRecord]],
         workers: int,
         quarantine: QuarantineChannel,
-    ) -> Tuple[List[ShardReport], int, List[int], _TransferStats]:
-        """Fan the shards out over a process pool, re-queueing failures.
+    ) -> Tuple[List[ShardReport], int, List[int], int]:
+        """Fan the shards out over the warm pool, re-queueing failures.
 
         Each round submits every still-pending shard and waits for the
         wave to finish.  A crashed worker poisons the whole pool
@@ -808,24 +668,21 @@ class ParallelCleaner:
         charged — innocents succeed on the next round, and the
         accounting stays bounded: no shard is ever submitted more than
         ``max_shard_retries + 1`` times.  Each shard is encoded exactly
-        once; its buffer (or shm segment) is reused across retries and
-        released the moment the shard completes or terminally fails.
+        once; its buffer is reused across retries and dropped the moment
+        the shard completes or terminally fails.  Returns the reports,
+        the retry count, the failed shards and the bytes shipped.
         """
         execution = self.config.execution
         max_attempts = execution.max_shard_retries + 1
-        pending = {shard: payload[1] for shard, payload in payloads.items()}
-        attempts = {shard: 0 for shard in payloads}
+        pending = dict(enumerate(shards))
+        attempts = {shard: 0 for shard in pending}
         errors: Dict[int, str] = {}
         reports: List[ShardReport] = []
         retried = 0
         failed: List[int] = []
-        transfers: Dict[int, _ShardTransfer] = {}
-        transfer_stats = _TransferStats()
-        reuse = execution.pool_reuse
-        if reuse:
-            pool = get_worker_pool(workers)
-        else:
-            pool = WorkerPool(min(workers, len(payloads)), seed=_POOL_SEED)
+        buffers: Dict[int, bytes] = {}
+        bytes_shipped = 0
+        pool = get_worker_pool(workers)
         round_number = 0
         try:
             while pending:
@@ -841,7 +698,7 @@ class ParallelCleaner:
                     )
                     failed.append(shard)
                     del pending[shard]
-                    _release_transfer(transfers.pop(shard, None))
+                    buffers.pop(shard, None)
                 if not pending:
                     break
                 round_number += 1
@@ -854,23 +711,13 @@ class ParallelCleaner:
                 submitted: Dict[futures.Future, int] = {}
                 broken = False
                 for shard, records in sorted(pending.items()):
-                    transfer = transfers.get(shard)
-                    if transfer is None:
-                        transfer = _encode_transfer(
-                            records, execution.transfer
-                        )
-                        transfers[shard] = transfer
-                        transfer_stats.add(transfer)
+                    buffer = buffers.get(shard)
+                    if buffer is None:
+                        buffer = buffers[shard] = encode_shard(records)
+                        bytes_shipped += len(buffer)
                     try:
                         future = pool.submit(
-                            _clean_shard_encoded,
-                            (
-                                shard,
-                                transfer.kind,
-                                transfer.data,
-                                transfer.nbytes,
-                                self.config,
-                            ),
+                            _clean_shard_encoded, (shard, buffer, self.config)
                         )
                     except BrokenProcessPool as exc:
                         # A warm worker died while the wave was still
@@ -904,11 +751,7 @@ class ParallelCleaner:
                         attempts[shard] += 1
                         errors[shard] = repr(exc)
                     else:
-                        transfer = transfers.pop(shard, None)
-                        if transfer is not None:
-                            report.transfer = transfer.kind
-                            report.bytes_shipped = transfer.nbytes
-                            _release_transfer(transfer)
+                        report.bytes_shipped = len(buffers.pop(shard))
                         reports.append(report)
                         del pending[shard]
                 for future in not_done:
@@ -929,16 +772,9 @@ class ParallelCleaner:
             # behind the caller's back: discard the pool (workers exit
             # once their current task drains); the registry re-provisions
             # lazily on the next run.
-            if reuse:
-                discard_worker_pool(workers)
+            discard_worker_pool(workers)
             raise
-        finally:
-            for transfer in transfers.values():
-                _release_transfer(transfer)
-            transfers.clear()
-            if not reuse:
-                pool.shutdown(wait=False)
-        return reports, retried, failed, transfer_stats
+        return reports, retried, failed, bytes_shipped
 
     def run_source(self, source: "LogSource") -> QueryLog:
         """Clean a :class:`~repro.store.sources.LogSource` end to end.
@@ -957,8 +793,8 @@ class ParallelCleaner:
 
         With a template dictionary (explicit witnesses or the execution
         config's ``template_dict`` sidecar) the run preloads one warmed
-        cache and routes it to the shards: inline runs share it
-        serially, pool runs ship it as the worker seed
+        cache and routes it to the shards: a single-shard run cleans
+        with it inline, pool runs ship it as the worker seed
         (:func:`set_worker_seed`), so freshly spawned workers start
         their persistent cache warm.  The parallel executor never saves
         the sidecar back — per-worker caches each hold a partition of
@@ -988,22 +824,14 @@ class ParallelCleaner:
                     strict_triple=self.config.strict_triple,
                 )
 
-        shards = shard_records(log, workers, execution.chunk_size)
-        payloads = {
-            index: (index, records, self.config)
-            for index, records in enumerate(shards)
-        }
+        shards = shard_records(log, workers)
         quarantine = QuarantineChannel()
 
-        # Degenerate fan-outs run in-process: an empty log has zero
-        # payloads and a tiny one a single payload — both would ask for
-        # a zero/one-process pool — and one worker gains nothing from
-        # the fork+pickle tax.
-        if workers == 1 or len(payloads) <= 1:
-            reports, retried, failed, transfer_stats = self._run_inline(
-                payloads, quarantine, dict_cache
-            )
-        else:
+        # A single-shard plan (one worker, one user, a tiny log) runs
+        # in-process: the fork+encode tax buys nothing without a second
+        # shard to overlap with.  An empty log plans no shards at all.
+        bytes_shipped = 0
+        if len(shards) > 1:
             if dict_cache is not None:
                 # Replaces any previous seed and retires existing pools
                 # (they were spawned under the old seed); the new pool's
@@ -1013,9 +841,15 @@ class ParallelCleaner:
                     fold_variables=self.config.fold_variables,
                     strict_triple=self.config.strict_triple,
                 )
-            reports, retried, failed, transfer_stats = self._run_pool(
-                payloads, workers, quarantine
+            reports, retried, failed, bytes_shipped = self._run_pool(
+                shards, workers, quarantine
             )
+        elif shards:
+            reports, retried, failed = self._run_inline(
+                shards[0], quarantine, dict_cache
+            )
+        else:
+            reports, retried, failed = [], 0, []
 
         clock = time.perf_counter()
         cleaned = QueryLog(
@@ -1041,8 +875,7 @@ class ParallelCleaner:
             stats.shards.append(report)
         stats.shards_retried = retried
         stats.shards_failed = len(failed)
-        stats.bytes_shipped = transfer_stats.bytes_shipped
-        stats.shm_segments = transfer_stats.shm_segments
+        stats.bytes_shipped = bytes_shipped
         if dict_preloaded:
             # One preload event for the run's dictionary-warmed cache
             # (the shards' ledgers never see the preload — it happens
@@ -1057,8 +890,7 @@ class ParallelCleaner:
         merge_stage.count("records_out", len(cleaned))
         merge_stage.count("shards_retried", retried)
         merge_stage.count("shards_failed", len(failed))
-        merge_stage.count("bytes_shipped", transfer_stats.bytes_shipped)
-        merge_stage.count("shm_segments", transfer_stats.shm_segments)
+        merge_stage.count("bytes_shipped", bytes_shipped)
         # The run-level dictionary size: global distinct templates (the
         # "parse" counter carries the per-shard sum, like cache misses).
         merge_stage.count("interner_size", len(run_interner))
@@ -1073,25 +905,3 @@ class ParallelCleaner:
         self.stats = stats
         self.quarantine = quarantine
         return cleaned
-
-
-def clean_log_parallel(
-    log: QueryLog,
-    config: Optional[PipelineConfig] = None,
-    *,
-    workers: Optional[int] = None,
-) -> Tuple[QueryLog, ParallelStats]:
-    """One-call parallel clean: (clean log, parallel statistics).
-
-    ``workers`` overrides ``config.execution.workers`` when given.
-    """
-    from dataclasses import replace
-
-    effective = config or PipelineConfig()
-    if workers is not None:
-        effective = replace(
-            effective, execution=replace(effective.execution, workers=workers)
-        )
-    cleaner = ParallelCleaner(effective)
-    cleaned = cleaner.run(log)
-    return cleaned, cleaner.stats

@@ -190,7 +190,7 @@ class ColumnarWriter:
         }
         self._buffer["template"] = []
         self._buffer["constants"] = []
-        self._chunk_sizes: List[int] = []
+        self._chunk_lengths: List[int] = []
         self._record_count = 0
         self._closed = False
 
@@ -230,9 +230,9 @@ class ColumnarWriter:
         if not size:
             return
         _dump_compressed(
-            self.path / chunk_file_name(len(self._chunk_sizes)), self._buffer
+            self.path / chunk_file_name(len(self._chunk_lengths)), self._buffer
         )
-        self._chunk_sizes.append(size)
+        self._chunk_lengths.append(size)
         for column in self._buffer.values():
             column.clear()
 
@@ -252,7 +252,7 @@ class ColumnarWriter:
             "version": FORMAT_VERSION,
             "record_count": self._record_count,
             "chunk_records": self.chunk_records,
-            "chunks": self._chunk_sizes,
+            "chunks": self._chunk_lengths,
             "template_count": len(self._templates),
         }
         _write_bytes_atomic(

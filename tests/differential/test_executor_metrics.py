@@ -31,14 +31,15 @@ from repro.workload import WorkloadConfig, generate, skyserver_catalog
 KEYS = frozenset(skyserver_catalog().key_column_names())
 
 #: (id, execution) — the five execution paths under comparison.  The
-#: parallel entries use a small chunk size so that even the small test
-#: logs split into several shards and genuinely exercise the fan-out.
+#: parallel entries run the adaptive shard plan (about ``2 × workers``
+#: shards), so the multi-user workload logs split into several shards
+#: at 2 and 4 workers and genuinely exercise the pool fan-out.
 EXECUTIONS = (
     ("batch", "batch"),
     ("streaming", "streaming"),
-    ("parallel-1", ExecutionConfig(mode="parallel", workers=1, chunk_size=200)),
-    ("parallel-2", ExecutionConfig(mode="parallel", workers=2, chunk_size=200)),
-    ("parallel-4", ExecutionConfig(mode="parallel", workers=4, chunk_size=200)),
+    ("parallel-1", ExecutionConfig(mode="parallel", workers=1)),
+    ("parallel-2", ExecutionConfig(mode="parallel", workers=2)),
+    ("parallel-4", ExecutionConfig(mode="parallel", workers=4)),
 )
 
 #: Generated-workload matrix: different seeds and sizes, so dedup rate,
@@ -100,6 +101,8 @@ class TestWorkloadMatrix:
         assert stages["detect"]["counters"]["instances_detected"] > 0
         assert stages["detect"]["labels"]["antipatterns"]
         assert stages["solve"]["counters"]["instances_solved"] > 0
+        for name in ("parallel-2", "parallel-4"):
+            assert results[name].parallel_stats.shard_count >= 2, name
 
     def test_explicit_conservation_laws(self):
         """The issue's laws, spelled out against raw counters."""

@@ -24,8 +24,8 @@ KEYS = frozenset(skyserver_catalog().key_column_names())
 EXECUTIONS = {
     "batch": ExecutionConfig(mode="batch"),
     "streaming": ExecutionConfig(mode="streaming"),
-    "parallel-1": ExecutionConfig(mode="parallel", workers=1, chunk_size=0),
-    "parallel-2": ExecutionConfig(mode="parallel", workers=2, chunk_size=0),
+    "parallel-1": ExecutionConfig(mode="parallel", workers=1),
+    "parallel-2": ExecutionConfig(mode="parallel", workers=2),
 }
 
 

@@ -26,7 +26,7 @@ from repro.store import (
 from test_executor_metrics import EXECUTIONS, WORKLOADS, config, workload_log
 
 #: Records per chunk for the file sources — deliberately not a divisor
-#: of the parallel chunk_size (200) nor of the store chunking below.
+#: of the store chunking below.
 SOURCE_CHUNK_RECORDS = 97
 
 #: The columnar stores are written with yet another chunk size.

@@ -32,7 +32,8 @@ from repro.errors import (
     ShardFailure,
 )
 from repro.log import LogRecord, QueryLog
-from repro.pipeline import ExecutionConfig, PipelineConfig
+from repro.pipeline import ExecutionConfig, PipelineConfig, shard_records
+from repro.store.columnar import encode_shard
 
 from .faultlib import (
     AlwaysFailDetector,
@@ -45,18 +46,9 @@ from .faultlib import (
 EXECUTIONS = [
     pytest.param(ExecutionConfig(mode="batch"), id="batch"),
     pytest.param(ExecutionConfig(mode="streaming"), id="streaming"),
-    pytest.param(
-        ExecutionConfig(mode="parallel", workers=1, chunk_size=40),
-        id="parallel-1",
-    ),
-    pytest.param(
-        ExecutionConfig(mode="parallel", workers=2, chunk_size=40),
-        id="parallel-2",
-    ),
-    pytest.param(
-        ExecutionConfig(mode="parallel", workers=4, chunk_size=40),
-        id="parallel-4",
-    ),
+    pytest.param(ExecutionConfig(mode="parallel", workers=1), id="parallel-1"),
+    pytest.param(ExecutionConfig(mode="parallel", workers=2), id="parallel-2"),
+    pytest.param(ExecutionConfig(mode="parallel", workers=4), id="parallel-4"),
 ]
 
 DEEP_SQL = (
@@ -264,15 +256,27 @@ class TestLenientPolicy:
         assert validate["records_quarantined"] == 4
         assert result.metrics.conservation_violations() == []
 
+    @pytest.mark.parametrize("execution", EXECUTIONS)
+    def test_comparable_ledger_equals_batch(
+        self, execution, poisoned_log, lenient_batch
+    ):
+        config = PipelineConfig(error_policy="lenient")
+        result = repro.clean(poisoned_log, config, execution=execution)
+        assert result.metrics.comparable() == lenient_batch.metrics.comparable()
+
+
+@pytest.fixture(scope="module")
+def lenient_batch(poisoned_log):
+    """Lenient batch run over the poisoned log — the ledger reference."""
+    return repro.clean(poisoned_log, PipelineConfig(error_policy="lenient"))
+
 
 # ----------------------------------------------------------------------
 # Worker crash / timeout / exception recovery
 
 
 def _parallel(workers, **knobs):
-    return ExecutionConfig(
-        mode="parallel", workers=workers, chunk_size=40, **knobs
-    )
+    return ExecutionConfig(mode="parallel", workers=workers, **knobs)
 
 
 class TestWorkerRecovery:
@@ -290,8 +294,15 @@ class TestWorkerRecovery:
         )
         _dump_artifact("worker-kill", result)
         assert (tmp_path / "kill").exists(), "the kill fault never fired"
-        assert result.parallel_stats.shards_retried >= 1
-        assert result.parallel_stats.shards_failed == 0
+        pstats = result.parallel_stats
+        # innocents share the crashed pool: the run must really fan out
+        assert pstats.shard_count >= 2
+        assert pstats.shards_retried >= 1
+        assert pstats.shards_failed == 0
+        # every shard is encoded once; retries re-ship the same buffer
+        assert pstats.bytes_shipped == sum(
+            len(encode_shard(shard)) for shard in shard_records(poisoned_log, 2)
+        )
         assert result.clean_log == reference.clean_log
         assert result.quarantine.seqs() == [
             record.seq for record in poison_records()
@@ -310,6 +321,7 @@ class TestWorkerRecovery:
             valid_log, config, execution=_parallel(2, retry_backoff=0.01)
         )
         assert (tmp_path / "fail").exists()
+        assert result.parallel_stats.shard_count >= 2
         assert result.parallel_stats.shards_retried >= 1
         assert result.clean_log == reference.clean_log
 
@@ -328,6 +340,7 @@ class TestWorkerRecovery:
             execution=_parallel(2, task_timeout=1.0, retry_backoff=0.01),
         )
         assert (tmp_path / "sleep").exists()
+        assert result.parallel_stats.shard_count >= 2
         assert result.parallel_stats.shards_retried >= 1
         assert result.clean_log == reference.clean_log
 
@@ -393,6 +406,41 @@ class TestTerminalShardFailure:
         assert result.parallel_stats.shards_failed >= 1
         merge = result.metrics.stages["merge"].counters
         assert merge["shards_failed"] == result.parallel_stats.shards_failed
+
+    def test_inline_strict_failure_reports_every_attempt(self, valid_log):
+        config = PipelineConfig(
+            detectors=[AlwaysFailDetector()] + default_detectors()
+        )
+        with pytest.raises(ShardFailure) as excinfo:
+            repro.clean(
+                valid_log,
+                config,
+                execution=_parallel(1, max_shard_retries=2, retry_backoff=0.0),
+            )
+        assert excinfo.value.shard == 0
+        assert excinfo.value.attempts == 3
+
+    @pytest.mark.parametrize("workers", [1, 2], ids=["inline", "pool"])
+    def test_retry_accounting_is_exact(self, valid_log, workers):
+        """Every shard is tried ``max_shard_retries + 1`` times, no more:
+        retries are booked per re-submission, failures per shard."""
+        config = PipelineConfig(
+            error_policy="lenient",
+            detectors=[AlwaysFailDetector()] + default_detectors(),
+        )
+        result = repro.clean(
+            valid_log,
+            config,
+            execution=_parallel(workers, max_shard_retries=2, retry_backoff=0.0),
+        )
+        pstats = result.parallel_stats
+        assert pstats.shard_count == len(shard_records(valid_log, workers))
+        assert (pstats.shard_count >= 2) == (workers > 1)
+        assert pstats.shards_failed == pstats.shard_count
+        assert pstats.shards_retried == 2 * pstats.shard_count
+        merge = result.metrics.stages["merge"].counters
+        assert merge["shards_retried"] == pstats.shards_retried
+        assert merge["shards_failed"] == pstats.shards_failed
 
 
 # ----------------------------------------------------------------------

@@ -30,6 +30,7 @@ from repro.pipeline import (
     ExecutionConfig,
     PipelineConfig,
     get_worker_pool,
+    shard_index,
     shutdown_worker_pools,
 )
 
@@ -79,9 +80,7 @@ def clean_slate():
 
 
 def _parallel(workers, **knobs):
-    return ExecutionConfig(
-        mode="parallel", workers=workers, chunk_size=40, **knobs
-    )
+    return ExecutionConfig(mode="parallel", workers=workers, **knobs)
 
 
 class TestPoolHygiene:
@@ -96,6 +95,27 @@ class TestPoolHygiene:
         assert pool.generation == generation, "reuse must not re-provision"
         shutdown_worker_pools()
         assert not pool.alive
+        assert _drain_children() == []
+
+    def test_narrow_fan_out_runs_on_the_registry_pool(self, clean_slate):
+        # two users in different buckets: two shards for four workers —
+        # the run still borrows the warm four-worker pool, it does not
+        # fork a private pool sized to the shard count
+        # (the planner hashes users into 64 buckets at four workers)
+        other = next(
+            f"user{n}"
+            for n in range(1, 8)
+            if shard_index(f"user{n}", 64) != shard_index("user0", 64)
+        )
+        log = QueryLog(
+            record for record in valid_records() if record.user in ("user0", other)
+        )
+        result = repro.clean(log, PipelineConfig(), execution=_parallel(4))
+        assert result.parallel_stats.shard_count == 2
+        assert result.clean_log == repro.clean(log, PipelineConfig()).clean_log
+        pool = get_worker_pool(4)
+        assert pool.alive and pool.generation == 1
+        shutdown_worker_pools(wait=True)
         assert _drain_children() == []
 
     def test_raising_run_leaves_no_workers_behind(self, clean_slate):
@@ -120,18 +140,6 @@ class TestPoolHygiene:
         )
         assert result.metrics.conservation_violations() == []
 
-    def test_no_pool_reuse_run_leaves_no_workers_behind(self, clean_slate):
-        result = repro.clean(
-            QueryLog(valid_records()),
-            PipelineConfig(),
-            execution=_parallel(2, pool_reuse=False),
-        )
-        assert result.metrics.conservation_violations() == []
-        assert not get_worker_pool(2).alive, (
-            "pool_reuse=False must not warm the registry pool"
-        )
-        assert _drain_children() == [], "ephemeral pool workers survived"
-
 
 #: Run a parallel clean in a fresh interpreter, print the warm pool's
 #: worker pids, and exit *without* shutting anything down — the atexit
@@ -155,9 +163,10 @@ records = [
 result = repro.clean(
     QueryLog(records),
     PipelineConfig(),
-    execution=ExecutionConfig(mode="parallel", workers=2, chunk_size=20),
+    execution=ExecutionConfig(mode="parallel", workers=2),
 )
 assert len(result.clean_log) > 0
+assert result.parallel_stats.shard_count >= 2, "expected a pool fan-out"
 pids = sorted(p.pid for p in multiprocessing.active_children())
 assert pids, "expected parked warm-pool workers"
 print("WORKER_PIDS:" + ",".join(map(str, pids)))

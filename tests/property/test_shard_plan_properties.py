@@ -4,8 +4,10 @@ The parallel data plane rests on two contracts this suite fuzzes:
 
 * :func:`repro.pipeline.parallel.shard_records` produces a true
   **partition** — every record lands in exactly one shard, a user's
-  records never split across shards, and changing the worker count or
-  chunk size only repacks whole users, never divides one;
+  records never split across shards, and changing the worker count
+  only repacks whole users, never divides one — while the adaptive
+  plan fans out to about ``2 × workers`` shards whenever the users
+  allow it;
 * :func:`repro.store.columnar.encode_shard` /
   :func:`~repro.store.columnar.decode_shard` **round-trip** arbitrary
   records — including the verbatim-fallback statements the template
@@ -23,7 +25,7 @@ import hypothesis.strategies as st
 from hypothesis import given, settings
 
 from repro.log import LogRecord
-from repro.pipeline.parallel import shard_records
+from repro.pipeline.parallel import shard_index, shard_records
 from repro.store.columnar import decode_shard, encode_shard, shard_record_count
 
 # ----------------------------------------------------------------------
@@ -113,13 +115,10 @@ class TestShardPlanIsPartition:
     @given(
         records=st.lists(canonical_records, max_size=120),
         workers=st.integers(min_value=1, max_value=8),
-        chunk_size=st.sampled_from([0, 1, 7, 40, 5000]),
     )
     @settings(max_examples=150, deadline=None)
-    def test_every_record_lands_in_exactly_one_shard(
-        self, records, workers, chunk_size
-    ):
-        shards = shard_records(records, workers, chunk_size)
+    def test_every_record_lands_in_exactly_one_shard(self, records, workers):
+        shards = shard_records(records, workers)
         flat = [record for shard in shards for record in shard]
         # identity-level multiset equality: nothing lost, nothing
         # duplicated, nothing invented
@@ -129,13 +128,10 @@ class TestShardPlanIsPartition:
     @given(
         records=st.lists(canonical_records, max_size=120),
         workers=st.integers(min_value=1, max_value=8),
-        chunk_size=st.sampled_from([0, 1, 7, 40]),
     )
     @settings(max_examples=150, deadline=None)
-    def test_a_user_never_splits_across_shards(
-        self, records, workers, chunk_size
-    ):
-        shards = shard_records(records, workers, chunk_size)
+    def test_a_user_never_splits_across_shards(self, records, workers):
+        shards = shard_records(records, workers)
         placement = {}
         for index, shard in enumerate(shards):
             for record in shard:
@@ -163,8 +159,8 @@ class TestShardPlanIsPartition:
                     )
             return {user: sorted(seqs) for user, seqs in grouped.items()}
 
-        plan_a = records_by_user(shard_records(records, first, 0))
-        plan_b = records_by_user(shard_records(records, second, 0))
+        plan_a = records_by_user(shard_records(records, first))
+        plan_b = records_by_user(shard_records(records, second))
         assert plan_a == plan_b
 
     @given(
@@ -175,13 +171,58 @@ class TestShardPlanIsPartition:
     def test_plan_is_deterministic(self, records, workers):
         again = [
             [record.seq for record in shard]
-            for shard in shard_records(records, workers, 0)
+            for shard in shard_records(records, workers)
         ]
         first = [
             [record.seq for record in shard]
-            for shard in shard_records(records, workers, 0)
+            for shard in shard_records(records, workers)
         ]
         assert first == again
+
+
+# ----------------------------------------------------------------------
+# Shard plan: adaptive fan-out
+
+
+def occupied_buckets(records, workers):
+    """The hash buckets the planner packs ``records`` from (its bucket
+    count is ``max(64, 16 × workers)``)."""
+    count = max(64, 16 * workers)
+    return {shard_index(record.user_key(), count) for record in records}
+
+
+class TestAdaptiveFanOut:
+    @given(records=st.lists(canonical_records, min_size=1, max_size=120))
+    @settings(max_examples=100, deadline=None)
+    def test_one_worker_plans_one_shard(self, records):
+        assert len(shard_records(records, 1)) == 1
+
+    @given(
+        records=st.lists(canonical_records, max_size=120),
+        workers=st.integers(min_value=2, max_value=8),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_fan_out_stays_near_twice_the_workers(self, records, workers):
+        # Packing to a budget of ceil(total / target) closes a shard only
+        # when the next bucket would overflow it, so two neighbouring
+        # shards always exceed the budget: at most 2 × target - 1 shards.
+        target = min(2 * workers, len(occupied_buckets(records, workers)))
+        assert len(shard_records(records, workers)) <= max(0, 2 * target - 1)
+
+    @given(
+        records=st.lists(canonical_records, min_size=2, max_size=120),
+        workers=st.integers(min_value=2, max_value=8),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_two_buckets_always_fan_out(self, records, workers):
+        """With users in two buckets the plan never collapses to one
+        shard — a multi-worker run only stays inline when its users
+        give it nothing to split."""
+        shards = shard_records(records, workers)
+        if len(occupied_buckets(records, workers)) >= 2:
+            assert len(shards) >= 2
+        else:
+            assert len(shards) == 1
 
 
 # ----------------------------------------------------------------------

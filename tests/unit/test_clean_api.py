@@ -102,6 +102,37 @@ class TestLeanResultGuards:
             assert isinstance(result.clean_log, QueryLog)
 
 
+class TestRemovedDataPlaneKnobs:
+    """The parallel executor has one data plane; its retired knobs
+    (pickle|shm transfer, private pools, fixed chunk packing) raise
+    rather than being silently accepted and ignored."""
+
+    @pytest.mark.parametrize(
+        "knob",
+        [{"transfer": "shm"}, {"pool_reuse": False}, {"chunk_size": 40}],
+        ids=lambda knob: next(iter(knob)),
+    )
+    def test_execution_config_rejects_knob(self, knob):
+        with pytest.raises(TypeError):
+            ExecutionConfig(mode="parallel", workers=2, **knob)
+
+    @pytest.mark.parametrize("transfer", ["shm", "pickle"])
+    def test_clean_rejects_transfer_override(self, transfer):
+        with pytest.raises(TypeError):
+            repro.clean(stifle_log(), config(), transfer=transfer)
+
+    @pytest.mark.parametrize(
+        "module, name",
+        [
+            ("repro.pipeline", "clean_log_parallel"),
+            ("repro.pipeline.config", "TRANSFER_MODES"),
+        ],
+    )
+    def test_removed_name_no_longer_imports(self, module, name):
+        with pytest.raises(ImportError):
+            exec(f"from {module} import {name}", {})
+
+
 class TestExports:
     def test_exports(self):
         assert callable(repro.clean)

@@ -423,6 +423,16 @@ class TestReport:
 
 
 class TestParser:
+    @pytest.mark.parametrize(
+        "flags",
+        [["--transfer", "shm"], ["--transfer", "pickle"], ["--no-pool-reuse"]],
+        ids=["transfer-shm", "transfer-pickle", "no-pool-reuse"],
+    )
+    def test_removed_parallel_flags_exit_2(self, generated_csv, flags):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["clean", str(generated_csv), "--parallel", *flags])
+        assert excinfo.value.code == 2
+
     def test_missing_command_exits(self):
         with pytest.raises(SystemExit):
             main([])

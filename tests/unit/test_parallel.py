@@ -4,6 +4,7 @@ import pickle
 
 import pytest
 
+import repro
 from repro.antipatterns import DetectionContext
 from repro.log import LogRecord, QueryLog
 from repro.pipeline import (
@@ -12,7 +13,6 @@ from repro.pipeline import (
     ParallelCleaner,
     PipelineConfig,
     StreamingCleaner,
-    clean_log_parallel,
     parse_log,
     shard_index,
     shard_records,
@@ -28,12 +28,10 @@ def make_log(entries):
     )
 
 
-def parallel_config(workers, chunk_size=64, **kwargs):
+def parallel_config(workers, **kwargs):
     return PipelineConfig(
         detection=DetectionContext(key_columns=KEYS),
-        execution=ExecutionConfig(
-            mode="parallel", workers=workers, chunk_size=chunk_size
-        ),
+        execution=ExecutionConfig(mode="parallel", workers=workers),
         **kwargs,
     )
 
@@ -57,7 +55,8 @@ class TestSharding:
 
     def test_users_never_split_across_shards(self):
         log = many_user_log(users=17, per_user=5)
-        shards = shard_records(log, workers=4, chunk_size=10)
+        shards = shard_records(log, workers=4)
+        assert len(shards) > 1
         seen = {}
         for index, shard in enumerate(shards):
             for record in shard:
@@ -65,23 +64,14 @@ class TestSharding:
 
     def test_all_records_preserved(self):
         log = many_user_log(users=9, per_user=4)
-        shards = shard_records(log, workers=3, chunk_size=7)
+        shards = shard_records(log, workers=3)
         merged = sorted(
             (r for shard in shards for r in shard), key=lambda r: r.seq
         )
         assert merged == log.records()
 
-    def test_chunk_size_bounds_shards_of_many_small_users(self):
-        log = many_user_log(users=40, per_user=2)
-        shards = shard_records(log, workers=2, chunk_size=10)
-        assert len(shards) > 1
-        # a shard may exceed the chunk only via a single oversized user
-        # bucket; with 40 tiny users every shard obeys the bound
-        # (bucket granularity is 32+, so a bucket holds ~2-3 users here)
-        assert all(len(shard) <= 10 for shard in shards)
-
     def test_empty_log(self):
-        assert shard_records(QueryLog(), workers=4, chunk_size=10) == []
+        assert shard_records(QueryLog(), workers=4) == []
 
 
 class TestParallelCleaner:
@@ -108,9 +98,7 @@ class TestParallelCleaner:
         parallel = ParallelCleaner(
             PipelineConfig(
                 detection=DetectionContext(key_columns=sky_keys),
-                execution=ExecutionConfig(
-                    mode="parallel", workers=workers, chunk_size=256
-                ),
+                execution=ExecutionConfig(mode="parallel", workers=workers),
             )
         )
         paralleled = parallel.run(small_workload.log)
@@ -122,9 +110,7 @@ class TestParallelCleaner:
         cleaner = ParallelCleaner(
             PipelineConfig(
                 detection=DetectionContext(key_columns=sky_keys),
-                execution=ExecutionConfig(
-                    mode="parallel", workers=4, chunk_size=128
-                ),
+                execution=ExecutionConfig(mode="parallel", workers=4),
             )
         )
         cleaned = cleaner.run(small_workload.log)
@@ -141,7 +127,7 @@ class TestParallelCleaner:
 
     def test_stats_merge_and_timings(self):
         log = many_user_log(users=12, per_user=8)
-        cleaner = ParallelCleaner(parallel_config(2, chunk_size=24))
+        cleaner = ParallelCleaner(parallel_config(2))
         cleaned = cleaner.run(log)
         stats = cleaner.stats
         assert stats.records_in == len(log)
@@ -161,13 +147,15 @@ class TestParallelCleaner:
         cleaner = ParallelCleaner(parallel_config(0))
         assert cleaner.stats.workers >= 1
 
-    def test_clean_log_parallel_convenience(self):
+    def test_clean_parallel_convenience(self):
         log = many_user_log(users=6, per_user=4)
         base = PipelineConfig(detection=DetectionContext(key_columns=KEYS))
-        cleaned, stats = clean_log_parallel(log, base, workers=2)
-        assert stats.workers == 2
+        result = repro.clean(
+            log, base, execution=ExecutionConfig(mode="parallel", workers=2)
+        )
+        assert result.parallel_stats.workers == 2
         batch = CleaningPipeline(base).run(log)
-        assert cleaned.records() == batch.clean_log.records()
+        assert result.clean_log.records() == batch.clean_log.records()
         # the caller's config was not mutated
         assert base.execution.workers == 0
 

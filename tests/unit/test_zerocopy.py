@@ -5,8 +5,9 @@ Four pieces, bottom up: the in-memory shard codec
 template-cache seed transport
 (:meth:`repro.skeleton.cache.TemplateCache.export_seed`), the warm
 :class:`repro.pipeline.parallel.WorkerPool` registry, and the adaptive
-shard planner — plus an end-to-end check that a seeded pool's workers
-really start their parse caches warm.
+shard planner — plus end-to-end checks that each shard ships as one
+columnar buffer and that a seeded pool's workers really start their
+parse caches warm.
 """
 
 from __future__ import annotations
@@ -206,17 +207,17 @@ class TestWorkerPool:
 class TestAdaptiveSharding:
     def test_single_worker_gets_a_single_shard(self):
         records = sample_records(count=200, users=8)
-        assert len(shard_records(records, 1, 0)) == 1
+        assert len(shard_records(records, 1)) == 1
 
     def test_fanout_targets_about_twice_the_workers(self):
         records = sample_records(count=4000, users=64)
         for workers in (2, 4):
-            shards = shard_records(records, workers, 0)
+            shards = shard_records(records, workers)
             assert workers < len(shards) <= 2 * workers + 1
 
     def test_adaptive_shards_are_balanced(self):
         records = sample_records(count=4000, users=64)
-        shards = shard_records(records, 4, 0)
+        shards = shard_records(records, 4)
         sizes = [len(shard) for shard in shards]
         # the packing budget is ceil(total/target): no shard more than
         # one bucket beyond the budget, none pathologically small
@@ -224,15 +225,47 @@ class TestAdaptiveSharding:
             len(records) // 64, 1
         )
 
-    def test_explicit_chunk_size_keeps_legacy_packing(self):
-        records = sample_records(count=300, users=16)
-        shards = shard_records(records, 4, 40)
-        # a shard only exceeds the bound when a single user demands it
-        user_max = max(
-            sum(1 for r in records if r.user == f"user{u}") for u in range(16)
-        )
-        assert all(len(s) <= max(40, user_max) for s in shards)
-        assert len(shards) >= len(records) // 40
+
+# ----------------------------------------------------------------------
+# Data-plane accounting
+
+
+def _parallel(workers):
+    return ExecutionConfig(mode="parallel", workers=workers)
+
+
+class TestDataPlaneAccounting:
+    def test_each_shard_ships_its_columnar_buffer(self, pool_registry):
+        log = QueryLog(sample_records(count=160, users=8))
+        plan = shard_records(log, 2)
+        result = repro.clean(log, PipelineConfig(), execution=_parallel(2))
+        pstats = result.parallel_stats
+        assert pstats.shard_count == len(plan) >= 2
+        shipped = {report.shard: report.bytes_shipped for report in pstats.shards}
+        assert shipped == {
+            index: len(encode_shard(records)) for index, records in enumerate(plan)
+        }
+        assert pstats.bytes_shipped == sum(shipped.values())
+        merge = result.metrics.stages["merge"].counters
+        assert merge["bytes_shipped"] == pstats.bytes_shipped
+
+    def test_single_shard_run_stays_inline(self, pool_registry):
+        log = QueryLog(sample_records(count=40, users=4))
+        result = repro.clean(log, PipelineConfig(), execution=_parallel(1))
+        pstats = result.parallel_stats
+        assert pstats.shard_count == 1
+        assert [report.bytes_shipped for report in pstats.shards] == [0]
+        assert pstats.bytes_shipped == 0
+        assert result.metrics.stages["merge"].counters["bytes_shipped"] == 0
+        assert not get_worker_pool(1).alive, "an inline run forked workers"
+
+    def test_merge_stage_books_exactly_the_merge_counters(self, pool_registry):
+        from repro.obs.metrics import MERGE_COUNTERS
+
+        log = QueryLog(sample_records(count=160, users=8))
+        result = repro.clean(log, PipelineConfig(), execution=_parallel(2))
+        merge = result.metrics.stages["merge"].counters
+        assert set(merge) == set(MERGE_COUNTERS)
 
 
 # ----------------------------------------------------------------------
@@ -250,9 +283,11 @@ class TestSeededPoolEndToEnd:
             for i in range(160)
         ]
         log = QueryLog(records)
-        execution = ExecutionConfig(mode="parallel", workers=2, chunk_size=40)
+        execution = ExecutionConfig(mode="parallel", workers=2)
 
         cold = repro.clean(log, PipelineConfig(), execution=execution)
+        # the seed only reaches pool workers: the run must fan out
+        assert cold.parallel_stats.shard_count >= 2
         assert cold.parallel_stats.stats.parse_cache_misses > 0
 
         set_worker_seed(_seeded_cache(records))
@@ -273,7 +308,8 @@ class TestSeededPoolEndToEnd:
         result = repro.clean(
             log,
             PipelineConfig(),
-            execution=ExecutionConfig(mode="parallel", workers=2, chunk_size=30),
+            execution=ExecutionConfig(mode="parallel", workers=2),
         )
+        assert result.parallel_stats.shard_count >= 2
         assert result.parallel_stats.stats.parse_cache_misses > 0
         assert result.metrics.conservation_violations() == []
