@@ -12,11 +12,14 @@ measures the rebuilt data plane on the same ~100k-query log
 * **parallel-4, cold** — the real fan-out on a freshly provisioned
   pool, recording the columnar buffer bytes shipped per shard;
 * **parallel-4, warm** — the same run again over the reused warm pool
-  (same executor generation — no refork).
+  (same executor generation — no refork);
+* **parallel-4, store** — the same log written to a columnar store and
+  cleaned from it, its shards cut straight from the store's rows.
 
 Always asserted: every run byte-identical to batch with an equal
-``comparable()`` ledger and zero conservation violations, and the
-per-shard transfer accounting consistent with the run totals.  The ≥3×
+``comparable()`` ledger and zero conservation violations, the
+per-shard transfer accounting consistent with the run totals, and the
+store run shipping exactly the in-RAM run's shard bytes.  The ≥3×
 speedup bar for parallel-4 over batch is gated on ≥4 visible CPUs,
 exactly like E21's scaling assertion — a 1-core runner still records
 the honest ratio in the JSON.
@@ -30,6 +33,7 @@ run it with plain pytest at a reduced scale.
 
 import json
 import os
+import tempfile
 import time
 from dataclasses import replace
 from pathlib import Path
@@ -43,6 +47,7 @@ from repro.pipeline import (
     ParallelCleaner,
 )
 from repro.pipeline.parallel import get_worker_pool, shutdown_worker_pools
+from repro.store import ColumnarSource, write_columnar
 from repro.workload import WorkloadConfig, generate
 
 #: ~17.2k queries per unit of scale; 5.8 ≈ 99k queries (the E21 log).
@@ -65,15 +70,16 @@ def _visible_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _parallel_run(log, config, reference, **execution_knobs):
-    """One timed parallel clean, checked against the batch reference."""
+def _parallel_run(log, config, reference, source=None, **execution_knobs):
+    """One timed parallel clean of ``log`` (read from ``source`` when
+    given), checked against the batch reference."""
     run_config = replace(
         config,
         execution=ExecutionConfig(mode="parallel", **execution_knobs),
     )
     cleaner = ParallelCleaner(run_config)
     started = time.perf_counter()
-    cleaned = cleaner.run(log)
+    cleaned = cleaner.run(log) if source is None else cleaner.run_source(source)
     seconds = time.perf_counter() - started
     stats = cleaner.stats
     assert cleaned.records() == reference["records"], execution_knobs
@@ -165,12 +171,24 @@ def test_parallel_zerocopy(bench_config):
     assert warm["pool_generation"] == generation_before, (
         "the warm repeat re-provisioned the pool"
     )
+
+    # the same log from a columnar store, on the same warm pool.
+    with tempfile.TemporaryDirectory() as directory:
+        write_columnar(log, directory)
+        stored = _parallel_run(
+            log, shared_config, reference, source=ColumnarSource(directory),
+            workers=4,
+        )
+    stored["source"] = "columnar"
+    stored["speedup_vs_batch"] = batch_seconds / stored["seconds"]
+    report["runs"].append(stored)
     shutdown_worker_pools()
 
-    # every shard shipped a non-empty buffer, and a warm repeat ships
-    # the same plan byte for byte.
+    # every shard shipped a non-empty buffer; a warm repeat and a store
+    # run ship the same plan byte for byte.
     assert all(entry["bytes"] > 0 for entry in cold["per_shard"])
     assert warm["bytes_shipped"] == cold["bytes_shipped"]
+    assert stored["per_shard"] == cold["per_shard"]
 
     merged = {}
     if OUTPUT_PATH.exists():
@@ -195,7 +213,9 @@ def test_parallel_zerocopy(bench_config):
         ],
         [
             (
-                run["mode"] + (" (warm)" if run.get("warm_pool") else ""),
+                run["mode"]
+                + (" (warm)" if run.get("warm_pool") else "")
+                + (" (store)" if run.get("source") else ""),
                 run["workers"],
                 run.get("shards", "-"),
                 f"{run['seconds']:.2f}",

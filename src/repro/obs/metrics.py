@@ -133,6 +133,14 @@ MERGE_COUNTERS = (
     "interner_size",
 )
 
+#: Counters ``repro.clean`` books on a ``store`` stage when its input is
+#: a columnar store, under every executor: the chunk files read and
+#: their compressed size on disk.  Like the merge stage, ``store`` is
+#: outside :meth:`PipelineMetrics.comparable` — a resumed checkpointed
+#: run reads only the chunks its predecessor had not finished — and
+#: in-memory inputs book no ``store`` stage at all.
+STORE_COUNTERS = ("chunks_read", "bytes_read")
+
 
 @dataclass
 class StageMetrics:

@@ -180,6 +180,13 @@ def clean(
         and isinstance(source, ColumnarSource)
     ):
         template_witnesses = source.template_witnesses() or None
+    # Store I/O is booked as this run's share of the source's lifetime
+    # counters (a caller may clean one source several times).
+    store_io = (
+        (source.chunks_read, source.bytes_read)
+        if isinstance(source, ColumnarSource)
+        else None
+    )
 
     try:
         if mode == "batch":
@@ -275,5 +282,11 @@ def clean(
             f"expected one of {EXECUTION_MODES}"
         )
     finally:
+        if store_io is not None:
+            # The result's ledger is the recorder's, so booking after
+            # the executor returned still lands in it.
+            chunks, nbytes = store_io
+            active.count("store", "chunks_read", source.chunks_read - chunks)
+            active.count("store", "bytes_read", source.bytes_read - nbytes)
         if owned and source is not None:
             source.close()

@@ -6,12 +6,20 @@ parallel *by user*.  The :class:`ParallelCleaner` exploits that:
 
 1. **Shard** — records are hash-sharded by ``user_key()`` (a stable
    CRC-32, so shard assignment is identical across processes and runs)
-   into per-task record lists; a user's whole timeline always lands in
+   into per-task lists; a user's whole timeline always lands in
    exactly one task.  The shard count adapts to the fan-out: about
-   ``2 × workers`` tasks, rebalanced by record counts.
+   ``2 × workers`` tasks, rebalanced by record counts.  A columnar
+   store is sharded *store-native*: its rows
+   (:class:`~repro.store.columnar.StoreRow`) come straight from the
+   chunk columns, statements still split into template text and
+   constants, so the parent never rebuilds a statement or a record.
 2. **Fan out** — each shard is packed into one contiguous columnar
-   buffer (:func:`repro.store.columnar.encode_shard`) and handed to a
-   worker as a single pickle-5 bytes object.  The worker decodes it
+   buffer (:func:`repro.store.columnar.encode_shard`; a store row
+   packs to the same bytes as its record, without re-running the
+   template regex) and handed to a worker as a single pickle-5 bytes
+   object.  The parent drops a shard's input once it is encoded; a
+   shard that fails for good is recovered from its buffer for the
+   error policy.  The worker decodes it
    straight into the batch pipeline's own stage functions
    (:func:`~repro.pipeline.framework.dedup_stage` →
    :func:`~repro.pipeline.framework.parse_stage` →
@@ -76,6 +84,7 @@ from typing import (
     Optional,
     Sequence,
     Tuple,
+    Union,
 )
 
 from ..errors import (
@@ -88,7 +97,7 @@ from ..log.models import LogRecord, QueryLog
 from ..obs import PipelineMetrics, Recorder
 from ..skeleton.cache import TemplateCache
 from ..skeleton.interner import TemplateInterner
-from ..store.columnar import decode_shard, encode_shard
+from ..store.columnar import StoreRow, decode_shard, encode_shard
 from .config import PipelineConfig
 from .framework import (
     dedup_stage,
@@ -105,6 +114,9 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 #: Stage names in execution order (the keys of a timings report).
 STAGES = ("dedup", "parse", "mine", "detect", "solve", "merge")
+
+#: What a shard holds: in-RAM records, or a columnar store's rows.
+ShardItem = Union[LogRecord, StoreRow]
 
 
 @dataclass
@@ -247,9 +259,9 @@ def shard_index(user_key: str, shard_count: int) -> int:
 
 
 def shard_records(
-    log: Iterable[LogRecord], workers: int
-) -> List[List[LogRecord]]:
-    """Split ``log`` into per-task record lists, never splitting a user.
+    log: Iterable[ShardItem], workers: int
+) -> List[List[ShardItem]]:
+    """Split ``log`` into per-task lists, never splitting a user.
 
     Records are first hashed into fine-grained buckets (several per
     worker, so one heavy user cannot serialise the whole run), then the
@@ -260,17 +272,19 @@ def shard_records(
     stays amortised.  A single bucket larger than the budget stays one
     task, because a user's timeline is indivisible.
 
-    ``log`` only needs to be iterable — :meth:`ParallelCleaner
-    .run_source` feeds a chunk-flattening generator through here, and
-    the sharding is insensitive to how the records were chunked on the
-    way in: bucket membership is per user, task packing depends only on
-    bucket sizes, and each worker sorts its shard into time order.
+    ``log`` only needs to be iterable, of records or of store rows (both
+    answer ``user_key()``) — :meth:`ParallelCleaner.run_source` feeds a
+    store's rows or a chunk-flattening record generator through here,
+    and the sharding is insensitive to how the records were chunked on
+    the way in: bucket membership is per user, task packing depends only
+    on bucket sizes, and each worker sorts its shard into time order.
+    A store's rows therefore plan exactly the shards its records would.
     Bucket membership is, by the CRC invariant, deterministic per user —
     changing the worker count only repacks buckets, it never splits a
     user's records across tasks.
     """
     bucket_count = max(64, workers * 16)
-    buckets: Dict[int, List[LogRecord]] = {}
+    buckets: Dict[int, List[ShardItem]] = {}
     total = 0
     for record in log:
         index = shard_index(record.user_key(), bucket_count)
@@ -285,8 +299,8 @@ def shard_records(
     target = 2 * workers if workers > 1 else 1
     budget = -(-total // min(target, len(buckets)))
 
-    shards: List[List[LogRecord]] = []
-    current: List[LogRecord] = []
+    shards: List[List[ShardItem]] = []
+    current: List[ShardItem] = []
     for index in sorted(buckets):
         records = buckets[index]
         if current and len(current) + len(records) > budget:
@@ -655,7 +669,7 @@ class ParallelCleaner:
 
     def _run_pool(
         self,
-        shards: List[List[LogRecord]],
+        shards: List[List[ShardItem]],
         workers: int,
         quarantine: QuarantineChannel,
     ) -> Tuple[List[ShardReport], int, List[int], int]:
@@ -667,14 +681,21 @@ class ParallelCleaner:
         pool is rebuilt and *all* pending shards get one attempt
         charged — innocents succeed on the next round, and the
         accounting stays bounded: no shard is ever submitted more than
-        ``max_shard_retries + 1`` times.  Each shard is encoded exactly
-        once; its buffer is reused across retries and dropped the moment
-        the shard completes or terminally fails.  Returns the reports,
-        the retry count, the failed shards and the bytes shipped.
+        ``max_shard_retries + 1`` times.
+
+        Takes ownership of ``shards`` (the list is emptied): each shard
+        is encoded exactly once and its input dropped right away; the
+        buffer is reused across retries and dropped the moment the shard
+        completes.  A shard that fails for good hands the records
+        decoded from its buffer to the error policy.  Returns the
+        reports, the retry count, the failed shards and the bytes
+        shipped.
         """
         execution = self.config.execution
         max_attempts = execution.max_shard_retries + 1
-        pending = dict(enumerate(shards))
+        inputs = dict(enumerate(shards))
+        shards.clear()
+        pending = set(inputs)
         attempts = {shard: 0 for shard in pending}
         errors: Dict[int, str] = {}
         reports: List[ShardReport] = []
@@ -689,16 +710,16 @@ class ParallelCleaner:
                 for shard in [
                     s for s in sorted(pending) if attempts[s] >= max_attempts
                 ]:
+                    # an attempt was charged, so the shard was encoded
                     self._terminal_failure(
                         shard,
-                        pending[shard],
+                        list(decode_shard(buffers.pop(shard))),
                         attempts[shard],
                         errors.get(shard, "exhausted retries"),
                         quarantine,
                     )
                     failed.append(shard)
-                    del pending[shard]
-                    buffers.pop(shard, None)
+                    pending.discard(shard)
                 if not pending:
                     break
                 round_number += 1
@@ -710,10 +731,10 @@ class ParallelCleaner:
                         )
                 submitted: Dict[futures.Future, int] = {}
                 broken = False
-                for shard, records in sorted(pending.items()):
+                for shard in sorted(pending):
                     buffer = buffers.get(shard)
                     if buffer is None:
-                        buffer = buffers[shard] = encode_shard(records)
+                        buffer = buffers[shard] = encode_shard(inputs.pop(shard))
                         bytes_shipped += len(buffer)
                     try:
                         future = pool.submit(
@@ -753,7 +774,7 @@ class ParallelCleaner:
                     else:
                         report.bytes_shipped = len(buffers.pop(shard))
                         reports.append(report)
-                        del pending[shard]
+                        pending.discard(shard)
                 for future in not_done:
                     shard = submitted[future]
                     broken = True
@@ -781,14 +802,21 @@ class ParallelCleaner:
 
         The source is drained chunk by chunk straight into the sharder,
         so the input is never materialised as one list in the parent —
-        peak parent-side memory is the bucketed shard payloads.  The
-        clean log is identical to ``run(source.read())``.
+        peak parent-side memory is the bucketed shard payloads.  A
+        columnar store is sharded from its rows, which the parent never
+        turns into statements or records (unless the plan is a single
+        shard, which runs inline).  The clean log is identical to
+        ``run(source.read())``.
         """
+        from ..store.sources import ColumnarSource
+
+        if isinstance(source, ColumnarSource):
+            return self.run(source.rows())
         return self.run(
             record for chunk in source.open_chunks() for record in chunk
         )
 
-    def run(self, log: Iterable[LogRecord]) -> QueryLog:
+    def run(self, log: Iterable[ShardItem]) -> QueryLog:
         """Shard, fan out, clean, and re-merge into global time order.
 
         With a template dictionary (explicit witnesses or the execution
@@ -825,13 +853,14 @@ class ParallelCleaner:
                 )
 
         shards = shard_records(log, workers)
+        shard_count = len(shards)
         quarantine = QuarantineChannel()
 
         # A single-shard plan (one worker, one user, a tiny log) runs
         # in-process: the fork+encode tax buys nothing without a second
         # shard to overlap with.  An empty log plans no shards at all.
         bytes_shipped = 0
-        if len(shards) > 1:
+        if shard_count > 1:
             if dict_cache is not None:
                 # Replaces any previous seed and retires existing pools
                 # (they were spawned under the old seed); the new pool's
@@ -845,8 +874,12 @@ class ParallelCleaner:
                 shards, workers, quarantine
             )
         elif shards:
+            records = [
+                item.record() if type(item) is StoreRow else item
+                for item in shards.pop()
+            ]
             reports, retried, failed = self._run_inline(
-                shards[0], quarantine, dict_cache
+                records, quarantine, dict_cache
             )
         else:
             reports, retried, failed = [], 0, []
@@ -861,7 +894,7 @@ class ParallelCleaner:
         # it into the cleaner's recorder (which may span several runs).
         run_metrics = PipelineMetrics()
         run_metrics.ensure_counters()
-        stats = ParallelStats(workers=workers, shard_count=len(shards))
+        stats = ParallelStats(workers=workers, shard_count=shard_count)
         run_interner = stats.interner
         for report in sorted(reports, key=lambda r: r.shard):
             stats.stats.merge(report.stats)

@@ -28,9 +28,16 @@ original spelling), so it extracts string literals (``'...'`` with
 ``''`` escapes) and standalone numbers with a guarded regex, replaces
 each with a ``"\\x00"`` marker, and splices them back verbatim on read.
 A statement that itself contains the marker byte — which never occurs in
-real SQL text — is stored whole under the reserved template id ``-1``.
-The round trip is the exact inverse of the extraction, so
-``read(write(log)) == log`` holds for *any* input, however unparsable.
+real SQL text — or that is not text at all (``sql=None``, an integer) is
+stored whole under the reserved template id ``-1``.  The round trip is
+the exact inverse of the extraction, so ``read(write(log)) == log`` holds
+for any input whose field values JSON can hold, however unparsable.
+
+A chunk is read back either as records (:func:`read_chunk`) or as
+:class:`StoreRow` tuples that keep each statement split into its
+template text and constant vector (:func:`chunk_rows`); the parallel
+executor cuts its shard buffers straight from the rows, because
+:func:`encode_shard` wants exactly that split.
 
 Since parse engine v3 ``templates.bin`` additionally carries one
 **witness** statement per template — the first record text that interned
@@ -57,7 +64,17 @@ import tempfile
 import zlib
 from array import array
 from pathlib import Path
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import (
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 from ..log.models import LogRecord
 from ..skeleton.interner import TemplateInterner
@@ -71,8 +88,9 @@ FORMAT_VERSION = 1
 #: Placeholder spliced into templates where a constant was lifted out.
 MARKER = "\x00"
 
-#: Reserved template id for statements stored verbatim (text contains
-#: the marker byte, so the splice inverse would be ambiguous).
+#: Reserved template id for statements stored verbatim: text containing
+#: the marker byte (the splice inverse would be ambiguous) and
+#: statements that are not text at all.
 VERBATIM_TEMPLATE = -1
 
 #: One extraction pass: string literals first (so digits inside them are
@@ -97,9 +115,11 @@ def encode_sql(sql: str) -> Tuple[str, List[str]]:
     """Split ``sql`` into a marker template and its constant vector.
 
     ``decode_sql`` restores the original text exactly.  Raises
-    ``ValueError`` when the text contains the marker byte — callers
-    handle that case with :data:`VERBATIM_TEMPLATE`.
+    ``ValueError`` when ``sql`` is not a string or contains the marker
+    byte — callers handle both cases with :data:`VERBATIM_TEMPLATE`.
     """
+    if not isinstance(sql, str):
+        raise ValueError(f"statement is {type(sql).__name__}, not text")
     if MARKER in sql:
         raise ValueError("statement contains the template marker byte")
     constants: List[str] = []
@@ -214,8 +234,8 @@ class ColumnarWriter:
             buffer["constants"].append(constants)
             if template_id == len(self._witnesses):
                 # First record of a new template: its verbatim text is
-                # the template's witness (verbatim statements carry the
-                # marker byte and are skipped — they would not parse).
+                # the template's witness (verbatim statements are skipped:
+                # marker bytes or non-text would not parse).
                 self._witnesses.append(sql)
         self._record_count += 1
         if len(buffer["seq"]) >= self.chunk_records:
@@ -344,34 +364,101 @@ def load_template_witnesses(path: PathLike) -> List[str]:
     return []
 
 
+def _stored_statement(template: Optional[str], constants: list) -> object:
+    """The statement a row stores: its verbatim text, or its constants
+    spliced back into its template text."""
+    if template is None:
+        return constants[0]
+    return decode_sql(template, constants)
+
+
+def _template_texts(
+    columns: Dict[str, list], templates: Sequence[str]
+) -> List[Optional[str]]:
+    """Each row's template text, ``None`` for a verbatim row."""
+    return [
+        None if template_id == VERBATIM_TEMPLATE else templates[template_id]
+        for template_id in columns["template"]
+    ]
+
+
+class StoreRow(NamedTuple):
+    """One stored record as its chunk columns hold it.
+
+    The statement stays split: ``template`` is the store's template text
+    (``None`` for a row stored verbatim, whose whole statement is
+    ``constants[0]``) and ``constants`` its constant vector — exactly
+    what :func:`encode_sql` made of the record's text, so
+    :func:`encode_shard` packs a row without re-running the regex.  The
+    other fields are the record's own, whatever their type.
+    """
+
+    seq: int
+    timestamp: float
+    user: Optional[str]
+    ip: Optional[str]
+    session: Optional[str]
+    rows: Optional[int]
+    template: Optional[str]
+    constants: List[str]
+
+    #: the shard planner groups rows by the same key as records.
+    user_key = LogRecord.user_key
+
+    def record(self) -> LogRecord:
+        """The row materialised as the record the writer was given."""
+        seq, timestamp, user, ip, session, rows, template, constants = self
+        sql = _stored_statement(template, constants)
+        return LogRecord(seq, sql, timestamp, user, ip, session, rows)  # type: ignore[arg-type]
+
+
+def load_chunk_columns(path: PathLike, index: int) -> Dict[str, list]:
+    """One chunk's columns exactly as the writer stored them."""
+    columns = _load_compressed(Path(path) / chunk_file_name(index))
+    return columns  # type: ignore[return-value]
+
+
+def chunk_rows(
+    columns: Dict[str, list], templates: Sequence[str]
+) -> List[StoreRow]:
+    """A loaded chunk as :class:`StoreRow` tuples in file order."""
+    return list(
+        map(
+            StoreRow,
+            columns["seq"],
+            columns["timestamp"],
+            columns["user"],
+            columns["ip"],
+            columns["session"],
+            columns["rows"],
+            _template_texts(columns, templates),
+            columns["constants"],
+        )
+    )
+
+
 def read_chunk(
     path: PathLike, index: int, templates: Sequence[str]
 ) -> List[LogRecord]:
     """Materialise one chunk of the store as records in file order."""
-    columns = _load_compressed(Path(path) / chunk_file_name(index))
-    records: List[LogRecord] = []
-    append = records.append
-    template_ids = columns["template"]  # type: ignore[index]
-    constant_vectors = columns["constants"]  # type: ignore[index]
-    for position in range(len(template_ids)):
-        template_id = template_ids[position]
-        constants = constant_vectors[position]
-        if template_id == VERBATIM_TEMPLATE:
-            sql = constants[0]
-        else:
-            sql = decode_sql(templates[template_id], constants)
-        append(
-            LogRecord(
-                seq=columns["seq"][position],  # type: ignore[index]
-                sql=sql,
-                timestamp=columns["timestamp"][position],  # type: ignore[index]
-                user=columns["user"][position],  # type: ignore[index]
-                ip=columns["ip"][position],  # type: ignore[index]
-                session=columns["session"][position],  # type: ignore[index]
-                rows=columns["rows"][position],  # type: ignore[index]
-            )
+    columns = load_chunk_columns(path, index)
+    statements = map(
+        _stored_statement,
+        _template_texts(columns, templates),
+        columns["constants"],
+    )
+    return list(
+        map(
+            LogRecord,
+            columns["seq"],
+            statements,
+            columns["timestamp"],
+            columns["user"],
+            columns["ip"],
+            columns["session"],
+            columns["rows"],
         )
-    return records
+    )
 
 
 def iter_columnar_chunks(
@@ -403,12 +490,13 @@ def store_size_bytes(path: PathLike) -> int:
 # In-memory shard codec (the parallel executor's wire format)
 #
 # Same template-dictionary idea as the on-disk store, but tuned for IPC
-# rather than persistence: one shard of records becomes ONE contiguous
-# ``bytes`` blob of packed numeric columns and concatenated UTF-8 string
-# sections.  A blob ships to a worker either as a single pickle-5 bytes
-# object (no per-record object overhead) or as a ``SharedMemory``
-# segment the worker attaches to (no copy at all); ``decode_shard``
-# reconstructs the records lazily, straight into the parse fast path.
+# rather than persistence: one shard becomes ONE contiguous ``bytes``
+# blob of packed numeric columns and concatenated UTF-8 string sections,
+# shipped to a worker as a single pickle-5 bytes object (no per-record
+# object overhead); ``decode_shard`` reconstructs the records lazily,
+# straight into the parse fast path.  A shard is a sequence of records
+# or of store rows, and both encode to the same bytes: a row already
+# carries the template/constants split the records path computes.
 #
 # The format is process-local by design — native endianness, no
 # versioned persistence contract beyond the magic/version check — and
@@ -431,28 +519,23 @@ _INT64_MIN = -(2**63)
 _INT64_MAX = 2**63 - 1
 
 
-def _is_canonical_record(record: LogRecord) -> bool:
-    """True when every field fits the packed columns *exactly*.
+def _fits_columns(seq, timestamp, user, ip, session, rows) -> bool:
+    """True when the non-statement fields fit the packed columns *exactly*.
 
-    Deliberately `type(...) is` — not ``isinstance`` — so subclasses,
-    bools, ints-as-timestamps and other lossy coercions all take the
-    pickled oddball path and round-trip bit for bit.
+    Deliberately ``type(...) is`` — not ``isinstance`` — so bools,
+    ints-as-timestamps and other lossy coercions all take the pickled
+    oddball path and round-trip bit for bit.
     """
     return (
-        type(record) is LogRecord
-        and type(record.seq) is int
-        and _INT64_MIN <= record.seq <= _INT64_MAX
-        and type(record.sql) is str
-        and type(record.timestamp) is float
-        and (record.user is None or type(record.user) is str)
-        and (record.ip is None or type(record.ip) is str)
-        and (record.session is None or type(record.session) is str)
+        type(seq) is int
+        and _INT64_MIN <= seq <= _INT64_MAX
+        and type(timestamp) is float
+        and (user is None or type(user) is str)
+        and (ip is None or type(ip) is str)
+        and (session is None or type(session) is str)
         and (
-            record.rows is None
-            or (
-                type(record.rows) is int
-                and _INT64_MIN <= record.rows <= _INT64_MAX
-            )
+            rows is None
+            or (type(rows) is int and _INT64_MIN <= rows <= _INT64_MAX)
         )
     )
 
@@ -501,17 +584,23 @@ def _decode_string_dict(
     return ids, values
 
 
-def encode_shard(records: Sequence[LogRecord]) -> bytes:
-    """Pack one shard of records into a single contiguous buffer.
+def encode_shard(shard: Sequence[Union[LogRecord, StoreRow]]) -> bytes:
+    """Pack one shard of records or store rows into a single buffer.
 
     Layout: a fixed header (magic, version, total record count,
     canonical record count) followed by 20 length-prefixed sections —
     ``seq``/``timestamp``/``template-id`` int64/float64 columns, the
     per-record constant counts plus cumulative constant offsets and one
     concatenated constants blob, the shard-local template dictionary
-    (offsets + blob), three dictionary-encoded string columns
-    (user/ip/session), a rows presence+value pair, and the pickled
-    oddball side list.  ``decode_shard`` is the exact inverse.
+    (offsets + blob, ids in first-seen order), three
+    dictionary-encoded string columns (user/ip/session), a rows
+    presence+value pair, and the pickled oddball side list.
+    ``decode_shard`` is the exact inverse.
+
+    A :class:`StoreRow` packs to the same bytes as the record it
+    stores: its template text and constants are what
+    :func:`encode_sql` makes of that record's statement, so only a
+    record's text is split here.
     """
     seqs = array("q")
     timestamps = array("d")
@@ -530,30 +619,47 @@ def encode_shard(records: Sequence[LogRecord]) -> bytes:
     oddballs: List[Tuple[int, LogRecord]] = []
     # Exact-text memo: logs repeat statement texts heavily, so most
     # records skip the constant-extraction regex entirely.
-    memo: Dict[str, Tuple[int, Tuple[str, ...]]] = {}
+    memo: Dict[str, Tuple[Optional[str], List[str]]] = {}
 
-    for position, record in enumerate(records):
-        if not _is_canonical_record(record):
-            oddballs.append((position, record))
-            continue
-        sql = record.sql
-        encoded = memo.get(sql)
-        if encoded is None:
-            try:
-                template, constants = encode_sql(sql)
-            except ValueError:
-                template_id, constants = VERBATIM_TEMPLATE, [sql]
-            else:
-                template_id = template_index.get(template)
-                if template_id is None:
-                    template_id = len(template_parts)
-                    template_index[template] = template_id
-                    template_parts.append(template.encode("utf-8"))
-            encoded = (template_id, tuple(constants))
-            memo[sql] = encoded
-        template_id, constants = encoded
-        seqs.append(record.seq)
-        timestamps.append(record.timestamp)
+    for position, item in enumerate(shard):
+        if type(item) is StoreRow:
+            seq, timestamp, user, ip, session, rows, template, constants = item
+            # a verbatim row's statement may not be text at all
+            if not (
+                (template is not None or type(constants[0]) is str)
+                and _fits_columns(seq, timestamp, user, ip, session, rows)
+            ):
+                oddballs.append((position, item.record()))
+                continue
+        else:
+            sql = item.sql
+            seq, timestamp = item.seq, item.timestamp
+            user, ip, session, rows = item.user, item.ip, item.session, item.rows
+            if not (
+                type(item) is LogRecord
+                and type(sql) is str
+                and _fits_columns(seq, timestamp, user, ip, session, rows)
+            ):
+                oddballs.append((position, item))
+                continue
+            split = memo.get(sql)
+            if split is None:
+                try:
+                    split = encode_sql(sql)
+                except ValueError:
+                    split = (None, [sql])
+                memo[sql] = split
+            template, constants = split
+        if template is None:
+            template_id = VERBATIM_TEMPLATE
+        else:
+            template_id = template_index.get(template)
+            if template_id is None:
+                template_id = len(template_parts)
+                template_index[template] = template_id
+                template_parts.append(template.encode("utf-8"))
+        seqs.append(seq)
+        timestamps.append(timestamp)
         template_ids.append(template_id)
         constant_counts.append(len(constants))
         for constant in constants:
@@ -561,15 +667,15 @@ def encode_shard(records: Sequence[LogRecord]) -> bytes:
             constant_total += len(part)
             constant_offsets.append(constant_total)
             constant_parts.append(part)
-        users.add(record.user)
-        ips.add(record.ip)
-        sessions.add(record.session)
-        if record.rows is None:
+        users.add(user)
+        ips.add(ip)
+        sessions.add(session)
+        if rows is None:
             rows_flags.append(0)
             rows_values.append(0)
         else:
             rows_flags.append(1)
-            rows_values.append(record.rows)
+            rows_values.append(rows)
 
     template_offsets = array("Q", [0])
     template_total = 0
@@ -595,7 +701,7 @@ def encode_shard(records: Sequence[LogRecord]) -> bytes:
     ]
     assert len(sections) == _SHARD_SECTIONS
     header = _SHARD_HEADER.pack(
-        SHARD_MAGIC, SHARD_FORMAT_VERSION, len(records), len(seqs)
+        SHARD_MAGIC, SHARD_FORMAT_VERSION, len(shard), len(seqs)
     )
     lengths = struct.pack(
         "<%dq" % _SHARD_SECTIONS, *(len(section) for section in sections)
@@ -616,11 +722,10 @@ def shard_record_count(buffer) -> int:
 def decode_shard(buffer) -> Iterator[LogRecord]:
     """Decode an :func:`encode_shard` blob back into records, lazily.
 
-    Accepts any buffer object (``bytes``, ``memoryview``,
-    ``SharedMemory.buf`` slices).  All reads from the buffer happen
-    *before* the first record is yielded, so a caller may release the
-    underlying memory (e.g. close a shared-memory segment) as soon as
-    this function returns, and iterate at leisure.
+    Accepts any buffer object (``bytes``, ``memoryview``).  All reads
+    from the buffer happen *before* the first record is yielded, so a
+    caller may drop the buffer as soon as this function returns and
+    iterate at leisure.  Store rows come back as the records they store.
     """
     view = memoryview(buffer)
     try:

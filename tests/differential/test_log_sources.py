@@ -15,13 +15,17 @@ import pytest
 
 import repro
 from repro.log import write_csv, write_jsonl
+from repro.obs.metrics import STORE_COUNTERS
+from repro.pipeline import ExecutionConfig, shard_records
 from repro.store import (
     ColumnarSource,
     CsvSource,
     InMemorySource,
     JsonlSource,
+    encode_shard,
     write_columnar,
 )
+from repro.store.columnar import chunk_file_name
 
 from test_executor_metrics import EXECUTIONS, WORKLOADS, config, workload_log
 
@@ -108,3 +112,83 @@ class TestSourceExecutorMatrix:
             assert (
                 result.metrics.comparable() == reference.metrics.comparable()
             ), chunk_records
+
+
+def store_io(root):
+    """What reading the whole store costs: every chunk file, once."""
+    store = root / "log.columnar"
+    chunks = ColumnarSource(store).chunk_count()
+    return {
+        "chunks_read": chunks,
+        "bytes_read": sum(
+            (store / chunk_file_name(index)).stat().st_size
+            for index in range(chunks)
+        ),
+    }
+
+
+class TestStoreIOLedger:
+    """Every executor books the store I/O of a columnar input on a
+    ``store`` stage outside ``comparable()``; other inputs book none."""
+
+    def test_every_executor_books_the_chunks_it_read(self, source_fixtures):
+        name = sorted(WORKLOADS)[0]
+        root = source_fixtures[name]
+        expected = store_io(root)
+        assert expected["chunks_read"] >= 2
+        assert set(expected) == set(STORE_COUNTERS)
+        for exec_name, execution in EXECUTIONS:
+            result = repro.clean(
+                ColumnarSource(root / "log.columnar"),
+                config(),
+                execution=execution,
+            )
+            assert result.metrics.stages["store"].counters == expected, exec_name
+
+    def test_other_inputs_book_no_store_stage(self, source_fixtures):
+        name = sorted(WORKLOADS)[0]
+        log = workload_log(name)
+        for source in (log, *open_sources(log, source_fixtures[name]).values()):
+            if isinstance(source, ColumnarSource):
+                continue
+            for exec_name, execution in EXECUTIONS:
+                result = repro.clean(source, config(), execution=execution)
+                assert "store" not in result.metrics.stages, exec_name
+
+    def test_a_reused_source_books_each_run_its_own_reads(self, source_fixtures):
+        root = source_fixtures[sorted(WORKLOADS)[0]]
+        source = ColumnarSource(root / "log.columnar")
+        for _ in range(2):
+            result = repro.clean(source, config(), execution="streaming")
+            assert result.metrics.stages["store"].counters == store_io(root)
+        assert source.chunks_read == 2 * store_io(root)["chunks_read"]
+
+
+class TestStoreCutShards:
+    """A store and the in-RAM log it holds ship the same shard buffers."""
+
+    @pytest.mark.parametrize("workers", [2, 4])
+    @pytest.mark.parametrize("name", sorted(WORKLOADS))
+    def test_store_rows_ship_the_in_ram_buffers(
+        self, name, workers, source_fixtures
+    ):
+        log = workload_log(name)
+        source = ColumnarSource(source_fixtures[name] / "log.columnar")
+        in_ram = [encode_shard(shard) for shard in shard_records(log, workers)]
+        stored = [
+            encode_shard(shard)
+            for shard in shard_records(source.rows(), workers)
+        ]
+        assert len(in_ram) >= 2
+        assert stored == in_ram
+
+        execution = ExecutionConfig(mode="parallel", workers=workers)
+        from_ram = repro.clean(log, config(), execution=execution)
+        from_store = repro.clean(source, config(), execution=execution)
+        assert from_store.clean_log.records() == from_ram.clean_log.records()
+        assert from_store.metrics.comparable() == from_ram.metrics.comparable()
+        ram_stats, store_stats = from_ram.parallel_stats, from_store.parallel_stats
+        assert [
+            (report.shard, report.bytes_shipped) for report in store_stats.shards
+        ] == [(report.shard, report.bytes_shipped) for report in ram_stats.shards]
+        assert store_stats.bytes_shipped == sum(map(len, stored))

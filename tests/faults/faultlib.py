@@ -125,3 +125,19 @@ class AlwaysFailDetector(_FaultDetector):
         if self.main_pid is None or os.getpid() != self.main_pid:
             raise RuntimeError("injected permanent detector failure")
         return []
+
+
+class FailUserDetector(_FaultDetector):
+    """Raises every time it sees one user's blocks — an unrecoverable
+    shard that fails alone, while its neighbours succeed."""
+
+    label = "faultUser"
+
+    def __init__(self, user: str) -> None:
+        super().__init__()
+        self.user = user
+
+    def detect(self, blocks: Sequence, context) -> List:
+        if any(block.user == self.user for block in blocks):
+            raise RuntimeError(f"injected failure for user {self.user}")
+        return []

@@ -33,11 +33,13 @@ from repro.errors import (
 )
 from repro.log import LogRecord, QueryLog
 from repro.pipeline import ExecutionConfig, PipelineConfig, shard_records
-from repro.store.columnar import encode_shard
+from repro.store import ColumnarSource, columnar, write_columnar
+from repro.store.columnar import StoreRow, encode_shard
 
 from .faultlib import (
     AlwaysFailDetector,
     FailOnceDetector,
+    FailUserDetector,
     KillOnceDetector,
     SleepOnceDetector,
 )
@@ -441,6 +443,110 @@ class TestTerminalShardFailure:
         merge = result.metrics.stages["merge"].counters
         assert merge["shards_retried"] == pstats.shards_retried
         assert merge["shards_failed"] == pstats.shards_failed
+
+
+# ----------------------------------------------------------------------
+# The same faults read from a columnar store
+
+
+@pytest.fixture(scope="module")
+def poisoned_store(tmp_path_factory, poisoned_log):
+    """The poisoned log as a several-chunk columnar store."""
+    store = tmp_path_factory.mktemp("poisoned") / "log.columnar"
+    write_columnar(poisoned_log, store, chunk_records=40)
+    return store
+
+
+@pytest.fixture(scope="module")
+def valid_store(tmp_path_factory, valid_log):
+    store = tmp_path_factory.mktemp("valid") / "log.columnar"
+    write_columnar(valid_log, store, chunk_records=40)
+    return store
+
+
+class TestPoisonedStore:
+    """A store holds the poison exactly, so every executor cleans it as
+    it cleans the in-RAM log — the parallel one from store rows the
+    parent never turns into records."""
+
+    @pytest.mark.parametrize("policy", ["quarantine", "lenient"])
+    @pytest.mark.parametrize("execution", EXECUTIONS)
+    def test_store_run_equals_in_ram_run(
+        self, execution, policy, poisoned_log, poisoned_store
+    ):
+        config = PipelineConfig(error_policy=policy)
+        in_ram = repro.clean(poisoned_log, config, execution=execution)
+        stored = repro.clean(
+            ColumnarSource(poisoned_store), config, execution=execution
+        )
+        assert stored.clean_log == in_ram.clean_log
+        assert stored.quarantine.as_dict() == in_ram.quarantine.as_dict()
+        assert stored.metrics.comparable() == in_ram.metrics.comparable()
+        assert stored.metrics.conservation_violations() == []
+        assert in_ram.metrics.conservation_violations() == []
+
+    def test_killed_worker_retries_from_the_same_buffer(
+        self, poisoned_store, reference, tmp_path
+    ):
+        detectors = [
+            KillOnceDetector(str(tmp_path / "kill"), os.getpid())
+        ] + default_detectors()
+        config = PipelineConfig(
+            error_policy="quarantine", detectors=detectors
+        )
+        source = ColumnarSource(poisoned_store)
+        result = repro.clean(
+            source, config, execution=_parallel(2, retry_backoff=0.01)
+        )
+        assert (tmp_path / "kill").exists(), "the kill fault never fired"
+        pstats = result.parallel_stats
+        assert pstats.shard_count >= 2
+        assert pstats.shards_retried >= 1
+        assert pstats.shards_failed == 0
+        # every shard is cut from the store once; retries re-ship it
+        assert pstats.bytes_shipped == sum(
+            len(encode_shard(shard)) for shard in shard_records(source.rows(), 2)
+        )
+        assert result.clean_log == reference.clean_log
+        assert result.quarantine.seqs() == [
+            record.seq for record in poison_records()
+        ]
+        assert result.metrics.conservation_violations() == []
+
+    def test_terminal_failure_quarantines_exactly_its_shard(
+        self, valid_store, monkeypatch
+    ):
+        source = ColumnarSource(valid_store)
+        plan = shard_records(source.rows(), 2)
+        (failing,) = [
+            shard for shard in plan
+            if any(row.user == "user3" for row in shard)
+        ]
+        expected = {row.seq: row.record() for row in failing}
+
+        def never(*args, **kwargs):
+            raise AssertionError("the parent built records from the store")
+
+        # The parent cuts shards from rows; only the failed shard's
+        # buffer is ever decoded back into records.
+        monkeypatch.setattr(StoreRow, "record", never)
+        monkeypatch.setattr(columnar, "read_chunk", never)
+        config = PipelineConfig(
+            error_policy="quarantine",
+            detectors=[FailUserDetector("user3")] + default_detectors(),
+        )
+        result = repro.clean(
+            source, config, execution=_parallel(2, max_shard_retries=0)
+        )
+        pstats = result.parallel_stats
+        assert pstats.shard_count == len(plan) >= 2
+        assert pstats.shards_failed == 1
+        assert result.quarantine.by_reason() == {SHARD_FAILURE: len(failing)}
+        assert result.quarantine.seqs() == sorted(expected)
+        for entry in result.quarantine:
+            assert entry.record == expected[entry.record.seq]
+        assert len(result.clean_log) > 0
+        assert not {record.seq for record in result.clean_log} & set(expected)
 
 
 # ----------------------------------------------------------------------

@@ -13,12 +13,17 @@ The parallel data plane rests on two contracts this suite fuzzes:
   records — including the verbatim-fallback statements the template
   codec cannot compress and the invalid rows (``sql=None``, integer
   SQL, ``NaN`` timestamps) that must reach a worker's validate stage
-  unmangled to be quarantined there.
+  unmangled to be quarantined there;
+* a columnar store's rows are **cut into the same shards** as its
+  records: the plan over :meth:`ColumnarSource.rows` equals the plan
+  over the records shard for shard, and each row shard encodes to the
+  records shard's bytes.
 """
 
 from __future__ import annotations
 
 import math
+import tempfile
 from collections import Counter
 
 import hypothesis.strategies as st
@@ -26,6 +31,7 @@ from hypothesis import given, settings
 
 from repro.log import LogRecord
 from repro.pipeline.parallel import shard_index, shard_records
+from repro.store import ColumnarSource, write_columnar
 from repro.store.columnar import decode_shard, encode_shard, shard_record_count
 
 # ----------------------------------------------------------------------
@@ -253,3 +259,48 @@ class TestShardCodecRoundTrip:
     @settings(max_examples=100, deadline=None)
     def test_encoding_is_deterministic(self, records):
         assert encode_shard(records) == encode_shard(records)
+
+
+# ----------------------------------------------------------------------
+# Store-cut shards: rows plan and pack exactly like records
+
+#: Malformed records a columnar store can hold (its chunks are JSON, so
+#: no ``bytes`` statements): non-text SQL, non-float or missing
+#: timestamps, out-of-int64 integers.
+store_oddball_records = st.builds(
+    LogRecord,
+    seq=st.one_of(st.integers(), st.floats(allow_nan=False)),
+    sql=st.one_of(st.none(), st.integers()),
+    timestamp=st.one_of(st.integers(), timestamps, st.none()),
+    user=users,
+    ip=optional_text,
+    session=optional_text,
+    rows=st.one_of(st.none(), st.integers()),
+)
+
+
+class TestStoreCutShards:
+    @given(
+        records=st.lists(
+            st.one_of(canonical_records, store_oddball_records), max_size=80
+        ),
+        chunk_records=st.integers(min_value=1, max_value=16),
+        workers=st.integers(min_value=2, max_value=4),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_rows_cut_the_records_plan_and_bytes(
+        self, records, chunk_records, workers
+    ):
+        with tempfile.TemporaryDirectory() as directory:
+            write_columnar(records, directory, chunk_records=chunk_records)
+            source = ColumnarSource(directory)
+            stored = [record for chunk in source.open_chunks() for record in chunk]
+            row_plan = shard_records(source.rows(), workers)
+        record_plan = shard_records(stored, workers)
+
+        assert len(row_plan) == len(record_plan)
+        for row_shard, record_shard in zip(row_plan, record_plan):
+            assert len(row_shard) == len(record_shard)
+            for row, record in zip(row_shard, record_shard):
+                assert same_record(row.record(), record), (row, record)
+            assert encode_shard(row_shard) == encode_shard(record_shard)

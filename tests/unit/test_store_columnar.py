@@ -1,6 +1,7 @@
 """Unit tests for the columnar store format (repro.store.columnar)."""
 
 import json
+import math
 import zlib
 
 import pytest
@@ -11,8 +12,11 @@ from repro.store.columnar import (
     MARKER,
     VERBATIM_TEMPLATE,
     ColumnarWriter,
+    StoreRow,
     chunk_file_name,
+    decode_shard,
     decode_sql,
+    encode_shard,
     encode_sql,
     is_columnar_store,
     iter_columnar_chunks,
@@ -65,6 +69,11 @@ class TestSqlCodec:
     def test_marker_byte_rejected(self):
         with pytest.raises(ValueError, match="marker"):
             encode_sql("SELECT \x00 FROM t")
+
+    def test_non_text_statement_rejected(self):
+        for sql in (None, 12345):
+            with pytest.raises(ValueError, match="not text"):
+                encode_sql(sql)
 
     def test_decode_arity_mismatch_rejected(self):
         with pytest.raises(ValueError, match="slots"):
@@ -127,6 +136,83 @@ class TestStoreRoundTrip:
         store = tmp_path / "log.columnar"
         write_columnar(sample_records(), store)
         assert store_size_bytes(store) > 0
+
+
+def odd_typed_records():
+    """Records no parser accepts, which a store must still hold exactly
+    (the fault suite's poison: non-text statements, non-float and NaN
+    timestamps, every optional field missing)."""
+    return [
+        LogRecord(0, None, 1.0, "u1", "1.2.3.4", "s1", 3),
+        LogRecord(1, 12345, 2.0, "u2"),
+        LogRecord(2, "SELECT a FROM t WHERE id = 7", 3, "u1"),
+        LogRecord(3, "SELECT a FROM t WHERE id = 8", float("nan"), "u3"),
+        LogRecord(4, "SELECT a FROM t WHERE id = 9", 5.0, None, None, None, None),
+        LogRecord(5, None, float("nan"), None, None, None, None),
+    ]
+
+
+def same_fields(a, b):
+    """Field equality, type-strict, with NaN equal to NaN."""
+    for name in ("seq", "sql", "timestamp", "user", "ip", "session", "rows"):
+        va, vb = getattr(a, name), getattr(b, name)
+        if type(va) is not type(vb):
+            return False
+        if isinstance(va, float) and math.isnan(va):
+            if not math.isnan(vb):
+                return False
+        elif va != vb:
+            return False
+    return True
+
+
+class TestOddTypedRecords:
+    def test_round_trip_is_exact(self, tmp_path):
+        records = odd_typed_records()
+        store = tmp_path / "odd.columnar"
+        write_columnar(records, store, chunk_records=4)
+        chunks = list(iter_columnar_chunks(store))
+        flat = [record for chunk in chunks for record in chunk]
+        assert len(flat) == len(records)
+        for original, restored in zip(records, flat):
+            assert same_fields(original, restored), (original, restored)
+
+    def test_non_text_statements_are_stored_verbatim(self, tmp_path):
+        store = tmp_path / "odd.columnar"
+        write_columnar(odd_typed_records(), store)
+        raw = json.loads(
+            zlib.decompress((store / chunk_file_name(0)).read_bytes())
+        )
+        assert raw["template"][0] == VERBATIM_TEMPLATE
+        assert raw["template"][1] == VERBATIM_TEMPLATE
+        assert raw["constants"][:2] == [[None], [12345]]
+        # non-text never becomes a template witness
+        assert load_templates(store) == ["SELECT a FROM t WHERE id = \x00"]
+
+    def test_rows_pack_exactly_like_their_records(self, tmp_path):
+        """The row encoder sends odd-typed rows to the oddball side list
+        at the same positions, with the same records, as
+        ``encode_shard`` does for the records themselves."""
+        records = odd_typed_records() + sample_records()
+        store = tmp_path / "odd.columnar"
+        write_columnar(records, store, chunk_records=3)
+        source = ColumnarSource(store)
+        rows = list(source.rows())
+        assert all(type(row) is StoreRow for row in rows)
+        stored = [record for chunk in source.open_chunks() for record in chunk]
+        buffer = encode_shard(rows)
+        assert buffer == encode_shard(stored)
+        for original, restored in zip(records, decode_shard(buffer)):
+            assert same_fields(original, restored), (original, restored)
+
+    def test_row_materialises_its_record(self, tmp_path):
+        records = odd_typed_records() + sample_records()
+        store = tmp_path / "odd.columnar"
+        write_columnar(records, store, chunk_records=5)
+        rows = list(ColumnarSource(store).rows())
+        for original, row in zip(records, rows):
+            assert row.user_key() == original.user_key()
+            assert same_fields(original, row.record()), (original, row)
 
 
 class TestCrashSafety:
