@@ -17,6 +17,7 @@ suite asserts, for each executor:
 * the clean log itself still matches batch (the pre-existing guarantee).
 """
 
+import dataclasses
 import time
 
 import pytest
@@ -184,6 +185,79 @@ class TestEdgeCaseLogs:
         results = assert_differential(log, keys=frozenset({"empid"}))
         detect = results["batch"].metrics.comparable()["detect"]
         assert detect["counters"]["instances_detected"] >= 5
+
+
+#: ``StreamingStats`` fields that depend on how an executor partitions
+#: and buffers the log (cache instances, interners, resident queries).
+EXECUTOR_DEPENDENT_STATS = frozenset(
+    {
+        "parse_cache_hits",
+        "parse_cache_misses",
+        "parse_cache_evictions",
+        "parse_lazy_hits",
+        "parse_materialised",
+        "parse_cold",
+        "interner_size",
+        "max_open_queries",
+    }
+)
+
+
+def poisoned_log():
+    """The seed-7 workload plus a syntax error, a non-SELECT and a NaN
+    timestamp, each from a user of its own."""
+    records = list(workload_log("seed7"))
+    seq = max(record.seq for record in records) + 1
+    end = max(record.timestamp for record in records)
+    records += [
+        LogRecord(seq=seq, sql="SELEKT junk FROM", timestamp=end + 1.0,
+                  user="poison-syntax"),
+        LogRecord(seq=seq + 1, sql="DROP TABLE Employees",
+                  timestamp=end + 2.0, user="poison-ddl"),
+        LogRecord(seq=seq + 2, sql="SELECT a FROM T",
+                  timestamp=float("nan"), user="poison-nan"),
+    ]
+    return QueryLog(records)
+
+
+class TestStatsDifferential:
+    """Streaming's ``StreamingStats`` and every parallel run's folded
+    ``parallel_stats.stats`` count the same run: field for field, except
+    the executor-dependent ones."""
+
+    @staticmethod
+    def portable(stats):
+        return {
+            name: value
+            for name, value in dataclasses.asdict(stats).items()
+            if name not in EXECUTOR_DEPENDENT_STATS
+        }
+
+    def assert_stats_agree(self, log, cfg):
+        streaming = repro.clean(log, cfg, execution="streaming")
+        reference = self.portable(streaming.streaming_stats)
+        for name, execution in EXECUTIONS:
+            if name.startswith("parallel"):
+                result = repro.clean(log, cfg, execution=execution)
+                assert self.portable(result.parallel_stats.stats) == reference, name
+        return reference
+
+    @pytest.mark.parametrize("name", sorted(WORKLOADS))
+    def test_workload_matrix(self, name):
+        reference = self.assert_stats_agree(workload_log(name), config())
+        assert reference["duplicates_removed"] > 0
+        assert reference["instances_solved"] > 0
+
+    @pytest.mark.parametrize("policy", ["lenient", "quarantine"])
+    def test_poisoned_log(self, policy):
+        cfg = dataclasses.replace(config(), error_policy=policy)
+        reference = self.assert_stats_agree(poisoned_log(), cfg)
+        assert reference["records_invalid"] == 1
+        assert reference["non_select"] >= 1
+        if policy == "quarantine":
+            assert reference["parse_quarantined"] >= 1
+        else:
+            assert reference["syntax_errors"] >= 1
 
 
 class TestParseCacheDifferential:
