@@ -424,7 +424,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="N",
         help="max cached statement templates per cache instance "
         "(default 4096; one cache per run, per streaming instance, "
-        "or per parallel shard)",
+        "or per parallel worker process)",
     )
     clean.add_argument(
         "--template-dict",

@@ -16,7 +16,12 @@ Each stage is a module-level function so that every execution path —
 batch (:class:`CleaningPipeline`), streaming
 (:class:`~repro.pipeline.streaming.StreamingCleaner`) and parallel
 (:class:`~repro.pipeline.parallel.ParallelCleaner`) — composes the *same*
-stage code and only differs in how it feeds records through them.
+stage code and only differs in how it feeds records through them.  The
+decisions all three share have one home each here: the parse-cache
+set-up (:func:`open_parse_cache`, :func:`save_parse_cache`), the
+per-record verdicts (:func:`validate_record`, :func:`parse_one`), the
+stage chain (:func:`run_stages`) and the :class:`StreamingStats` ↔
+ledger table (:data:`STATS_COUNTERS`).
 
 :func:`CleaningPipeline.run` executes all of it; the intermediate results
 live on the returned :class:`PipelineResult`.
@@ -53,9 +58,8 @@ from ..sqlparser import SqlError, UnsupportedStatementError, parse
 from .config import PipelineConfig
 from .statistics import Overview, census_by_label
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guards
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .parallel import ParallelStats
-    from .streaming import StreamingStats
 
 
 @dataclass
@@ -77,6 +81,222 @@ class ParseStageResult:
     def parsed_log(self) -> QueryLog:
         """The parsed query log as a plain log (SELECTs that parsed)."""
         return QueryLog(query.record for query in self.queries)
+
+
+@dataclass
+class StreamingStats:
+    """Counters of one run, kept record by record.
+
+    The streaming executor keeps one for its whole run; each parallel
+    shard reads one off its ledger (:func:`stats_from_ledger`) and the
+    parent folds them; the batch parse stage tallies its verdicts in
+    one.  :data:`STATS_COUNTERS` is the one correspondence between these
+    fields and the ledger's counters.
+
+    The ``parse_cache_*`` trio mirrors the run's
+    :class:`~repro.skeleton.cache.TemplateCache` totals (all zero when
+    the fast path is disabled); streaming synchronises them from the
+    cache whenever it flushes counters to the recorder.
+    """
+
+    records_in: int = 0
+    records_out: int = 0
+    records_invalid: int = 0
+    duplicates_removed: int = 0
+    syntax_errors: int = 0
+    non_select: int = 0
+    parse_quarantined: int = 0
+    blocks_closed: int = 0
+    blocks_force_closed: int = 0
+    instances_detected: int = 0
+    instances_solved: int = 0
+    max_open_queries: int = 0
+    parse_cache_hits: int = 0
+    parse_cache_misses: int = 0
+    parse_cache_evictions: int = 0
+    #: queries emitted as lazy skeleton binds (parse-cache fast path).
+    parse_lazy_hits: int = 0
+    #: lazy queries a downstream consumer forced to materialise
+    #: (mirrored from the cache's counter at every flush).
+    parse_materialised: int = 0
+    #: statements that went through the full parser (the cold path) —
+    #: with the cache enabled this equals ``parse_cache_misses``.
+    parse_cold: int = 0
+    #: templates admitted from a persistent template dictionary before
+    #: the first record (see ``ExecutionConfig.template_dict``).
+    parse_dict_preloaded: int = 0
+    #: distinct template fingerprints the run's interner assigned ids to
+    #: (mirrored from the :class:`~repro.skeleton.interner
+    #: .TemplateInterner` at every counter flush).
+    interner_size: int = 0
+
+    def merge(self, other: "StreamingStats") -> None:
+        """Fold another run's counters into this one (sharded runs).
+
+        Every field adds up.  ``max_open_queries`` too: concurrent
+        shards are resident at the same time, so the sum is the honest
+        peak estimate.  Like the cache counters, ``interner_size`` sums
+        per-shard distinct counts (shards intern independently); the
+        folded run-level dictionary lives in ``ParallelStats.interner``.
+        """
+        for name, value in vars(other).items():
+            setattr(self, name, getattr(self, name) + value)
+
+
+#: ``StreamingStats`` field ↔ ``(stage, counter)`` of the run's ledger.
+#: ``blocks_force_closed`` and ``max_open_queries`` describe how an
+#: executor buffers the log, so no counter carries them.
+STATS_COUNTERS = (
+    ("records_in", "validate", "records_in"),
+    ("records_invalid", "validate", "records_quarantined"),
+    ("duplicates_removed", "dedup", "duplicates_removed"),
+    ("syntax_errors", "parse", "syntax_errors"),
+    ("non_select", "parse", "non_select"),
+    ("parse_quarantined", "parse", "records_quarantined"),
+    ("parse_lazy_hits", "parse", "parse_lazy_hits"),
+    ("parse_cold", "parse", "parse_cold"),
+    ("parse_cache_hits", "parse", "parse_cache_hits"),
+    ("parse_cache_misses", "parse", "parse_cache_misses"),
+    ("parse_cache_evictions", "parse", "parse_cache_evictions"),
+    ("parse_materialised", "parse", "parse_materialised"),
+    ("parse_dict_preloaded", "parse", "parse_dict_preloaded"),
+    ("interner_size", "parse", "interner_size"),
+    ("blocks_closed", "mine", "blocks"),
+    ("instances_detected", "detect", "instances_detected"),
+    ("instances_solved", "solve", "instances_solved"),
+    ("records_out", "solve", "records_out"),
+)
+
+#: The stages an executor runs record by record.  The block stages
+#: (mine, detect, solve) book their own counters in :func:`clean_block`.
+RECORD_STAGES = ("validate", "dedup", "parse")
+
+
+def book_stats(
+    recorder: Recorder,
+    stats: StreamingStats,
+    since: Optional[StreamingStats] = None,
+    stages: Sequence[str] = RECORD_STAGES,
+) -> None:
+    """Book what ``stats`` counted after the ``since`` snapshot as the
+    ledger counters of ``stages``.
+
+    Every :data:`STATS_COUNTERS` row is booked as counted; the stage
+    hand-offs (what each stage passed on) follow from the conservation
+    laws.
+    """
+    base = vars(since) if since is not None else {}
+    delta = {name: value - base.get(name, 0) for name, value in vars(stats).items()}
+    validated = delta["records_in"] - delta["records_invalid"]
+    unique = validated - delta["duplicates_removed"]
+    parsed = (
+        unique
+        - delta["syntax_errors"]
+        - delta["non_select"]
+        - delta["parse_quarantined"]
+    )
+    counters = [
+        (stage, counter, delta[name]) for name, stage, counter in STATS_COUNTERS
+    ]
+    counters += [
+        ("validate", "records_out", validated),
+        ("dedup", "records_in", validated),
+        ("dedup", "records_out", unique),
+        ("parse", "records_in", unique),
+        ("parse", "records_out", parsed),
+        ("parse", "parse_eager", parsed - delta["parse_lazy_hits"]),
+    ]
+    for stage, counter, value in counters:
+        if stage in stages:
+            recorder.count(stage, counter, value)
+
+
+def stats_from_ledger(metrics: PipelineMetrics) -> StreamingStats:
+    """Read a run's :class:`StreamingStats` off its ledger — the inverse
+    of :func:`book_stats` over :data:`STATS_COUNTERS`."""
+    stats = StreamingStats()
+    for name, stage, counter in STATS_COUNTERS:
+        stage_metrics = metrics.stages.get(stage)
+        if stage_metrics is not None:
+            setattr(stats, name, stage_metrics.counters.get(counter, 0))
+    return stats
+
+
+def open_parse_cache(
+    config: PipelineConfig,
+    witnesses: Optional[Iterable[str]] = None,
+    cache: Optional[TemplateCache] = None,
+) -> Tuple[Optional[TemplateCache], int]:
+    """A run's parse cache, preloaded: ``(cache, templates admitted)``.
+
+    ``(None, 0)`` when the execution config disables the cache.  A given
+    ``cache`` is preloaded in place (a restored streaming run warms the
+    cache it already has); otherwise a fresh one is built.  The preload
+    re-parses ``witnesses`` (see
+    :meth:`~repro.skeleton.cache.TemplateCache.preload`), or, when they
+    are ``None``, the execution config's ``template_dict`` sidecar; an
+    empty sequence preloads nothing.
+    """
+    execution = config.execution
+    if not execution.parse_cache:
+        return None, 0
+    if cache is None:
+        cache = TemplateCache(execution.parse_cache_size)
+    if witnesses is None and execution.template_dict is not None:
+        witnesses = TemplateCache.load_dict(
+            execution.template_dict,
+            fold_variables=config.fold_variables,
+            strict_triple=config.strict_triple,
+        )
+    if not witnesses:
+        return cache, 0
+    preloaded = cache.preload(
+        witnesses,
+        fold_variables=config.fold_variables,
+        strict_triple=config.strict_triple,
+    )
+    return cache, preloaded
+
+
+def save_parse_cache(
+    cache: Optional[TemplateCache], config: PipelineConfig
+) -> None:
+    """Re-save the execution config's ``template_dict`` sidecar from
+    ``cache`` at the end of a run; a failed write only warns."""
+    path = config.execution.template_dict
+    if cache is None or path is None:
+        return
+    try:
+        cache.save_dict(
+            path,
+            fold_variables=config.fold_variables,
+            strict_triple=config.strict_triple,
+        )
+    except OSError as exc:
+        warnings.warn(
+            f"could not save template dict {os.fspath(path)!r}: {exc}"
+        )
+
+
+def validate_record(
+    record: LogRecord,
+    policy: str,
+    channel: Optional[QuarantineChannel] = None,
+) -> bool:
+    """Stage 0's verdict on one record: ``True`` when it may go on.
+
+    :func:`repro.errors.record_fault` finds what is wrong with it; the
+    error ``policy`` decides what happens to a reject (see
+    :func:`validate_stage`).
+    """
+    reason = record_fault(record)
+    if reason is None:
+        return True
+    if policy == "strict":
+        raise RecordFailure(record, reason, "validate")
+    if policy == "quarantine" and channel is not None:
+        channel.add(record, reason, "validate")
+    return False
 
 
 # ----------------------------------------------------------------------
@@ -108,18 +328,10 @@ def validate_stage(
     recorder = recorder or NULL
     policy = config.error_policy
     with recorder.span("validate"):
-        kept: List[LogRecord] = []
-        dropped = 0
-        for record in log:
-            reason = record_fault(record)
-            if reason is None:
-                kept.append(record)
-                continue
-            if policy == "strict":
-                raise RecordFailure(record, reason, "validate")
-            dropped += 1
-            if policy == "quarantine" and channel is not None:
-                channel.add(record, reason, "validate")
+        kept = [
+            record for record in log if validate_record(record, policy, channel)
+        ]
+        dropped = len(log) - len(kept)
         result = log if dropped == 0 else QueryLog(kept)
     recorder.count("validate", "records_in", len(kept) + dropped)
     recorder.count("validate", "records_out", len(kept))
@@ -192,6 +404,72 @@ def parse_record(
     return failure
 
 
+def parse_one(
+    record: LogRecord,
+    cache: Optional[TemplateCache],
+    memo: Optional[dict],
+    interner: TemplateInterner,
+    fold_variables: bool,
+    strict_triple: bool,
+    policy: str,
+    channel: Optional[QuarantineChannel],
+    tally: StreamingStats,
+    rejects: Optional[ParseStageResult] = None,
+) -> Optional[ParsedQuery]:
+    """The parse stage's verdict on one record: its query, or ``None``.
+
+    A repeat is served by ``cache`` or, without one, by the exact-text
+    ``memo`` (``None`` for no memo: streaming stays bounded); anything
+    else goes through :func:`parse_record`.  A failure is a non-SELECT,
+    a record set aside in ``channel`` under the ``quarantine`` policy,
+    or a syntax error.  A query is bound to ``record`` with its id from
+    ``interner``, verified even on a cache hit (a prewarmed cache may
+    carry another run's ids).
+
+    ``tally`` counts the verdicts (``parse_cold``, ``parse_lazy_hits``,
+    ``non_select``, ``parse_quarantined``, ``syntax_errors``);
+    ``rejects``, when given, also keeps the rejected records.
+    """
+    if cache is not None:
+        cached = cache.fetch(record)
+    elif memo is not None:
+        cached = memo.get(record.sql)
+    else:
+        cached = None
+    if cached is None:
+        tally.parse_cold += 1
+        cached = parse_record(
+            record,
+            cache,
+            fold_variables=fold_variables,
+            strict_triple=strict_triple,
+            interner=interner,
+        )
+        if memo is not None:
+            memo[record.sql] = cached
+    if type(cached) is tuple:
+        error, reason = cached
+        if isinstance(error, UnsupportedStatementError):
+            tally.non_select += 1
+            if rejects is not None:
+                rejects.non_select.append(record)
+        elif policy == "quarantine":
+            tally.parse_quarantined += 1
+            if rejects is not None:
+                rejects.quarantined.append(record)
+            if channel is not None:
+                channel.add(record, reason, "parse", detail=str(error))
+        else:
+            tally.syntax_errors += 1
+            if rejects is not None:
+                rejects.syntax_errors.append((record, str(error)))
+        return None
+    query = rebind_query(cached, record, interner.intern(cached.template_id))
+    if type(query) is LazyParsedQuery:
+        tally.parse_lazy_hits += 1
+    return query
+
+
 def parse_log(
     log: Iterable[LogRecord],
     *,
@@ -218,7 +496,8 @@ def parse_log(
     ever serve one ``(fold_variables, strict_triple)`` combination,
     which holds because every caller derives both from a single config.
     Without a cache the classic per-run dict keyed by exact text is
-    used.  Either way a miss goes through :func:`parse_record`.
+    used.  Either way each record's verdict is :func:`parse_one`'s, the
+    same per-record kernel the streaming executor runs.
 
     Parse failures are part of the paper's accounting, not exceptions:
     under ``strict`` and ``lenient`` they keep the classic
@@ -255,67 +534,40 @@ def parse_log(
         base_hits = cache.hits
         base_misses = cache.misses
         base_evictions = cache.evictions
-    lazy_emitted = 0
-    cold_parses = 0
+    tally = StreamingStats()
     with recorder.span("parse"):
         #: sql text -> prototype ParsedQuery, or an (error, reason) pair
         #: (only consulted when no TemplateCache was provided).
-        exact: dict = {}
-        intern = interner.intern
+        memo = {} if cache is None else None
         append_query = result.queries.append
         for record in log:
-            if cache is not None:
-                cached = cache.fetch(record)
-            else:
-                cached = exact.get(record.sql)
-            if cached is None:
-                cold_parses += 1
-                cached = parse_record(
-                    record,
-                    cache,
-                    fold_variables=fold_variables,
-                    strict_triple=strict_triple,
-                    interner=interner,
-                )
-                if cache is None:
-                    exact[record.sql] = cached
-            if type(cached) is tuple:
-                error, reason = cached
-                if isinstance(error, UnsupportedStatementError):
-                    result.non_select.append(record)
-                elif policy == "quarantine":
-                    result.quarantined.append(record)
-                    if channel is not None:
-                        channel.add(record, reason, "parse", detail=str(error))
-                else:
-                    result.syntax_errors.append((record, str(error)))
-                continue
-            query = rebind_query(cached, record, intern(cached.template_id))
-            if type(query) is LazyParsedQuery:
-                lazy_emitted += 1
-            append_query(query)
-    recorder.count(
-        "parse",
-        "records_in",
+            query = parse_one(
+                record,
+                cache,
+                memo,
+                interner,
+                fold_variables,
+                strict_triple,
+                policy,
+                channel,
+                tally,
+                result,
+            )
+            if query is not None:
+                append_query(query)
+    # The tally starts at this stage: its input is the parse input.
+    tally.records_in = (
         len(result.queries)
-        + len(result.syntax_errors)
-        + len(result.non_select)
-        + len(result.quarantined),
+        + tally.syntax_errors
+        + tally.non_select
+        + tally.parse_quarantined
     )
-    recorder.count("parse", "records_out", len(result.queries))
-    recorder.count("parse", "parse_lazy_hits", lazy_emitted)
-    recorder.count("parse", "parse_eager", len(result.queries) - lazy_emitted)
-    recorder.count("parse", "parse_cold", cold_parses)
-    recorder.count("parse", "syntax_errors", len(result.syntax_errors))
-    recorder.count("parse", "non_select", len(result.non_select))
-    recorder.count("parse", "records_quarantined", len(result.quarantined))
-    recorder.count("parse", "interner_size", len(interner) - base_interned)
+    tally.interner_size = len(interner) - base_interned
     if cache is not None:
-        recorder.count("parse", "parse_cache_hits", cache.hits - base_hits)
-        recorder.count("parse", "parse_cache_misses", cache.misses - base_misses)
-        recorder.count(
-            "parse", "parse_cache_evictions", cache.evictions - base_evictions
-        )
+        tally.parse_cache_hits = cache.hits - base_hits
+        tally.parse_cache_misses = cache.misses - base_misses
+        tally.parse_cache_evictions = cache.evictions - base_evictions
+    book_stats(recorder, tally, stages=("parse",))
     return result
 
 
@@ -331,14 +583,14 @@ def parse_stage(
 
     When the execution config enables the parse cache and the caller did
     not supply one, a fresh :class:`~repro.skeleton.cache.TemplateCache`
-    is created for this call — one cache per batch run, and (via the
-    explicit ``cache`` argument) one per streaming instance and one per
-    parallel shard.  The ``interner`` travels the same way (created by
-    :func:`parse_log` itself when absent).
+    is created for this call.  Executors pass their own (see
+    :func:`open_parse_cache`): one per batch run, one per streaming
+    instance, and one persistent cache per parallel worker process
+    (``_process_parse_cache``).  The ``interner`` travels the same way
+    (created by :func:`parse_log` itself when absent).
     """
-    execution = config.execution
-    if cache is None and execution.parse_cache:
-        cache = TemplateCache(execution.parse_cache_size)
+    if cache is None:
+        cache, _ = open_parse_cache(config, ())
     return parse_log(
         log,
         fold_variables=config.fold_variables,
@@ -588,6 +840,59 @@ class PipelineResult:
         return stats
 
 
+def run_stages(
+    log: QueryLog,
+    config: PipelineConfig,
+    recorder: Recorder,
+    cache: Optional[TemplateCache],
+    *,
+    registry: bool,
+) -> PipelineResult:
+    """Fig. 1's stage chain over ``log``: validate → dedup → parse → mine
+    → detect → (registry) → solve.
+
+    The batch pipeline runs it over the whole log with the global
+    ``registry`` stage; each parallel shard runs it over its users
+    without.  ``cache`` is the run's parse cache, which may have served
+    earlier runs: the ``parse_materialised`` it books is what this run's
+    stages forced, counted once they have all run (SWS and the solver
+    materialise lazy queries too).
+    """
+    channel = QuarantineChannel()
+    interner = TemplateInterner()
+    base_materialised = cache.materialised if cache is not None else 0
+    validated = validate_stage(log, config, recorder, channel)
+    dedup = dedup_stage(validated, config, recorder)
+    parse_result = parse_stage(
+        dedup.log, config, recorder, channel, cache=cache, interner=interner
+    )
+    mining = mine_stage(parse_result.queries, config, recorder)
+    antipatterns = detect_stage(mining.blocks, config, recorder)
+    pattern_registry = sws_report = None
+    if registry:
+        pattern_registry, sws_report = registry_stage(
+            mining, antipatterns, config, recorder
+        )
+    solve_result = solve_stage(parse_result.parsed_log, antipatterns, recorder)
+    if cache is not None:
+        recorder.count(
+            "parse", "parse_materialised", cache.materialised - base_materialised
+        )
+    return PipelineResult(
+        config=config,
+        original=log,
+        dedup=dedup,
+        parse_stage=parse_result,
+        mining=mining,
+        registry=pattern_registry,
+        antipatterns=antipatterns,
+        solve_result=solve_result,
+        sws_report=sws_report,
+        interner=interner,
+        quarantine=channel,
+    )
+
+
 class CleaningPipeline:
     """The framework object: configure once, run on any query log."""
 
@@ -619,75 +924,9 @@ class CleaningPipeline:
         config = self.config
         recorder = Recorder() if recorder is None else recorder
         recorder.ensure_counters()
-        channel = QuarantineChannel()
-        interner = TemplateInterner()
-        execution = config.execution
-        # The cache is created here (not inside parse_stage) so the run
-        # can read back how many lazy queries the *downstream* stages
-        # forced to materialise, once they have all executed.
-        cache = (
-            TemplateCache(execution.parse_cache_size)
-            if execution.parse_cache
-            else None
-        )
-        dict_preloaded = 0
-        if cache is not None:
-            witnesses = template_witnesses
-            if witnesses is None and execution.template_dict is not None:
-                witnesses = TemplateCache.load_dict(
-                    execution.template_dict,
-                    fold_variables=config.fold_variables,
-                    strict_triple=config.strict_triple,
-                )
-            if witnesses:
-                dict_preloaded = cache.preload(
-                    witnesses,
-                    fold_variables=config.fold_variables,
-                    strict_triple=config.strict_triple,
-                )
-
-        validated = validate_stage(log, config, recorder, channel)
-        dedup = dedup_stage(validated, config, recorder)
-        parse_result = parse_stage(
-            dedup.log, config, recorder, channel, cache=cache, interner=interner
-        )
-        mining = mine_stage(parse_result.queries, config, recorder)
-        antipatterns = detect_stage(mining.blocks, config, recorder)
-        registry, sws_report = registry_stage(
-            mining, antipatterns, config, recorder
-        )
-        solve_result = solve_stage(
-            parse_result.parsed_log, antipatterns, recorder
-        )
-        if cache is not None:
-            recorder.count("parse", "parse_materialised", cache.materialised)
-            recorder.count("parse", "parse_dict_preloaded", dict_preloaded)
-            if execution.template_dict is not None:
-                try:
-                    cache.save_dict(
-                        execution.template_dict,
-                        fold_variables=config.fold_variables,
-                        strict_triple=config.strict_triple,
-                    )
-                except OSError as exc:
-                    warnings.warn(
-                        "could not save template dict "
-                        f"{os.fspath(execution.template_dict)!r}: {exc}"
-                    )
-
-        return PipelineResult(
-            config=config,
-            original=log,
-            dedup=dedup,
-            parse_stage=parse_result,
-            mining=mining,
-            registry=registry,
-            antipatterns=antipatterns,
-            solve_result=solve_result,
-            sws_report=sws_report,
-            execution_mode="batch",
-            metrics=recorder.metrics if recorder.enabled else None,
-            interner=interner,
-            quarantine=channel,
-        )
-
+        cache, preloaded = open_parse_cache(config, template_witnesses)
+        result = run_stages(log, config, recorder, cache, registry=True)
+        recorder.count("parse", "parse_dict_preloaded", preloaded)
+        save_parse_cache(cache, config)
+        result.metrics = recorder.metrics if recorder.enabled else None
+        return result

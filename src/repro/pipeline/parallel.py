@@ -19,17 +19,21 @@ parallel *by user*.  The :class:`ParallelCleaner` exploits that:
    template regex) and handed to a worker as a single pickle-5 bytes
    object.  The parent drops a shard's input once it is encoded; a
    shard that fails for good is recovered from its buffer for the
-   error policy.  The worker decodes it
-   straight into the batch pipeline's own stage functions
-   (:func:`~repro.pipeline.framework.dedup_stage` →
-   :func:`~repro.pipeline.framework.parse_stage` →
-   :func:`~repro.pipeline.framework.mine_stage` →
-   :func:`~repro.pipeline.framework.detect_stage` →
-   :func:`~repro.pipeline.framework.solve_stage`), with a
-   process-persistent parse cache, and times every stage.
+   error policy.  The worker decodes it straight into the batch
+   pipeline's own stage chain
+   (:func:`~repro.pipeline.framework.run_stages`: validate → dedup →
+   parse → mine → detect → solve, without the global registry), with a
+   process-persistent parse cache, and reads its
+   :class:`~repro.pipeline.framework.StreamingStats` back off the
+   shard's ledger (:func:`~repro.pipeline.framework.stats_from_ledger`,
+   the same field ↔ counter table streaming books through).
 3. **Merge** — clean records from all shards are re-merged into global
    (timestamp, seq) order; per-worker counters and stage timings are
    folded into one :class:`ParallelStats` report.
+
+The executor owns sharding, transport and fault handling only; the
+parse cache set-up (:func:`~repro.pipeline.framework.open_parse_cache`),
+every verdict on a record and the stage chain are the framework's.
 
 Because every stage a worker runs is user-local, the merged clean log is
 record-for-record identical to the batch pipeline's.  Global artifacts
@@ -44,7 +48,10 @@ worker keeps a persistent :class:`~repro.skeleton.cache.TemplateCache`
 across shards *and* runs, optionally pre-seeded with interned prototypes
 via :func:`set_worker_seed` — outputs stay byte-identical because the
 cache is correctness-checked per hit, only the ``parse_cache_*``
-counters (executor-dependent by contract) change.  All registry pools
+counters (executor-dependent by contract) change.  A new seed retires
+the pools spawned under the old one; re-seeding with identical bytes (a
+columnar store warms every run from the same witnesses) keeps them
+warm.  All registry pools
 are shut down atexit, or earlier by :func:`shutdown_worker_pools`; a
 raising run discards its pool rather than leaving queued shards running
 behind the caller's back.  A log that plans to a single shard (one
@@ -100,14 +107,11 @@ from ..skeleton.interner import TemplateInterner
 from ..store.columnar import StoreRow, decode_shard, encode_shard
 from .config import PipelineConfig
 from .framework import (
-    dedup_stage,
-    detect_stage,
-    mine_stage,
-    parse_stage,
-    solve_stage,
-    validate_stage,
+    StreamingStats,
+    open_parse_cache,
+    run_stages,
+    stats_from_ledger,
 )
-from .streaming import StreamingStats
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..store.sources import LogSource
@@ -359,7 +363,7 @@ def _process_parse_cache(config: PipelineConfig) -> Optional[TemplateCache]:
             except Exception:  # a bad seed must never fail a shard
                 cache = None
         if cache is None:
-            cache = TemplateCache(execution.parse_cache_size)
+            cache, _ = open_parse_cache(config, ())
         _WORKER_CACHE = cache
         _WORKER_CACHE_KEY = key
     return _WORKER_CACHE
@@ -369,73 +373,32 @@ def _clean_shard_log(
     shard: int,
     shard_log: QueryLog,
     config: PipelineConfig,
-    cache: Optional[TemplateCache] = None,
+    cache: Optional[TemplateCache],
 ) -> ShardReport:
-    """Run the batch stage functions over one shard's records."""
+    """Run the batch stage chain over one shard's records.
+
+    ``cache`` is the worker's persistent parse cache, or the run's
+    dictionary-warmed one for an inline shard.
+    """
     started = time.perf_counter()
     recorder = Recorder()
-    channel = QuarantineChannel()
-    interner = TemplateInterner()
-    execution = config.execution
-    # Create the cache here (not inside parse_stage) so this shard can
-    # book how many of its lazy queries the downstream stages forced to
-    # materialise.  A passed-in cache is the worker's persistent one —
-    # its materialised counter spans runs, hence the baseline delta.
-    if cache is None and execution.parse_cache:
-        cache = TemplateCache(execution.parse_cache_size)
-    base_materialised = cache.materialised if cache is not None else 0
-
-    validated = validate_stage(shard_log, config, recorder, channel)
-    dedup = dedup_stage(validated, config, recorder)
-    parsed = parse_stage(
-        dedup.log, config, recorder, channel, cache=cache, interner=interner
-    )
-    mining = mine_stage(parsed.queries, config, recorder)
-    antipatterns = detect_stage(mining.blocks, config, recorder)
-    solve_result = solve_stage(parsed.parsed_log, antipatterns, recorder)
-    if cache is not None:
-        recorder.count(
-            "parse",
-            "parse_materialised",
-            cache.materialised - base_materialised,
-        )
-    timings = StageTimings.from_metrics(recorder.metrics)
-
-    clean_records = solve_result.log.records()
-    parse_counters = recorder.metrics.stage("parse").counters
-    stats = StreamingStats(
-        records_in=len(shard_log),
-        records_out=len(clean_records),
-        records_invalid=len(shard_log) - len(validated),
-        duplicates_removed=dedup.removed,
-        syntax_errors=len(parsed.syntax_errors),
-        non_select=len(parsed.non_select),
-        parse_quarantined=len(parsed.quarantined),
-        blocks_closed=len(mining.blocks),
-        blocks_force_closed=0,  # workers hold whole blocks; no size bound
-        instances_detected=len(antipatterns),
-        instances_solved=len(solve_result.solved),
-        max_open_queries=len(parsed.queries),  # the shard is resident at once
-        parse_cache_hits=parse_counters.get("parse_cache_hits", 0),
-        parse_cache_misses=parse_counters.get("parse_cache_misses", 0),
-        parse_cache_evictions=parse_counters.get("parse_cache_evictions", 0),
-        parse_lazy_hits=parse_counters.get("parse_lazy_hits", 0),
-        parse_materialised=parse_counters.get("parse_materialised", 0),
-        parse_cold=parse_counters.get("parse_cold", 0),
-        parse_dict_preloaded=parse_counters.get("parse_dict_preloaded", 0),
-        interner_size=len(interner),
-    )
+    result = run_stages(shard_log, config, recorder, cache, registry=False)
+    clean_records = result.solve_result.log.records()
+    stats = stats_from_ledger(recorder.metrics)
+    # Workers hold whole blocks (no size bound, nothing force-closed),
+    # and the whole parsed shard is resident at once.
+    stats.max_open_queries = len(result.parse_stage.queries)
     return ShardReport(
         shard=shard,
         records_in=len(shard_log),
         records_out=len(clean_records),
         clean_records=clean_records,
         stats=stats,
-        timings=timings,
+        timings=StageTimings.from_metrics(recorder.metrics),
         wall_seconds=time.perf_counter() - started,
         metrics=recorder.metrics,
-        quarantine=channel,
-        interner=interner,
+        quarantine=result.quarantine,
+        interner=result.interner,
     )
 
 
@@ -452,7 +415,7 @@ def _clean_shard_encoded(
     shard, buffer, config = payload
     cache = _process_parse_cache(config)
     records = decode_shard(buffer)
-    return _clean_shard_log(shard, QueryLog(records), config, cache=cache)
+    return _clean_shard_log(shard, QueryLog(records), config, cache)
 
 
 # ----------------------------------------------------------------------
@@ -573,15 +536,18 @@ def set_worker_seed(
     here (a mismatched seed is ignored — the invariant on
     :func:`~repro.pipeline.framework.parse_log` forbids sharing caches
     across knob combinations).  Existing registry pools were spawned
-    under the previous seed and are retired.  ``set_worker_seed(None)``
-    clears the seed.
+    under the previous seed and are retired, unless the new seed is
+    byte-identical to it (a columnar store warms every run with the same
+    witnesses).  ``set_worker_seed(None)`` clears the seed.
     """
     global _POOL_SEED
     if cache is None:
-        _POOL_SEED = None
+        seed = None
     else:
-        _POOL_SEED = ((fold_variables, strict_triple), cache.export_seed())
-    shutdown_worker_pools(wait=False)
+        seed = ((fold_variables, strict_triple), cache.export_seed())
+    if seed != _POOL_SEED:
+        _POOL_SEED = seed
+        shutdown_worker_pools(wait=False)
 
 
 class ParallelCleaner:
@@ -636,24 +602,21 @@ class ParallelCleaner:
         self,
         records: List[LogRecord],
         quarantine: QuarantineChannel,
-        cache: Optional[TemplateCache] = None,
+        cache: Optional[TemplateCache],
     ) -> Tuple[List[ShardReport], int, List[int]]:
         """Run a single-shard plan in-process.
 
         Same retry and error-policy contract as the pool path, minus the
         timeout (there is no separate process to abandon) and minus the
         codec — the records never leave the parent, so encoding them
-        would be pure overhead.  ``cache`` is the run's
-        dictionary-warmed parse cache, if any.
+        would be pure overhead.  ``cache`` is the run's parse cache.
         """
         execution = self.config.execution
         attempt = 0
         while True:
             attempt += 1
             try:
-                report = _clean_shard_log(
-                    0, QueryLog(records), self.config, cache=cache
-                )
+                report = _clean_shard_log(0, QueryLog(records), self.config, cache)
             except RecordFailure:
                 raise  # strict-policy verdict, not a fault — no retry
             except Exception as exc:
@@ -834,24 +797,9 @@ class ParallelCleaner:
         workers = execution.resolved_workers()
         started = time.perf_counter()
 
-        dict_cache: Optional[TemplateCache] = None
-        dict_preloaded = 0
-        if execution.parse_cache:
-            witnesses = self._template_witnesses
-            if witnesses is None and execution.template_dict is not None:
-                witnesses = TemplateCache.load_dict(
-                    execution.template_dict,
-                    fold_variables=self.config.fold_variables,
-                    strict_triple=self.config.strict_triple,
-                )
-            if witnesses:
-                dict_cache = TemplateCache(execution.parse_cache_size)
-                dict_preloaded = dict_cache.preload(
-                    witnesses,
-                    fold_variables=self.config.fold_variables,
-                    strict_triple=self.config.strict_triple,
-                )
-
+        cache, dict_preloaded = open_parse_cache(
+            self.config, self._template_witnesses
+        )
         shards = shard_records(log, workers)
         shard_count = len(shards)
         quarantine = QuarantineChannel()
@@ -861,12 +809,12 @@ class ParallelCleaner:
         # shard to overlap with.  An empty log plans no shards at all.
         bytes_shipped = 0
         if shard_count > 1:
-            if dict_cache is not None:
-                # Replaces any previous seed and retires existing pools
-                # (they were spawned under the old seed); the new pool's
-                # workers start their persistent caches dictionary-warm.
+            if dict_preloaded:
+                # Replaces any different previous seed and retires the
+                # pools spawned under it; the new pool's workers start
+                # their persistent caches dictionary-warm.
                 set_worker_seed(
-                    dict_cache,
+                    cache,
                     fold_variables=self.config.fold_variables,
                     strict_triple=self.config.strict_triple,
                 )
@@ -879,7 +827,7 @@ class ParallelCleaner:
                 for item in shards.pop()
             ]
             reports, retried, failed = self._run_inline(
-                records, quarantine, dict_cache
+                records, quarantine, cache
             )
         else:
             reports, retried, failed = [], 0, []

@@ -3,8 +3,17 @@
 The paper's log has 42 million statements; holding the parsed log in
 memory (as :class:`~repro.pipeline.framework.CleaningPipeline` does) is
 fine for samples but not for full-scale runs.  The streaming cleaner
-processes records in time order with bounded state:
+processes records in time order with bounded state, as a thin feeder of
+the framework's stage kernel (:mod:`repro.pipeline.framework`): it owns
+how records are buffered, never what happens to one.
 
+* **validate + parse** — each record gets the batch stages' own
+  per-record verdicts, :func:`~repro.pipeline.framework.validate_record`
+  and :func:`~repro.pipeline.framework.parse_one` (without the batch
+  run's exact-text memo, which would grow with the stream), against a
+  parse cache set up and re-saved by
+  :func:`~repro.pipeline.framework.open_parse_cache` and
+  :func:`~repro.pipeline.framework.save_parse_cache`;
 * **dedup** — a last-seen map keyed by (user, normalised statement),
   pruned of entries older than the threshold;
 * **blocking** — per-user open blocks; a block closes when its user goes
@@ -14,7 +23,10 @@ processes records in time order with bounded state:
 * **detect + solve** — each closed block runs
   :func:`~repro.pipeline.framework.clean_block` (the same detect→solve
   stage code the batch pipeline composes) and its clean records are
-  emitted.
+  emitted;
+* **counters** — :class:`~repro.pipeline.framework.StreamingStats`,
+  booked on the ledger by :func:`~repro.pipeline.framework.book_stats`
+  through the same field ↔ counter table parallel shards read back.
 
 The result is record-for-record identical to the batch pipeline's clean
 log whenever no block was force-closed by the size bound, because both
@@ -26,94 +38,27 @@ out of scope here by design — they are downstream consumers.
 from __future__ import annotations
 
 import dataclasses
-import os
 import time
-import warnings
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
-from ..errors import QuarantineChannel, RecordFailure, record_fault
+from ..errors import QuarantineChannel
 from ..log.dedup import normalize_statement_text
 from ..log.models import LogRecord, QueryLog
 from ..obs import Recorder
 from ..patterns.models import Block, ParsedQuery
-from ..skeleton.cache import LazyParsedQuery, TemplateCache, rebind_query
 from ..skeleton.interner import TemplateInterner
-from ..sqlparser import UnsupportedStatementError
 from .config import PipelineConfig
-from .framework import clean_block, parse_record
-
-
-@dataclass
-class StreamingStats:
-    """Counters of one streaming run.
-
-    The ``parse_cache_*`` trio mirrors the instance's
-    :class:`~repro.skeleton.cache.TemplateCache` totals (all zero when
-    the fast path is disabled); they are synchronised from the cache
-    whenever counters are flushed to the recorder.
-    """
-
-    records_in: int = 0
-    records_out: int = 0
-    records_invalid: int = 0
-    duplicates_removed: int = 0
-    syntax_errors: int = 0
-    non_select: int = 0
-    parse_quarantined: int = 0
-    blocks_closed: int = 0
-    blocks_force_closed: int = 0
-    instances_detected: int = 0
-    instances_solved: int = 0
-    max_open_queries: int = 0
-    parse_cache_hits: int = 0
-    parse_cache_misses: int = 0
-    parse_cache_evictions: int = 0
-    #: queries emitted as lazy skeleton binds (parse-cache fast path).
-    parse_lazy_hits: int = 0
-    #: lazy queries a downstream consumer forced to materialise
-    #: (mirrored from the cache's counter at every flush).
-    parse_materialised: int = 0
-    #: statements that went through the full parser (the cold path) —
-    #: with the cache enabled this equals ``parse_cache_misses``.
-    parse_cold: int = 0
-    #: templates admitted from a persistent template dictionary before
-    #: the first record (see ``ExecutionConfig.template_dict``).
-    parse_dict_preloaded: int = 0
-    #: distinct template fingerprints the run's interner assigned ids to
-    #: (mirrored from the :class:`~repro.skeleton.interner
-    #: .TemplateInterner` at every counter flush).
-    interner_size: int = 0
-
-    def merge(self, other: "StreamingStats") -> None:
-        """Fold another run's counters into this one (sharded runs).
-
-        ``max_open_queries`` adds up too: concurrent shards are resident
-        at the same time, so the sum is the honest peak estimate.
-        """
-        self.records_in += other.records_in
-        self.records_out += other.records_out
-        self.records_invalid += other.records_invalid
-        self.duplicates_removed += other.duplicates_removed
-        self.syntax_errors += other.syntax_errors
-        self.non_select += other.non_select
-        self.parse_quarantined += other.parse_quarantined
-        self.blocks_closed += other.blocks_closed
-        self.blocks_force_closed += other.blocks_force_closed
-        self.instances_detected += other.instances_detected
-        self.instances_solved += other.instances_solved
-        self.max_open_queries += other.max_open_queries
-        self.parse_cache_hits += other.parse_cache_hits
-        self.parse_cache_misses += other.parse_cache_misses
-        self.parse_cache_evictions += other.parse_cache_evictions
-        self.parse_lazy_hits += other.parse_lazy_hits
-        self.parse_materialised += other.parse_materialised
-        self.parse_cold += other.parse_cold
-        self.parse_dict_preloaded += other.parse_dict_preloaded
-        # Like the cache counters this sums per-shard distinct counts
-        # (shards intern independently); the folded run-level dictionary
-        # lives in ParallelStats.interner.
-        self.interner_size += other.interner_size
+from .framework import (
+    StreamingStats,
+    book_stats,
+    clean_block,
+    open_parse_cache,
+    parse_one,
+    parse_record,
+    save_parse_cache,
+    validate_record,
+)
 
 
 class StreamingCleaner:
@@ -157,71 +102,31 @@ class StreamingCleaner:
         self._last_prune = 0.0
         #: counters already flushed to the recorder (delta bookkeeping).
         self._flushed = StreamingStats()
+        #: the parse cache — one per cleaner instance — and how many
+        #: templates its preload admitted.
+        self._parse_cache, self._dict_preloaded = open_parse_cache(
+            self.config, template_witnesses
+        )
+        #: run-scoped template dictionary — one per cleaner instance,
+        #: exactly like the parse cache above.
+        self._interner = TemplateInterner()
         # Per-record hot-path state: config knobs hoisted to attributes
         # (a dataclass-field chain costs two attribute loads per record),
         # a running open-query total, and the earliest stream time at
         # which any open block could go idle — _flush_idle only scans the
         # open table when the clock actually passes that deadline.
-        execution = self.config.execution
-        self._parse_cache: Optional[TemplateCache] = (
-            TemplateCache(execution.parse_cache_size)
-            if execution.parse_cache
-            else None
-        )
-        #: run-scoped template dictionary — one per cleaner instance,
-        #: exactly like the parse cache above.
-        self._interner = TemplateInterner()
-        self._intern = self._interner.intern
-        self._error_policy = self.config.error_policy
-        self._fold_variables = self.config.fold_variables
-        self._strict_triple = self.config.strict_triple
         self._dedup_threshold = self.config.dedup_threshold
         self._block_gap = self.config.miner.block_gap
         self._open_count = 0
         self._oldest_open = float("inf")
-        # Cache-counter baselines: a cleaner restored from a checkpoint
-        # starts with a *fresh* (empty) parse cache, so the public stats
-        # mirror the pre-restore totals plus the new cache's counters.
-        self._cache_base_hits = 0
-        self._cache_base_misses = 0
-        self._cache_base_evictions = 0
-        self._cache_base_materialised = 0
-        # Persistent template dictionary: pre-warm from the explicit
-        # witness list, or from the configured sidecar.  The base/own
-        # split keeps the mirrored stat additive across a restore.
-        self._dict_base_preloaded = 0
-        self._dict_preloaded = 0
-        if self._parse_cache is not None:
-            witnesses = template_witnesses
-            if witnesses is None and execution.template_dict is not None:
-                witnesses = TemplateCache.load_dict(
-                    execution.template_dict,
-                    fold_variables=self._fold_variables,
-                    strict_triple=self._strict_triple,
-                )
-            if witnesses:
-                self._dict_preloaded = self._parse_cache.preload(
-                    witnesses,
-                    fold_variables=self._fold_variables,
-                    strict_triple=self._strict_triple,
-                )
+        # Mirror baselines: a cleaner restored from a checkpoint starts
+        # with a *fresh* parse cache, so the public stats mirror the
+        # pre-restore totals plus this instance's own cache and preload
+        # counters (see _flush_counters).
+        self._base = StreamingStats()
 
     # ------------------------------------------------------------------
     # Stages
-
-    def _validate(self, record: LogRecord) -> bool:
-        """Intake validation: ``True`` when the record may enter the
-        stream.  Runs *before* the stream clock is consulted, so a
-        non-finite timestamp can never pollute idle-flush arithmetic."""
-        reason = record_fault(record)
-        if reason is None:
-            return True
-        if self._error_policy == "strict":
-            raise RecordFailure(record, reason, "validate")
-        self.stats.records_invalid += 1
-        if self._error_policy == "quarantine":
-            self.quarantine.add(record, reason, "validate")
-        return False
 
     def _is_duplicate(self, record: LogRecord) -> bool:
         threshold = self._dedup_threshold
@@ -241,41 +146,6 @@ class StreamingCleaner:
             }
             self._last_prune = record.timestamp
         return False
-
-    def _parse(self, record: LogRecord) -> Optional[ParsedQuery]:
-        cache = self._parse_cache
-        cached = cache.fetch(record) if cache is not None else None
-        if cached is None:
-            self.stats.parse_cold += 1
-            cached = parse_record(
-                record,
-                cache,
-                fold_variables=self._fold_variables,
-                strict_triple=self._strict_triple,
-                interner=self._interner,
-            )
-        if type(cached) is tuple:
-            error, reason = cached
-            if isinstance(error, UnsupportedStatementError):
-                self.stats.non_select += 1
-            else:
-                self._parse_reject(record, reason, str(error))
-            return None
-        # Verify the id against *this* run's interner even on a cache
-        # hit — a prewarmed cache may carry another run's ids.
-        query = rebind_query(
-            cached, record, self._intern(cached.template_id)
-        )
-        if type(query) is LazyParsedQuery:
-            self.stats.parse_lazy_hits += 1
-        return query
-
-    def _parse_reject(self, record: LogRecord, reason: str, detail: str) -> None:
-        if self._error_policy == "quarantine":
-            self.stats.parse_quarantined += 1
-            self.quarantine.add(record, reason, "parse", detail=detail)
-        else:
-            self.stats.syntax_errors += 1
 
     def _close_block(self, user: str) -> List[LogRecord]:
         queries = self._open.pop(user, [])
@@ -350,18 +220,28 @@ class StreamingCleaner:
         dedup_seconds = 0.0
         parse_seconds = 0.0
         stats = self.stats
+        config = self.config
+        policy = config.error_policy
+        channel = self.quarantine
+        cache = self._parse_cache
+        interner = self._interner
+        fold_variables = config.fold_variables
+        strict_triple = config.strict_triple
         gap = self._block_gap
         max_block = self.max_block_queries
         for record in records:
             stats.records_in += 1
+            # Validation runs *before* the stream clock is consulted, so
+            # a non-finite timestamp never pollutes idle-flush arithmetic.
             if timed:
                 started = clock()
-                valid = self._validate(record)
+                valid = validate_record(record, policy, channel)
                 after_validate = clock()
                 validate_seconds += after_validate - started
             else:
-                valid = self._validate(record)
+                valid = validate_record(record, policy, channel)
             if not valid:
+                stats.records_invalid += 1
                 continue
             # Only scan the open-block table when this record's stream
             # time can actually expire the *oldest* open block — the
@@ -380,7 +260,18 @@ class StreamingCleaner:
             if duplicate:
                 stats.duplicates_removed += 1
                 continue
-            parsed = self._parse(record)
+            # No exact-text memo: it would grow with the stream.
+            parsed = parse_one(
+                record,
+                cache,
+                None,
+                interner,
+                fold_variables,
+                strict_triple,
+                policy,
+                channel,
+                stats,
+            )
             if timed:
                 parse_seconds += clock() - after_dedup
             if parsed is None:
@@ -408,118 +299,39 @@ class StreamingCleaner:
         and re-save the configured template dictionary sidecar."""
         for user in list(self._open):
             yield from self._emit(self._close_block(user))
-        self._save_dict()
+        save_parse_cache(self._parse_cache, self.config)
         self._flush_counters()
-
-    def _save_dict(self) -> None:
-        cache = self._parse_cache
-        path = self.config.execution.template_dict
-        if cache is None or path is None:
-            return
-        try:
-            cache.save_dict(
-                path,
-                fold_variables=self._fold_variables,
-                strict_triple=self._strict_triple,
-            )
-        except OSError as exc:
-            warnings.warn(
-                f"could not save template dict {os.fspath(path)!r}: {exc}"
-            )
 
     def _flush_counters(self) -> None:
         """Book the per-record counters accumulated since the last flush.
 
-        Dedup and parse happen per record here (not via the batch stage
-        functions), so their counters are derived from
-        :class:`StreamingStats` deltas; mine/detect/solve were already
-        booked per closed block by
+        Validate, dedup and parse happen per record here, so their
+        counters are booked from :class:`StreamingStats` deltas
+        (:func:`~repro.pipeline.framework.book_stats`); mine/detect/solve
+        were already booked per closed block by
         :func:`~repro.pipeline.framework.clean_block`.
         """
-        recorder = self.recorder
-        cache = self._parse_cache
+        stats, base, cache = self.stats, self._base, self._parse_cache
         if cache is not None:
             # The cache keeps the authoritative totals; mirror them into
             # the public stats so both views agree at every flush point.
-            # The baselines are zero except after a checkpoint restore,
-            # where they carry the dead instance's cache totals.
-            self.stats.parse_cache_hits = self._cache_base_hits + cache.hits
-            self.stats.parse_cache_misses = (
-                self._cache_base_misses + cache.misses
+            stats.parse_cache_hits = base.parse_cache_hits + cache.hits
+            stats.parse_cache_misses = base.parse_cache_misses + cache.misses
+            stats.parse_cache_evictions = (
+                base.parse_cache_evictions + cache.evictions
             )
-            self.stats.parse_cache_evictions = (
-                self._cache_base_evictions + cache.evictions
+            stats.parse_materialised = (
+                base.parse_materialised + cache.materialised
             )
-            self.stats.parse_materialised = (
-                self._cache_base_materialised + cache.materialised
-            )
-        self.stats.parse_dict_preloaded = (
-            self._dict_base_preloaded + self._dict_preloaded
+        stats.parse_dict_preloaded = (
+            base.parse_dict_preloaded + self._dict_preloaded
         )
         # Same mirroring for the interner's dictionary size.
-        self.stats.interner_size = len(self._interner)
-        if not recorder.enabled:
+        stats.interner_size = len(self._interner)
+        if not self.recorder.enabled:
             return
-        recorder.ensure_counters()
-        stats, flushed = self.stats, self._flushed
-        records_in = stats.records_in - flushed.records_in
-        invalid = stats.records_invalid - flushed.records_invalid
-        duplicates = stats.duplicates_removed - flushed.duplicates_removed
-        syntax_errors = stats.syntax_errors - flushed.syntax_errors
-        non_select = stats.non_select - flushed.non_select
-        parse_quarantined = stats.parse_quarantined - flushed.parse_quarantined
-        recorder.count("validate", "records_in", records_in)
-        recorder.count("validate", "records_out", records_in - invalid)
-        recorder.count("validate", "records_quarantined", invalid)
-        dedup_in = records_in - invalid
-        recorder.count("dedup", "records_in", dedup_in)
-        recorder.count("dedup", "records_out", dedup_in - duplicates)
-        recorder.count("dedup", "duplicates_removed", duplicates)
-        parse_in = dedup_in - duplicates
-        parse_out = parse_in - syntax_errors - non_select - parse_quarantined
-        lazy_hits = stats.parse_lazy_hits - flushed.parse_lazy_hits
-        recorder.count("parse", "records_in", parse_in)
-        recorder.count("parse", "records_out", parse_out)
-        recorder.count("parse", "parse_lazy_hits", lazy_hits)
-        recorder.count("parse", "parse_eager", parse_out - lazy_hits)
-        recorder.count(
-            "parse",
-            "parse_cold",
-            stats.parse_cold - flushed.parse_cold,
-        )
-        recorder.count(
-            "parse",
-            "parse_dict_preloaded",
-            stats.parse_dict_preloaded - flushed.parse_dict_preloaded,
-        )
-        recorder.count(
-            "parse",
-            "parse_materialised",
-            stats.parse_materialised - flushed.parse_materialised,
-        )
-        recorder.count("parse", "syntax_errors", syntax_errors)
-        recorder.count("parse", "non_select", non_select)
-        recorder.count("parse", "records_quarantined", parse_quarantined)
-        recorder.count(
-            "parse",
-            "parse_cache_hits",
-            stats.parse_cache_hits - flushed.parse_cache_hits,
-        )
-        recorder.count(
-            "parse",
-            "parse_cache_misses",
-            stats.parse_cache_misses - flushed.parse_cache_misses,
-        )
-        recorder.count(
-            "parse",
-            "parse_cache_evictions",
-            stats.parse_cache_evictions - flushed.parse_cache_evictions,
-        )
-        recorder.count(
-            "parse",
-            "interner_size",
-            stats.interner_size - flushed.interner_size,
-        )
+        self.recorder.ensure_counters()
+        book_stats(self.recorder, stats, since=self._flushed)
         self._flushed = replace(stats)
 
     def run(self, log: QueryLog) -> QueryLog:
@@ -588,33 +400,27 @@ class StreamingCleaner:
         self.stats = StreamingStats(**state["stats"])  # type: ignore[arg-type]
         self._flushed = StreamingStats(**state["flushed"])  # type: ignore[arg-type]
         self._interner = TemplateInterner(state["interner"])  # type: ignore[arg-type]
-        self._intern = self._interner.intern
         self._last_seen = {
             (user, text): timestamp
             for user, text, timestamp in state["last_seen"]  # type: ignore[union-attr]
         }
         self._last_prune = state["last_prune"]  # type: ignore[assignment]
-        baseline = state["cache_baseline"]
-        self._cache_base_hits = baseline[0]  # type: ignore[index]
-        self._cache_base_misses = baseline[1]  # type: ignore[index]
-        self._cache_base_evictions = baseline[2]  # type: ignore[index]
-        # Checkpoints written before the lazy fast path carry a
-        # 3-element baseline; those runs never materialised anything.
-        self._cache_base_materialised = (
-            baseline[3] if len(baseline) > 3 else 0  # type: ignore[index, arg-type]
-        )
-        self.quarantine = QuarantineChannel.from_state(state["quarantine"])  # type: ignore[arg-type]
+        hits, misses, evictions, materialised = state["cache_baseline"]  # type: ignore[misc]
         # The restored stats already include the dead run's preload
         # total; rebase so this instance's own preloads stay additive.
-        self._dict_base_preloaded = self.stats.parse_dict_preloaded
-        self._dict_preloaded = 0
-        witnesses = state.get("template_dict_witnesses")
-        if self._parse_cache is not None and witnesses:
-            self._dict_preloaded = self._parse_cache.preload(
-                witnesses,  # type: ignore[arg-type]
-                fold_variables=self._fold_variables,
-                strict_triple=self._strict_triple,
-            )
+        self._base = StreamingStats(
+            parse_cache_hits=hits,
+            parse_cache_misses=misses,
+            parse_cache_evictions=evictions,
+            parse_materialised=materialised,
+            parse_dict_preloaded=self.stats.parse_dict_preloaded,
+        )
+        self.quarantine = QuarantineChannel.from_state(state["quarantine"])  # type: ignore[arg-type]
+        _, self._dict_preloaded = open_parse_cache(
+            self.config,
+            state.get("template_dict_witnesses") or (),  # type: ignore[arg-type]
+            self._parse_cache,
+        )
         self._open = {}
         self._open_count = 0
         for user, record_dicts in state["open"]:  # type: ignore[union-attr]
@@ -625,8 +431,8 @@ class StreamingCleaner:
                 parsed = parse_record(
                     record,
                     None,
-                    fold_variables=self._fold_variables,
-                    strict_triple=self._strict_triple,
+                    fold_variables=self.config.fold_variables,
+                    strict_triple=self.config.strict_triple,
                     interner=self._interner,
                 )
                 if type(parsed) is tuple:

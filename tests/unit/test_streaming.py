@@ -1,10 +1,20 @@
 """Unit tests for the streaming cleaner."""
 
+from dataclasses import fields
+
 import pytest
 
 from repro.antipatterns import DetectionContext
 from repro.log import LogRecord, QueryLog
+from repro.obs import Recorder
+from repro.obs.metrics import SHARED_STAGES
 from repro.pipeline import CleaningPipeline, ExecutionConfig, PipelineConfig
+from repro.pipeline.framework import (
+    STATS_COUNTERS,
+    StreamingStats,
+    book_stats,
+    stats_from_ledger,
+)
 from repro.pipeline.streaming import StreamingCleaner
 
 KEYS = frozenset({"empid", "id", "objid"})
@@ -120,3 +130,21 @@ class TestBatchEquivalence:
         assert stats.records_in == len(small_workload.log)
         assert stats.records_out == len(cleaned)
         assert stats.max_open_queries < len(small_workload.log)
+
+
+class TestStatsCounterMapping:
+    """``STATS_COUNTERS`` is the one stats ↔ ledger correspondence:
+    booking stats and reading them back must be inverse operations."""
+
+    def test_book_then_read_round_trips(self):
+        stats = StreamingStats(
+            **{f.name: 10 * (i + 1) for i, f in enumerate(fields(StreamingStats))}
+        )
+        since = StreamingStats(
+            **{f.name: i for i, f in enumerate(fields(StreamingStats))}
+        )
+        recorder = Recorder()
+        book_stats(recorder, stats, since=since, stages=SHARED_STAGES)
+        back = stats_from_ledger(recorder.metrics)
+        for name, _, _ in STATS_COUNTERS:
+            assert getattr(back, name) == getattr(stats, name) - getattr(since, name)

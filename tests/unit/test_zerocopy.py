@@ -313,3 +313,24 @@ class TestSeededPoolEndToEnd:
         assert result.parallel_stats.shard_count >= 2
         assert result.parallel_stats.stats.parse_cache_misses > 0
         assert result.metrics.conservation_violations() == []
+
+    def test_store_runs_share_one_pool(self, pool_registry, tmp_path):
+        from repro.store.columnar import write_columnar
+
+        records = sample_records(count=160, users=8)
+        store = tmp_path / "log.columnar"
+        write_columnar(records, store, chunk_records=40)
+        execution = ExecutionConfig(mode="parallel", workers=2)
+        # Every store run seeds the pool from the store's witnesses; an
+        # identical seed keeps the warm pool instead of forking anew.
+        first = repro.clean(str(store), PipelineConfig(), execution=execution)
+        assert first.parallel_stats.shard_count >= 2
+        pool = get_worker_pool(2)
+        second = repro.clean(str(store), PipelineConfig(), execution=execution)
+        assert get_worker_pool(2) is pool
+        assert pool.generation == 1
+        assert second.clean_log == first.clean_log
+        # A different seed still retires the pools spawned under the old.
+        set_worker_seed(_seeded_cache(records[:5]))
+        assert get_worker_pool(2) is not pool
+        assert not pool.alive
