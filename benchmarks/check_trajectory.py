@@ -117,17 +117,19 @@ def check_parse_v3(report):
         )
     if cold["mismatches"]:
         yield f"{cold['mismatches']} cold-parse output mismatches vs the v2 flow"
-    warm = report["template_dict"]
-    if warm["preload_hit_rate"] < 0.9:
+    warm = report["store_witnesses"]
+    if warm["preloaded"] != warm["parseable"]:
         yield (
-            f"only {warm['preloaded']}/{warm['witnesses']} dictionary "
-            f"witnesses preloaded ({warm['preload_hit_rate']:.0%} < 90%)"
+            f"only {warm['preloaded']} of {warm['parseable']} parseable "
+            "store witnesses preloaded"
         )
-    if warm["cold_second_run"] != warm["cold_first_run"] - warm["preloaded"]:
-        yield "warm run's cold count is not cold_first − preloaded"
+    if warm["cold_store"] != warm["cold_in_ram"] - warm["interned"]:
+        yield "store run's cold count is not cold_in_ram − interned"
+    if not warm["identical_to_in_ram"]:
+        yield "store-warmed run's clean log differs from the in-RAM run's"
     for run in report["clean_runs"]:
         if run["dict_preloaded"] <= 0:
-            yield f"{run['mode']}: executor ignored the template dictionary"
+            yield f"{run['mode']}: executor ignored the store's witnesses"
     yield from _clean_run_bars(
         report["clean_runs"], "identical_to_reference", "metrics_match_reference"
     )

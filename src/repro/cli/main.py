@@ -123,8 +123,6 @@ def cmd_clean(args: argparse.Namespace) -> int:
         execution_kwargs["parse_cache"] = False
     if args.parse_cache_size is not None:
         execution_kwargs["parse_cache_size"] = args.parse_cache_size
-    if args.template_dict is not None:
-        execution_kwargs["template_dict"] = args.template_dict
     try:
         execution = ExecutionConfig(**execution_kwargs)
     except ValueError as exc:
@@ -425,16 +423,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="max cached statement templates per cache instance "
         "(default 4096; one cache per run, per streaming instance, "
         "or per parallel worker process)",
-    )
-    clean.add_argument(
-        "--template-dict",
-        metavar="PATH",
-        default=None,
-        help="persistent template dictionary sidecar: preload the parse "
-        "cache from PATH when it exists and re-save it after the run "
-        "(batch/streaming; parallel preloads only).  A stale or corrupt "
-        "dictionary falls back to a cold start — output is identical "
-        "either way",
     )
     clean.add_argument(
         "--checkpoint-dir",

@@ -55,7 +55,6 @@ def clean(
     execution: Optional[Union[ExecutionConfig, str]] = None,
     recorder: Optional[Recorder] = None,
     parse_cache: Optional[bool] = None,
-    template_dict: Optional[Union[str, Path]] = None,
     checkpoint_dir: Optional[Union[str, Path]] = None,
     resume: bool = False,
 ) -> PipelineResult:
@@ -75,16 +74,12 @@ def clean(
     :param parse_cache: overrides the execution config's ``parse_cache``
         flag for this call — ``False`` forces every statement down the
         full parse path (the clean log is identical either way; only
-        speed and the ``parse_cache_*`` counters change).
-    :param template_dict: overrides the execution config's
-        ``template_dict`` path for this call — a persistent template
-        dictionary sidecar the run preloads its parse cache from and
-        (batch / streaming) re-saves on finish.  Witnesses are
-        re-parsed through the run's own cold path, so a stale or
-        corrupt dictionary can only cost speed, never output.  When no
-        dictionary is configured and ``log`` is a columnar store, the
-        store's own template witnesses warm the run instead (stores
-        remember every template they have interned).
+        speed and the ``parse_cache_*`` counters change).  When ``log``
+        is a columnar store, the store's own template witnesses warm
+        the run's parse caches (stores remember every template they
+        have interned); witnesses are re-parsed through the run's own
+        cold path, so a stale dictionary can only cost speed, never
+        output.
     :param recorder: observability recorder
         (:class:`repro.obs.Recorder`).  By default a fresh one is
         created, so ``result.metrics`` always carries the run's
@@ -133,13 +128,6 @@ def clean(
             effective,
             execution=replace(effective.execution, parse_cache=parse_cache),
         )
-    if template_dict is not None:
-        effective = replace(
-            effective,
-            execution=replace(
-                effective.execution, template_dict=str(template_dict)
-            ),
-        )
     active = Recorder() if recorder is None else recorder
     metrics = active.metrics if active.enabled else None
     mode = effective.execution.mode
@@ -170,16 +158,12 @@ def clean(
         )
 
     # Store-auto-warm: a columnar store carries one witness statement
-    # per template it has interned; without an explicit dictionary
-    # those warm this run's parse caches (witnesses re-parse through
-    # the cold path, so this can only ever change speed, not output).
+    # per template it has interned, and those warm this run's parse
+    # caches (witnesses re-parse through the cold path, so this can
+    # only ever change speed, not output).
     template_witnesses: Optional[Sequence[str]] = None
-    if (
-        effective.execution.parse_cache
-        and effective.execution.template_dict is None
-        and isinstance(source, ColumnarSource)
-    ):
-        template_witnesses = source.template_witnesses() or None
+    if effective.execution.parse_cache and isinstance(source, ColumnarSource):
+        template_witnesses = source.template_witnesses()
     # Store I/O is booked as this run's share of the source's lifetime
     # counters (a caller may clean one source several times).
     store_io = (

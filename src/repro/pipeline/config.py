@@ -52,18 +52,15 @@ class ExecutionConfig:
         that instantiates repeated statement templates from interned
         skeletons instead of re-parsing them.  Outputs are byte-identical
         with the cache on or off (the cache falls back to the full
-        parser whenever a fingerprint is ambiguous).
+        parser whenever a fingerprint is ambiguous).  A run over a
+        columnar store preloads the cache from the store's template
+        witnesses (its ``templates.bin``), and a resumed streaming run
+        from its checkpoint's; there is no other template dictionary —
+        to warm a re-run of a CSV or JSONL log, convert it to a store
+        first (``sqlog-clean convert``).
     :param parse_cache_size: maximum number of cached templates per
         cache instance (batch keeps one cache per run; streaming one per
         pipeline instance; parallel one per worker process).
-    :param template_dict: path of a persistent template dictionary
-        sidecar (:meth:`~repro.skeleton.cache.TemplateCache.save_dict`).
-        When set, the run preloads its parse cache from the sidecar
-        before the first record (witness texts are re-parsed through the
-        run's own cold path, so a stale or corrupt dictionary can only
-        cost speed, never output) and batch/streaming runs re-save the
-        dictionary when they finish.  A missing file means a cold first
-        run; the knob is ignored when ``parse_cache`` is off.
     :param source_chunk_records: records per chunk when a
         :class:`~repro.store.sources.LogSource` is built from a path or
         in-memory log (sources constructed explicitly carry their own
@@ -80,7 +77,6 @@ class ExecutionConfig:
     task_timeout: Optional[float] = None
     parse_cache: bool = True
     parse_cache_size: int = 4096
-    template_dict: Optional[str] = None
     source_chunk_records: int = 8192
 
     def __post_init__(self) -> None:
@@ -109,13 +105,6 @@ class ExecutionConfig:
         if self.parse_cache_size < 1:
             raise ValueError(
                 f"parse_cache_size must be >= 1, got {self.parse_cache_size}"
-            )
-        if self.template_dict is not None and not isinstance(
-            self.template_dict, (str, os.PathLike)
-        ):
-            raise ValueError(
-                "template_dict must be a filesystem path or None, "
-                f"got {self.template_dict!r}"
             )
         if self.source_chunk_records < 1:
             raise ValueError(

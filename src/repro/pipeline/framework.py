@@ -18,10 +18,10 @@ batch (:class:`CleaningPipeline`), streaming
 (:class:`~repro.pipeline.parallel.ParallelCleaner`) — composes the *same*
 stage code and only differs in how it feeds records through them.  The
 decisions all three share have one home each here: the parse-cache
-set-up (:func:`open_parse_cache`, :func:`save_parse_cache`), the
-per-record verdicts (:func:`validate_record`, :func:`parse_one`), the
-stage chain (:func:`run_stages`) and the :class:`StreamingStats` ↔
-ledger table (:data:`STATS_COUNTERS`).
+set-up (:func:`open_parse_cache`), the per-record verdicts
+(:func:`validate_record`, :func:`parse_one`), the stage chain
+(:func:`run_stages`) and the :class:`StreamingStats` ↔ ledger table
+(:data:`STATS_COUNTERS`).
 
 :func:`CleaningPipeline.run` executes all of it; the intermediate results
 live on the returned :class:`PipelineResult`.
@@ -29,8 +29,6 @@ live on the returned :class:`PipelineResult`.
 
 from __future__ import annotations
 
-import os
-import warnings
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, List, Optional, Sequence, Tuple, Union
 
@@ -122,8 +120,8 @@ class StreamingStats:
     #: statements that went through the full parser (the cold path) —
     #: with the cache enabled this equals ``parse_cache_misses``.
     parse_cold: int = 0
-    #: templates admitted from a persistent template dictionary before
-    #: the first record (see ``ExecutionConfig.template_dict``).
+    #: templates admitted from a template dictionary (a columnar store's
+    #: or a checkpoint's witnesses) before the first record.
     parse_dict_preloaded: int = 0
     #: distinct template fingerprints the run's interner assigned ids to
     #: (mirrored from the :class:`~repro.skeleton.interner
@@ -233,21 +231,14 @@ def open_parse_cache(
     ``cache`` is preloaded in place (a restored streaming run warms the
     cache it already has); otherwise a fresh one is built.  The preload
     re-parses ``witnesses`` (see
-    :meth:`~repro.skeleton.cache.TemplateCache.preload`), or, when they
-    are ``None``, the execution config's ``template_dict`` sidecar; an
-    empty sequence preloads nothing.
+    :meth:`~repro.skeleton.cache.TemplateCache.preload`); ``None`` or
+    an empty sequence preloads nothing.
     """
     execution = config.execution
     if not execution.parse_cache:
         return None, 0
     if cache is None:
         cache = TemplateCache(execution.parse_cache_size)
-    if witnesses is None and execution.template_dict is not None:
-        witnesses = TemplateCache.load_dict(
-            execution.template_dict,
-            fold_variables=config.fold_variables,
-            strict_triple=config.strict_triple,
-        )
     if not witnesses:
         return cache, 0
     preloaded = cache.preload(
@@ -256,26 +247,6 @@ def open_parse_cache(
         strict_triple=config.strict_triple,
     )
     return cache, preloaded
-
-
-def save_parse_cache(
-    cache: Optional[TemplateCache], config: PipelineConfig
-) -> None:
-    """Re-save the execution config's ``template_dict`` sidecar from
-    ``cache`` at the end of a run; a failed write only warns."""
-    path = config.execution.template_dict
-    if cache is None or path is None:
-        return
-    try:
-        cache.save_dict(
-            path,
-            fold_variables=config.fold_variables,
-            strict_triple=config.strict_triple,
-        )
-    except OSError as exc:
-        warnings.warn(
-            f"could not save template dict {os.fspath(path)!r}: {exc}"
-        )
 
 
 def validate_record(
@@ -915,11 +886,8 @@ class CleaningPipeline:
 
         ``template_witnesses`` pre-warms the parse cache from the given
         witness statement texts (see
-        :meth:`~repro.skeleton.cache.TemplateCache.preload`); when
-        absent, the execution config's ``template_dict`` sidecar is
-        loaded instead.  Preloaded template counts are booked as
-        ``parse_dict_preloaded``; the sidecar (if configured) is
-        re-saved when the run finishes.
+        :meth:`~repro.skeleton.cache.TemplateCache.preload`).  Preloaded
+        template counts are booked as ``parse_dict_preloaded``.
         """
         config = self.config
         recorder = Recorder() if recorder is None else recorder
@@ -927,6 +895,5 @@ class CleaningPipeline:
         cache, preloaded = open_parse_cache(config, template_witnesses)
         result = run_stages(log, config, recorder, cache, registry=True)
         recorder.count("parse", "parse_dict_preloaded", preloaded)
-        save_parse_cache(cache, config)
         result.metrics = recorder.metrics if recorder.enabled else None
         return result

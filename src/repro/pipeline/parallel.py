@@ -573,9 +573,7 @@ class ParallelCleaner:
         )
         #: everything the last run set aside (quarantine policy only).
         self.quarantine = QuarantineChannel()
-        #: witness texts to pre-warm the run's parse caches with; when
-        #: ``None``, the execution config's ``template_dict`` sidecar is
-        #: loaded at :meth:`run` time instead.
+        #: witness texts to pre-warm the run's parse caches with.
         self._template_witnesses = template_witnesses
 
     # ------------------------------------------------------------------
@@ -782,16 +780,11 @@ class ParallelCleaner:
     def run(self, log: Iterable[ShardItem]) -> QueryLog:
         """Shard, fan out, clean, and re-merge into global time order.
 
-        With a template dictionary (explicit witnesses or the execution
-        config's ``template_dict`` sidecar) the run preloads one warmed
-        cache and routes it to the shards: a single-shard run cleans
-        with it inline, pool runs ship it as the worker seed
-        (:func:`set_worker_seed`), so freshly spawned workers start
-        their persistent cache warm.  The parallel executor never saves
-        the sidecar back — per-worker caches each hold a partition of
-        the run's templates, and merging them would be a second
-        cross-process collection pass; re-save from a batch or
-        streaming run instead.
+        With template witnesses (a columnar store's own) the run
+        preloads one warmed cache and routes it to the shards: a
+        single-shard run cleans with it inline, pool runs ship it as
+        the worker seed (:func:`set_worker_seed`), so freshly spawned
+        workers start their persistent cache warm.
         """
         execution = self.config.execution
         workers = execution.resolved_workers()

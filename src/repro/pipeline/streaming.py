@@ -11,9 +11,8 @@ how records are buffered, never what happens to one.
   per-record verdicts, :func:`~repro.pipeline.framework.validate_record`
   and :func:`~repro.pipeline.framework.parse_one` (without the batch
   run's exact-text memo, which would grow with the stream), against a
-  parse cache set up and re-saved by
-  :func:`~repro.pipeline.framework.open_parse_cache` and
-  :func:`~repro.pipeline.framework.save_parse_cache`;
+  parse cache set up by
+  :func:`~repro.pipeline.framework.open_parse_cache`;
 * **dedup** — a last-seen map keyed by (user, normalised statement),
   pruned of entries older than the threshold;
 * **blocking** — per-user open blocks; a block closes when its user goes
@@ -56,7 +55,6 @@ from .framework import (
     open_parse_cache,
     parse_one,
     parse_record,
-    save_parse_cache,
     validate_record,
 )
 
@@ -79,9 +77,7 @@ class StreamingCleaner:
         stream leaves the ledger behind by design.
     :param template_witnesses: witness statement texts to pre-warm the
         parse cache with (see
-        :meth:`~repro.skeleton.cache.TemplateCache.preload`); when
-        absent, the execution config's ``template_dict`` sidecar is
-        loaded instead.  :meth:`finish` re-saves the sidecar.
+        :meth:`~repro.skeleton.cache.TemplateCache.preload`).
     """
 
     def __init__(
@@ -295,11 +291,10 @@ class StreamingCleaner:
             recorder.add_seconds("parse", parse_seconds, calls=1)
 
     def finish(self) -> Iterator[LogRecord]:
-        """End the stream: close every open block, flush the counters,
-        and re-save the configured template dictionary sidecar."""
+        """End the stream: close every open block and flush the
+        counters."""
         for user in list(self._open):
             yield from self._emit(self._close_block(user))
-        save_parse_cache(self._parse_cache, self.config)
         self._flush_counters()
 
     def _flush_counters(self) -> None:
@@ -418,7 +413,7 @@ class StreamingCleaner:
         self.quarantine = QuarantineChannel.from_state(state["quarantine"])  # type: ignore[arg-type]
         _, self._dict_preloaded = open_parse_cache(
             self.config,
-            state.get("template_dict_witnesses") or (),  # type: ignore[arg-type]
+            state.get("template_dict_witnesses"),  # type: ignore[arg-type]
             self._parse_cache,
         )
         self._open = {}

@@ -59,13 +59,8 @@ from __future__ import annotations
 
 import dataclasses
 import gc
-import json
-import os
 import pickle
 import re
-import struct
-import warnings
-import zlib
 from collections import OrderedDict
 from typing import Dict, Iterable, List, Optional, Tuple, Union
 
@@ -95,12 +90,6 @@ from .template import ClauseTexts, QueryTemplate, _clause_strings
 
 #: Default bound of each cache level (distinct texts / distinct keys).
 DEFAULT_PARSE_CACHE_SIZE = 4096
-
-#: Magic prefix + format version of the persistent template-dictionary
-#: sidecar (:meth:`TemplateCache.save_dict`).  Bump the version on any
-#: payload change: :meth:`TemplateCache.load_dict` rejects mismatches.
-_DICT_MAGIC = b"RTD1"
-TEMPLATE_DICT_VERSION = 1
 
 # ----------------------------------------------------------------------
 # Source-order literal traversal
@@ -1072,15 +1061,15 @@ class TemplateCache:
             self.evictions += 1
 
     # ------------------------------------------------------------------
-    # Persistent template dictionary (warm-start re-runs)
+    # Template dictionary (warm-start re-runs)
     #
-    # The interned template dictionary is a durable artifact of the log:
-    # it is persisted as *witness texts* — one raw prototype SQL string
-    # per interned L2 entry — not as pickled entries.  Loading re-parses
-    # every witness through this cache's own cold path under the current
-    # run's knobs, which IS the witness verification: nothing from the
-    # sidecar is trusted beyond the SQL text, so a stale, corrupt or
-    # even adversarial dictionary can only cost speed, never output.
+    # The interned template dictionary travels as *witness texts* — SQL
+    # strings, not pickled entries — in a columnar store's
+    # ``templates.bin`` and in a streaming checkpoint.  Preloading
+    # re-parses every witness through this cache's own cold path under
+    # the current run's knobs, which IS the witness verification:
+    # nothing is trusted beyond the SQL text, so a stale or even
+    # adversarial dictionary can only cost speed, never output.
 
     def dict_witnesses(self) -> List[str]:
         """One witness statement text per interned L2 entry."""
@@ -1089,113 +1078,6 @@ class TemplateCache:
             for entry in self._by_key.values()
             if type(entry) is _Entry
         ]
-
-    def save_dict(
-        self,
-        path,
-        *,
-        fold_variables: bool = False,
-        strict_triple: bool = False,
-    ) -> int:
-        """Persist the template dictionary to ``path``; return its size.
-
-        The sidecar is keyed by the cache knobs it was built under plus
-        a format version; :meth:`load_dict` rejects any mismatch.  The
-        write is atomic (tmp file + ``os.replace``), so a crash — even a
-        SIGKILL — mid-save leaves any prior dictionary intact.
-        """
-        witnesses = self.dict_witnesses()
-        payload = {
-            "version": TEMPLATE_DICT_VERSION,
-            "fold_variables": bool(fold_variables),
-            "strict_triple": bool(strict_triple),
-            "witnesses": witnesses,
-        }
-        body = zlib.compress(
-            json.dumps(payload, separators=(",", ":")).encode("utf-8")
-        )
-        blob = _DICT_MAGIC + struct.pack("<I", zlib.crc32(body)) + body
-        target = os.fspath(path)
-        tmp = target + ".tmp"
-        with open(tmp, "wb") as handle:
-            handle.write(blob)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp, target)
-        return len(witnesses)
-
-    @staticmethod
-    def load_dict(
-        path,
-        *,
-        fold_variables: bool = False,
-        strict_triple: bool = False,
-    ) -> Optional[List[str]]:
-        """Load witness texts saved by :meth:`save_dict`, or ``None``.
-
-        ``None`` means "start cold".  A missing file is silent (a first
-        run is normal); a knob or version mismatch is rejected cleanly
-        with a warning; a truncated or corrupt sidecar falls back with a
-        warning.  Never raises.
-        """
-        target = os.fspath(path)
-        try:
-            with open(target, "rb") as handle:
-                blob = handle.read()
-        except FileNotFoundError:
-            return None
-        except OSError as exc:
-            warnings.warn(
-                f"template dict {target!r} unreadable ({exc}); starting cold"
-            )
-            return None
-        if len(blob) < 8 or blob[:4] != _DICT_MAGIC:
-            warnings.warn(
-                f"template dict {target!r} is not a template dictionary "
-                "(bad magic); starting cold"
-            )
-            return None
-        (crc,) = struct.unpack("<I", blob[4:8])
-        body = blob[8:]
-        if zlib.crc32(body) != crc:
-            warnings.warn(
-                f"template dict {target!r} is truncated or corrupt "
-                "(checksum mismatch); starting cold"
-            )
-            return None
-        try:
-            payload = json.loads(zlib.decompress(body).decode("utf-8"))
-        except (zlib.error, UnicodeDecodeError, ValueError):
-            warnings.warn(
-                f"template dict {target!r} is corrupt (undecodable "
-                "payload); starting cold"
-            )
-            return None
-        version = payload.get("version") if isinstance(payload, dict) else None
-        if version != TEMPLATE_DICT_VERSION:
-            warnings.warn(
-                f"template dict {target!r} has format version {version!r}, "
-                f"expected {TEMPLATE_DICT_VERSION}; starting cold"
-            )
-            return None
-        if payload.get("fold_variables") != bool(fold_variables) or payload.get(
-            "strict_triple"
-        ) != bool(strict_triple):
-            warnings.warn(
-                f"template dict {target!r} was built under different parse "
-                "knobs (fold_variables/strict_triple); starting cold"
-            )
-            return None
-        witnesses = payload.get("witnesses")
-        if not isinstance(witnesses, list) or any(
-            not isinstance(sql, str) for sql in witnesses
-        ):
-            warnings.warn(
-                f"template dict {target!r} carries a malformed witness "
-                "list; starting cold"
-            )
-            return None
-        return witnesses
 
     def preload(
         self,

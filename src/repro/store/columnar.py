@@ -9,7 +9,8 @@ almost all of the redundancy before generic compression even starts.
 This module is that representation on disk:
 
 ``<store>/``
-  ``manifest.json``   format marker, record/chunk counts, chunk sizes
+  ``manifest.json``   format marker and version, record/chunk counts,
+                      chunk sizes
   ``templates.bin``   zlib(JSON) template dictionary — the id-ordered
                       template ``texts`` plus one first-seen *witness*
                       statement per template (see below)
@@ -22,16 +23,18 @@ parallel columns — ``seq`` / ``timestamp`` / ``user`` / ``ip`` /
 (one constant vector per record) — so a reader materialises one chunk at
 a time and never the whole log.
 
-**Templating is text-level and unconditionally lossless.**  The store
-cannot reuse the lexer's canonical fingerprints (they normalise away the
-original spelling), so it extracts string literals (``'...'`` with
-``''`` escapes) and standalone numbers with a guarded regex, replaces
-each with a ``"\\x00"`` marker, and splices them back verbatim on read.
-A statement that itself contains the marker byte — which never occurs in
-real SQL text — or that is not text at all (``sql=None``, an integer) is
-stored whole under the reserved template id ``-1``.  The round trip is
-the exact inverse of the extraction, so ``read(write(log)) == log`` holds
-for any input whose field values JSON can hold, however unparsable.
+**One template codec.**  A store template is the parse cache's *raw
+key*: :func:`~repro.skeleton.cache._raw_scan` lifts string literals
+(``'...'`` with ``''`` escapes) and standalone numbers out of the text
+and puts ``"\\x03"`` where it lifted a number and ``"\\x04"`` where it
+lifted a string; the constant vector is the exact token texts it lifted,
+so splicing them back is the exact inverse.  Text the raw scan refuses
+(it carries a control byte, which never occurs in real SQL) and
+statements that are not text at all (``sql=None``, an integer) are
+stored whole under the reserved template id ``-1``.  So
+``read(write(log)) == log`` holds for any input whose field values JSON
+can hold, however unparsable.  The parallel executor's shard buffers
+(:func:`encode_shard`) use the same codec.
 
 A chunk is read back either as records (:func:`read_chunk`) or as
 :class:`StoreRow` tuples that keep each statement split into its
@@ -39,14 +42,13 @@ template text and constant vector (:func:`chunk_rows`); the parallel
 executor cuts its shard buffers straight from the rows, because
 :func:`encode_shard` wants exactly that split.
 
-Since parse engine v3 ``templates.bin`` additionally carries one
-**witness** statement per template — the first record text that interned
-it.  :func:`load_template_witnesses` hands these to the parse engine's
-template-dictionary preload
-(:meth:`repro.skeleton.cache.TemplateCache.preload`), so re-cleaning a
-store the pipeline has seen before starts with a warm parse cache.
-Witnesses are re-parsed on load, never trusted, so they affect speed
-only; stores written before v3 simply yield no witnesses.
+``templates.bin`` also carries one **witness** statement per template —
+the first record text that interned it — and it is the one persistent
+template dictionary of the parse engine: :func:`load_templates` hands
+the witnesses to :meth:`repro.skeleton.cache.TemplateCache.preload`, so
+re-cleaning a store starts with a warm parse cache.  Witnesses are
+re-parsed on load, never trusted, so they affect speed only; a witness
+list that is not a list of texts loads as empty (a cold start).
 
 Every file is written atomically (temp file + ``os.replace``) and the
 manifest is written **last**, so a directory with a manifest is always a
@@ -77,32 +79,22 @@ from typing import (
 )
 
 from ..log.models import LogRecord
+from ..skeleton.cache import _raw_scan
 from ..skeleton.interner import TemplateInterner
 
 PathLike = Union[str, Path]
 
 #: Format marker checked by the reader (and by ``open_log`` sniffing).
 FORMAT_NAME = "repro-columnar"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
-#: Placeholder spliced into templates where a constant was lifted out.
-MARKER = "\x00"
-
-#: Reserved template id for statements stored verbatim: text containing
-#: the marker byte (the splice inverse would be ambiguous) and
-#: statements that are not text at all.
+#: Reserved template id for statements stored verbatim: text the raw
+#: scan refuses and statements that are not text at all.
 VERBATIM_TEMPLATE = -1
 
-#: One extraction pass: string literals first (so digits inside them are
-#: never touched), then standalone numeric literals.  The lookbehind
-#: keeps digits that are part of an identifier (``t1``, ``objID2``) or a
-#: dotted name in the template.  Extraction quality only affects the
-#: compression ratio — losslessness comes from the splice being the
-#: exact inverse, not from what the regex matches.
-_CONSTANT_RE = re.compile(
-    r"'(?:[^']|'')*'"
-    r"|(?<![\w.])\d+(?:\.\d+)?(?:[eE][+-]?\d+)?"
-)
+#: The slot bytes of a template: the raw scan's number and string
+#: placeholders, which it never lets into a text it accepts.
+_SLOT = re.compile("[\x03\x04]")
 
 _CHUNK_COLUMNS = ("seq", "timestamp", "user", "ip", "session", "rows")
 
@@ -112,39 +104,44 @@ _CHUNK_COLUMNS = ("seq", "timestamp", "user", "ip", "session", "rows")
 
 
 def encode_sql(sql: str) -> Tuple[str, List[str]]:
-    """Split ``sql`` into a marker template and its constant vector.
+    """Split ``sql`` into its raw template and its constant vector.
 
-    ``decode_sql`` restores the original text exactly.  Raises
-    ``ValueError`` when ``sql`` is not a string or contains the marker
-    byte — callers handle both cases with :data:`VERBATIM_TEMPLATE`.
+    The template is the parse cache's raw key for ``sql`` (see
+    :func:`~repro.skeleton.cache._raw_scan`) and the constants are the
+    exact token texts the scan lifted, so :func:`decode_sql` restores
+    the original text exactly.  Raises ``ValueError`` when ``sql`` is
+    not a string or the raw scan refuses it — callers handle both cases
+    with :data:`VERBATIM_TEMPLATE`.
     """
     if not isinstance(sql, str):
         raise ValueError(f"statement is {type(sql).__name__}, not text")
-    if MARKER in sql:
-        raise ValueError("statement contains the template marker byte")
-    constants: List[str] = []
+    raw = _raw_scan(sql)
+    if raw is None:
+        raise ValueError(
+            "statement contains a control byte the raw scan refuses"
+        )
+    return raw[0], [sql[start:end] for start, end in raw[1]]
 
-    def lift(match: "re.Match[str]") -> str:
-        constants.append(match.group(0))
-        return MARKER
 
-    return _CONSTANT_RE.sub(lift, sql), constants
+def _splice(parts: Sequence[str], constants: Sequence[str]) -> str:
+    """Interleave a template split on its slots with its constants."""
+    count = len(constants)
+    if len(parts) != count + 1:
+        raise ValueError(
+            f"template has {len(parts) - 1} slots but {count} constants"
+        )
+    if not count:
+        return parts[0]
+    pieces: List[object] = [None] * (2 * count + 1)
+    pieces[::2] = parts
+    pieces[1::2] = constants
+    return "".join(pieces)  # type: ignore[arg-type]
 
 
 def decode_sql(template: str, constants: Sequence[str]) -> str:
     """Splice ``constants`` back into ``template`` (inverse of
     :func:`encode_sql`)."""
-    parts = template.split(MARKER)
-    if len(parts) != len(constants) + 1:
-        raise ValueError(
-            f"template has {len(parts) - 1} slots but "
-            f"{len(constants)} constants"
-        )
-    pieces = [parts[0]]
-    for constant, part in zip(constants, parts[1:]):
-        pieces.append(constant)
-        pieces.append(part)
-    return "".join(pieces)
+    return _splice(_SLOT.split(template), constants)
 
 
 # ----------------------------------------------------------------------
@@ -235,7 +232,7 @@ class ColumnarWriter:
             if template_id == len(self._witnesses):
                 # First record of a new template: its verbatim text is
                 # the template's witness (verbatim statements are skipped:
-                # marker bytes or non-text would not parse).
+                # control bytes or non-text would not parse).
                 self._witnesses.append(sql)
         self._record_count += 1
         if len(buffer["seq"]) >= self.chunk_records:
@@ -328,40 +325,34 @@ def read_manifest(path: PathLike) -> Dict[str, object]:
             f"{path} is not a {FORMAT_NAME} store "
             f"(format={data.get('format')!r})"
         )
-    if data.get("version") != FORMAT_VERSION:
+    version = data.get("version")
+    if version != FORMAT_VERSION:
         raise ValueError(
-            f"unsupported {FORMAT_NAME} version {data.get('version')!r}"
+            f"{path} is a {FORMAT_NAME} store of version {version!r}, but "
+            f"this reader reads version {FORMAT_VERSION} only; rebuild the "
+            "store from its source log with `sqlog-clean convert LOG STORE`"
         )
     return data
 
 
-def load_templates(path: PathLike) -> List[str]:
-    """The store's template dictionary, id-ordered.
+def load_templates(path: PathLike) -> Tuple[List[str], List[str]]:
+    """The store's template dictionary: ``(texts, witnesses)``.
 
-    Reads both layouts: the v3 ``{"texts", "witnesses"}`` dict and the
-    original plain list (stores written before witnesses existed).
-    """
-    payload = _load_compressed(Path(path) / "templates.bin")
-    if isinstance(payload, dict):
-        return payload["texts"]  # type: ignore[return-value]
-    return payload  # type: ignore[return-value]
-
-
-def load_template_witnesses(path: PathLike) -> List[str]:
-    """One first-seen witness statement text per store template.
-
-    Feed these to
+    ``texts`` are the id-ordered templates the chunks refer to;
+    ``witnesses`` are one first-seen statement text per template, for
     :meth:`repro.skeleton.cache.TemplateCache.preload` to warm-start a
-    re-run over the store.  Empty for stores written before parse
-    engine v3 — the reader treats witnesses as an optional acceleration
-    layer, never a requirement.
+    re-run over the store.  Witnesses only ever change speed, so a
+    witness list that is not a list of texts loads as empty — a cold
+    start, never a failed run.
     """
     payload = _load_compressed(Path(path) / "templates.bin")
-    if isinstance(payload, dict):
-        witnesses = payload.get("witnesses", [])
-        if isinstance(witnesses, list):
-            return witnesses
-    return []
+    texts = payload["texts"]  # type: ignore[index]
+    witnesses = payload.get("witnesses")  # type: ignore[union-attr]
+    if not isinstance(witnesses, list) or not all(
+        isinstance(sql, str) for sql in witnesses
+    ):
+        witnesses = []
+    return texts, witnesses
 
 
 def _stored_statement(template: Optional[str], constants: list) -> object:
@@ -389,7 +380,7 @@ class StoreRow(NamedTuple):
     (``None`` for a row stored verbatim, whose whole statement is
     ``constants[0]``) and ``constants`` its constant vector — exactly
     what :func:`encode_sql` made of the record's text, so
-    :func:`encode_shard` packs a row without re-running the regex.  The
+    :func:`encode_shard` packs a row without re-running the raw scan.  The
     other fields are the record's own, whatever their type.
     """
 
@@ -440,13 +431,24 @@ def chunk_rows(
 def read_chunk(
     path: PathLike, index: int, templates: Sequence[str]
 ) -> List[LogRecord]:
-    """Materialise one chunk of the store as records in file order."""
+    """Materialise one chunk of the store as records in file order.
+
+    Each template is split on its slots once, at its first row.
+    """
     columns = load_chunk_columns(path, index)
-    statements = map(
-        _stored_statement,
-        _template_texts(columns, templates),
-        columns["constants"],
-    )
+    split: Dict[int, List[str]] = {}
+    statements: List[object] = []
+    append = statements.append
+    for template_id, constants in zip(
+        columns["template"], columns["constants"]
+    ):
+        if template_id == VERBATIM_TEMPLATE:
+            append(constants[0])
+            continue
+        parts = split.get(template_id)
+        if parts is None:
+            parts = split[template_id] = _SLOT.split(templates[template_id])
+        append(_splice(parts, constants))
     return list(
         map(
             LogRecord,
@@ -459,19 +461,6 @@ def read_chunk(
             columns["rows"],
         )
     )
-
-
-def iter_columnar_chunks(
-    path: PathLike, *, start_chunk: int = 0
-) -> Iterator[List[LogRecord]]:
-    """Stream the store chunk by chunk (bounded memory), optionally
-    skipping the first ``start_chunk`` chunks without reading them."""
-    manifest = read_manifest(path)
-    templates: Optional[List[str]] = None
-    for index in range(start_chunk, len(manifest["chunks"])):  # type: ignore[arg-type]
-        if templates is None:
-            templates = load_templates(path)
-        yield read_chunk(path, index, templates)
 
 
 def store_size_bytes(path: PathLike) -> int:
@@ -618,7 +607,7 @@ def encode_shard(shard: Sequence[Union[LogRecord, StoreRow]]) -> bytes:
     rows_values = array("q")
     oddballs: List[Tuple[int, LogRecord]] = []
     # Exact-text memo: logs repeat statement texts heavily, so most
-    # records skip the constant-extraction regex entirely.
+    # records skip the raw scan entirely.
     memo: Dict[str, Tuple[Optional[str], List[str]]] = {}
 
     for position, item in enumerate(shard):
@@ -756,10 +745,13 @@ def decode_shard(buffer) -> Iterator[LogRecord]:
     template_offsets = array("Q")
     template_offsets.frombytes(sections[6])
     template_blob = sections[7]
-    templates = [
-        template_blob[
-            template_offsets[i]:template_offsets[i + 1]
-        ].decode("utf-8")
+    # Each shard-local template is split on its slots once.
+    template_parts = [
+        _SLOT.split(
+            template_blob[
+                template_offsets[i]:template_offsets[i + 1]
+            ].decode("utf-8")
+        )
         for i in range(len(template_offsets) - 1)
     ]
     user_ids, user_dict = _decode_string_dict(*sections[8:11])
@@ -794,7 +786,7 @@ def decode_shard(buffer) -> Iterator[LogRecord]:
             if template_id == VERBATIM_TEMPLATE:
                 sql = constants[0]
             else:
-                sql = decode_sql(templates[template_id], constants)
+                sql = _splice(template_parts[template_id], constants)
             user_id = user_ids[column]
             ip_id = ip_ids[column]
             session_id = session_ids[column]

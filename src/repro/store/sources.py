@@ -30,6 +30,8 @@ import zlib
 from pathlib import Path
 from typing import Iterator, List, Optional, Sequence, Tuple, Union
 
+from . import columnar
+
 from ..errors import QuarantineChannel, validate_error_policy
 from ..log.io import iter_csv_records, iter_jsonl_records
 from ..log.models import LogRecord, QueryLog
@@ -38,7 +40,6 @@ from .columnar import (
     chunk_file_name,
     chunk_rows,
     is_columnar_store,
-    iter_columnar_chunks,
     load_chunk_columns,
     load_templates,
     read_manifest,
@@ -210,7 +211,9 @@ class ColumnarSource(LogSource):
 
     :attr:`chunks_read` and :attr:`bytes_read` count the chunk files
     this source has read (compressed bytes on disk) over its lifetime;
-    ``repro.clean`` books each run's share in its ledger.
+    ``repro.clean`` books each run's share in its ledger.  The template
+    dictionary (``templates.bin``) is read once per source: a store
+    never changes once its manifest is written.
     """
 
     format_name = "columnar"
@@ -218,8 +221,16 @@ class ColumnarSource(LogSource):
     def __init__(self, path: PathLike) -> None:
         self.path = Path(path)
         self._manifest = read_manifest(self.path)
+        self._templates: Optional[Tuple[List[str], List[str]]] = None
         self.chunks_read = 0
         self.bytes_read = 0
+
+    def _dictionary(self) -> Tuple[List[str], List[str]]:
+        """The store's ``(texts, witnesses)`` (see
+        :func:`~repro.store.columnar.load_templates`)."""
+        if self._templates is None:
+            self._templates = load_templates(self.path)
+        return self._templates
 
     def _count_read(self, index: int) -> None:
         self.chunks_read += 1
@@ -228,15 +239,18 @@ class ColumnarSource(LogSource):
     def open_chunks(
         self, *, start_chunk: int = 0
     ) -> Iterator[Sequence[LogRecord]]:
-        chunks = iter_columnar_chunks(self.path, start_chunk=start_chunk)
-        for index, chunk in enumerate(chunks, start_chunk):
+        texts = self._dictionary()[0]
+        for index in range(start_chunk, self.chunk_count()):
+            # Looked up on the module per call, so a wrapper installed
+            # on ``columnar.read_chunk`` (the E29 tracer's) sees it.
+            chunk = columnar.read_chunk(self.path, index, texts)
             self._count_read(index)
             yield chunk
 
     def rows(self) -> Iterator[StoreRow]:
         """Every stored row in file order, straight from the chunk
         columns (see :class:`~repro.store.columnar.StoreRow`)."""
-        templates = load_templates(self.path)
+        templates = self._dictionary()[0]
         for index in range(self.chunk_count()):
             columns = load_chunk_columns(self.path, index)
             self._count_read(index)
@@ -256,14 +270,11 @@ class ColumnarSource(LogSource):
         )
 
     def template_witnesses(self) -> List[str]:
-        """The store's template witness texts (see
-        :func:`repro.store.columnar.load_template_witnesses`); empty for
-        stores written before parse engine v3."""
-        from .columnar import load_template_witnesses
-
+        """The store's template witness texts; empty when
+        ``templates.bin`` is damaged or its witness list malformed."""
         try:
-            return load_template_witnesses(self.path)
-        except (OSError, ValueError, KeyError, zlib.error):
+            return self._dictionary()[1]
+        except (OSError, ValueError, KeyError, TypeError, zlib.error):
             # A store with a damaged dictionary still *reads* (chunks
             # carrying verbatim statements don't touch it); witnesses
             # are an acceleration layer, so degrade to a cold start.

@@ -9,7 +9,7 @@ import pytest
 from repro.log import LogRecord, QueryLog
 from repro.store.columnar import (
     FORMAT_NAME,
-    MARKER,
+    FORMAT_VERSION,
     VERBATIM_TEMPLATE,
     ColumnarWriter,
     StoreRow,
@@ -19,12 +19,12 @@ from repro.store.columnar import (
     encode_shard,
     encode_sql,
     is_columnar_store,
-    iter_columnar_chunks,
     load_templates,
     read_manifest,
     store_size_bytes,
     write_columnar,
 )
+from repro.skeleton.cache import _raw_scan
 from repro.store.sources import ColumnarSource
 
 
@@ -39,10 +39,12 @@ def sample_records():
 
 class TestSqlCodec:
     def test_numbers_and_strings_are_lifted(self):
-        template, constants = encode_sql("SELECT a FROM t WHERE id = 7 AND b = 'x'")
+        sql = "SELECT a FROM t WHERE id = 7 AND b = 'x'"
+        template, constants = encode_sql(sql)
         assert constants == ["7", "'x'"]
-        assert template.count(MARKER) == 2
-        assert "7" not in template and "'x'" not in template
+        # \x03 marks a number, \x04 a string: the parse cache's raw key
+        assert template == "SELECT a FROM t WHERE id = \x03 AND b = \x04"
+        assert template == _raw_scan(sql)[0]
 
     def test_decode_is_exact_inverse(self):
         for sql in [
@@ -67,8 +69,9 @@ class TestSqlCodec:
         assert decode_sql(template, constants) == sql
 
     def test_marker_byte_rejected(self):
-        with pytest.raises(ValueError, match="marker"):
-            encode_sql("SELECT \x00 FROM t")
+        for byte in ("\x00", "\x03", "\x04", "\x1f"):
+            with pytest.raises(ValueError, match="control byte"):
+                encode_sql(f"SELECT {byte} FROM t WHERE x = 1")
 
     def test_non_text_statement_rejected(self):
         for sql in (None, 12345):
@@ -77,7 +80,7 @@ class TestSqlCodec:
 
     def test_decode_arity_mismatch_rejected(self):
         with pytest.raises(ValueError, match="slots"):
-            decode_sql(f"a {MARKER} b", [])
+            decode_sql("a \x03 b", [])
 
 
 class TestStoreRoundTrip:
@@ -91,7 +94,7 @@ class TestStoreRoundTrip:
         records = sample_records()
         store = tmp_path / "log.columnar"
         write_columnar(records, store, chunk_records=3)
-        chunks = list(iter_columnar_chunks(store))
+        chunks = list(ColumnarSource(store).open_chunks())
         flat = [record for chunk in chunks for record in chunk]
         assert flat == records  # file order, not sorted order
 
@@ -99,7 +102,7 @@ class TestStoreRoundTrip:
         weird = LogRecord(0, "SELECT \x00 FROM t WHERE x = 1", 1.0, "u")
         store = tmp_path / "weird.columnar"
         write_columnar([weird], store)
-        (chunk,) = iter_columnar_chunks(store)
+        (chunk,) = ColumnarSource(store).open_chunks()
         assert chunk[0].sql == weird.sql
         raw = json.loads(
             zlib.decompress((store / chunk_file_name(0)).read_bytes())
@@ -115,12 +118,13 @@ class TestStoreRoundTrip:
         assert manifest["chunks"] == [3, 1]
         assert (store / chunk_file_name(0)).is_file()
         assert (store / chunk_file_name(1)).is_file()
-        assert manifest["template_count"] == len(load_templates(store))
+        texts, witnesses = load_templates(store)
+        assert manifest["template_count"] == len(texts) == len(witnesses)
 
     def test_start_chunk_seeks(self, tmp_path):
         store = tmp_path / "log.columnar"
         write_columnar(sample_records(), store, chunk_records=2)
-        chunks = list(iter_columnar_chunks(store, start_chunk=1))
+        chunks = list(ColumnarSource(store).open_chunks(start_chunk=1))
         assert [record.seq for chunk in chunks for record in chunk] == [2, 3]
 
     def test_templates_deduplicate_repeated_shapes(self, tmp_path):
@@ -171,7 +175,7 @@ class TestOddTypedRecords:
         records = odd_typed_records()
         store = tmp_path / "odd.columnar"
         write_columnar(records, store, chunk_records=4)
-        chunks = list(iter_columnar_chunks(store))
+        chunks = list(ColumnarSource(store).open_chunks())
         flat = [record for chunk in chunks for record in chunk]
         assert len(flat) == len(records)
         for original, restored in zip(records, flat):
@@ -187,7 +191,10 @@ class TestOddTypedRecords:
         assert raw["template"][1] == VERBATIM_TEMPLATE
         assert raw["constants"][:2] == [[None], [12345]]
         # non-text never becomes a template witness
-        assert load_templates(store) == ["SELECT a FROM t WHERE id = \x00"]
+        assert load_templates(store) == (
+            ["SELECT a FROM t WHERE id = \x03"],
+            ["SELECT a FROM t WHERE id = 7"],
+        )
 
     def test_rows_pack_exactly_like_their_records(self, tmp_path):
         """The row encoder sends odd-typed rows to the oddball side list
@@ -250,3 +257,39 @@ class TestCrashSafety:
     def test_writer_rejects_bad_chunk_records(self, tmp_path):
         with pytest.raises(ValueError, match="chunk_records"):
             ColumnarWriter(tmp_path / "x", chunk_records=0)
+
+
+class TestFormatVersion:
+    def test_writer_stamps_the_current_version(self, tmp_path):
+        store = tmp_path / "log.columnar"
+        write_columnar(sample_records(), store)
+        assert read_manifest(store)["version"] == FORMAT_VERSION == 2
+
+    def test_version_1_store_is_refused(self, tmp_path):
+        import repro
+
+        # A store as the version-1 writer left it: same layout, but its
+        # templates were cut by the old literal grammar.
+        store = tmp_path / "old.columnar"
+        store.mkdir()
+        (store / "manifest.json").write_text(
+            json.dumps(
+                {
+                    "format": FORMAT_NAME,
+                    "version": 1,
+                    "record_count": 0,
+                    "chunk_records": 8192,
+                    "chunks": [],
+                    "template_count": 0,
+                }
+            )
+        )
+        assert is_columnar_store(store)
+        with pytest.raises(ValueError) as refused:
+            read_manifest(store)
+        message = str(refused.value)
+        assert "version 1" in message and "version 2" in message
+        assert "rebuild the store from its source log" in message
+        assert "convert" in message
+        with pytest.raises(ValueError, match="convert"):
+            repro.clean(str(store))

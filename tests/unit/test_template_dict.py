@@ -1,18 +1,15 @@
-"""The persistent template dictionary: save/load/preload lifecycle.
+"""The template dictionary: preload, store witnesses, checkpoint carry.
 
-Parse engine v3 lets a run warm its parse caches from a previous run's
-templates — a sidecar of witness statements (``TemplateCache.save_dict``
-/ ``load_dict``), the columnar store's own interned-template witnesses,
-or the witness list a checkpoint carries.  The safety contract is that a
-dictionary can only ever change *speed*: every witness re-parses through
-the run's own cold path on load, and any damaged, stale or mismatched
-sidecar falls back to a cold start with a warning — never an exception,
-never a different clean log.
+A run can warm its parse caches from the templates of an earlier run.
+The dictionary travels as witness statements in two carriers: a
+columnar store's ``templates.bin`` (one first-seen statement per stored
+template) and the witness list a streaming checkpoint carries.  The
+safety contract is that a dictionary can only ever change *speed*:
+every witness re-parses through the run's own cold path on load, and a
+damaged or malformed witness list falls back to a cold start — never
+an exception, never a different clean log.
 """
 
-import os
-import struct
-import warnings
 import zlib
 
 import pytest
@@ -20,11 +17,9 @@ import pytest
 import repro
 from repro.log import LogRecord
 from repro.pipeline.config import ExecutionConfig
-from repro.skeleton.cache import (
-    _DICT_MAGIC,
-    TEMPLATE_DICT_VERSION,
-    TemplateCache,
-)
+from repro.skeleton.cache import TemplateCache
+from repro.store.columnar import write_columnar
+from repro.store.sources import ColumnarSource
 from repro.workload.generator import generate_log
 
 STATEMENTS = [
@@ -33,6 +28,15 @@ STATEMENTS = [
     "SELECT x FROM t WHERE name = 'abc' AND k IN (1, 2, 3)",
     "SELECT TOP 10 a FROM t WHERE b BETWEEN 1 AND 2 ORDER BY a DESC",
 ]
+
+#: Every executor a store run can take.
+EXECUTIONS = [
+    ExecutionConfig(mode="batch"),
+    ExecutionConfig(mode="streaming"),
+    ExecutionConfig(mode="parallel", workers=1),
+    ExecutionConfig(mode="parallel", workers=2),
+]
+EXECUTION_IDS = ["batch", "streaming", "parallel-inline", "parallel-pool"]
 
 
 def record(sql, seq=0):
@@ -46,21 +50,23 @@ def warmed_cache():
     return cache
 
 
-class TestSaveLoadRoundTrip:
-    def test_round_trip_restores_every_witness(self, tmp_path):
-        path = tmp_path / "templates.dict"
-        cache = warmed_cache()
-        saved = cache.save_dict(path)
-        assert saved == len(cache.dict_witnesses()) > 0
-        witnesses = TemplateCache.load_dict(path)
-        assert witnesses is not None
-        assert sorted(witnesses) == sorted(cache.dict_witnesses())
+def write_store(tmp_path, name="log.columnar"):
+    log = generate_log(seed=11, scale=0.03)
+    store = tmp_path / name
+    write_columnar(log, store)
+    return log, store
 
-    def test_preload_is_counter_neutral_and_hits_afterwards(self, tmp_path):
-        path = tmp_path / "templates.dict"
-        warmed_cache().save_dict(path)
+
+def parse_counters(result):
+    return result.metrics.as_dict()["stages"]["parse"]["counters"]
+
+
+class TestPreload:
+    def test_preload_is_counter_neutral_and_hits_afterwards(self):
+        witnesses = warmed_cache().dict_witnesses()
+        assert len(witnesses) == len(STATEMENTS)
         fresh = TemplateCache()
-        loaded = fresh.preload(TemplateCache.load_dict(path))
+        loaded = fresh.preload(witnesses)
         assert loaded == len(STATEMENTS)
         # Warming must not pollute the run's cache-traffic ledger.
         assert fresh.hits == 0 and fresh.misses == 0
@@ -69,170 +75,78 @@ class TestSaveLoadRoundTrip:
         assert fresh.fetch(sibling) is not None
         assert fresh.hits == 1 and fresh.misses == 0
 
-    def test_missing_file_is_silent(self, tmp_path):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert TemplateCache.load_dict(tmp_path / "absent.dict") is None
-
     def test_unparseable_witnesses_are_skipped(self):
         cache = TemplateCache()
         loaded = cache.preload(["SELECT '", "SELECT a FROM t WHERE b = 1"])
         assert loaded == 1
 
 
-class TestRejection:
-    """Mismatched or damaged sidecars fall back cold — warn, never raise."""
-
-    def save(self, tmp_path, **knobs):
-        path = tmp_path / "templates.dict"
-        warmed_cache().save_dict(path, **knobs)
-        return path
-
-    def test_knob_mismatch_is_rejected(self, tmp_path):
-        path = self.save(tmp_path, fold_variables=False)
-        with pytest.warns(UserWarning, match="different parse knobs"):
-            assert TemplateCache.load_dict(path, fold_variables=True) is None
-        with pytest.warns(UserWarning, match="different parse knobs"):
-            assert TemplateCache.load_dict(path, strict_triple=True) is None
-
-    def test_version_mismatch_is_rejected(self, tmp_path, monkeypatch):
-        import repro.skeleton.cache as cache_mod
-
-        path = self.save(tmp_path)
-        monkeypatch.setattr(
-            cache_mod, "TEMPLATE_DICT_VERSION", TEMPLATE_DICT_VERSION + 1
-        )
-        with pytest.warns(UserWarning, match="format version"):
-            assert TemplateCache.load_dict(path) is None
-
-    def test_bad_magic_is_rejected(self, tmp_path):
-        path = tmp_path / "templates.dict"
-        path.write_bytes(b"not a dictionary at all")
-        with pytest.warns(UserWarning, match="bad magic"):
-            assert TemplateCache.load_dict(path) is None
-
-    def test_truncated_sidecar_falls_back_cold(self, tmp_path):
-        path = self.save(tmp_path)
-        blob = path.read_bytes()
-        path.write_bytes(blob[: len(blob) - 5])
-        with pytest.warns(UserWarning, match="truncated or corrupt"):
-            assert TemplateCache.load_dict(path) is None
-
-    def test_bitflip_fails_the_checksum(self, tmp_path):
-        path = self.save(tmp_path)
-        blob = bytearray(path.read_bytes())
-        blob[-1] ^= 0xFF
-        path.write_bytes(bytes(blob))
-        with pytest.warns(UserWarning, match="checksum mismatch"):
-            assert TemplateCache.load_dict(path) is None
-
-    def test_valid_envelope_malformed_payload(self, tmp_path):
-        # A well-formed blob whose JSON payload is the wrong shape must
-        # be rejected by the schema checks, not trusted.
-        body = zlib.compress(
-            b'{"version": %d, "fold_variables": false, '
-            b'"strict_triple": false, "witnesses": "oops"}'
-            % TEMPLATE_DICT_VERSION
-        )
-        path = tmp_path / "templates.dict"
-        path.write_bytes(_DICT_MAGIC + struct.pack("<I", zlib.crc32(body)) + body)
-        with pytest.warns(UserWarning, match="malformed witness"):
-            assert TemplateCache.load_dict(path) is None
-
-    def test_corrupt_dict_never_changes_the_clean_log(self, tmp_path):
-        log = generate_log(seed=11, scale=0.03)
-        reference = repro.clean(log)
-        path = tmp_path / "templates.dict"
-        path.write_bytes(b"garbage")
-        with pytest.warns(UserWarning, match="bad magic"):
-            result = repro.clean(log, template_dict=path)
-        assert result.clean_log.records() == reference.clean_log.records()
-        # The run overwrote the damaged sidecar with a good one.
-        assert TemplateCache.load_dict(path) is not None
-
-
-class TestEndToEndWarmStart:
-    def test_second_run_preloads_and_matches(self, tmp_path):
-        log = generate_log(seed=11, scale=0.03)
-        path = tmp_path / "templates.dict"
-        first = repro.clean(log, template_dict=path)
-        counters = first.metrics.as_dict()["stages"]["parse"]["counters"]
-        assert counters["parse_dict_preloaded"] == 0
-        assert counters["parse_cold"] == counters["parse_cache_misses"]
-        assert path.exists()
-
-        second = repro.clean(log, template_dict=path)
-        warm = second.metrics.as_dict()["stages"]["parse"]["counters"]
-        assert warm["parse_dict_preloaded"] > 0
-        assert warm["parse_cold"] < counters["parse_cold"]
-        assert second.clean_log.records() == first.clean_log.records()
-        assert not second.metrics.conservation_violations()
-
-    @pytest.mark.parametrize(
-        "execution",
-        [
-            ExecutionConfig(mode="streaming"),
-            ExecutionConfig(mode="parallel", workers=1),
-            ExecutionConfig(mode="parallel", workers=2),
-        ],
-        ids=["streaming", "parallel-inline", "parallel-pool"],
-    )
-    def test_every_executor_warms_identically(self, tmp_path, execution):
-        log = generate_log(seed=11, scale=0.03)
-        path = tmp_path / "templates.dict"
-        reference = repro.clean(log, template_dict=path)
-        from dataclasses import replace
-
-        result = repro.clean(
-            log, execution=replace(execution, template_dict=str(path))
-        )
-        counters = result.metrics.as_dict()["stages"]["parse"]["counters"]
-        assert counters["parse_dict_preloaded"] > 0
-        assert result.clean_log.records() == reference.clean_log.records()
-        assert not result.metrics.conservation_violations()
-
-
 class TestStoreAutoWarm:
     def test_columnar_store_witnesses_warm_the_run(self, tmp_path):
-        from repro.store.columnar import write_columnar
-        from repro.store.sources import ColumnarSource
-
-        log = generate_log(seed=11, scale=0.03)
-        store = tmp_path / "log.columnar"
-        write_columnar(log, store)
+        log, store = write_store(tmp_path)
         assert ColumnarSource(store).template_witnesses()
         reference = repro.clean(log)
         result = repro.clean(str(store), execution="streaming")
-        counters = result.metrics.as_dict()["stages"]["parse"]["counters"]
-        assert counters["parse_dict_preloaded"] > 0
+        assert parse_counters(result)["parse_dict_preloaded"] > 0
         assert result.clean_log.records() == reference.clean_log.records()
 
-    def test_damaged_store_dictionary_degrades_cold(self, tmp_path):
-        from repro.store.columnar import write_columnar
-        from repro.store.sources import ColumnarSource
+    @pytest.mark.parametrize("execution", EXECUTIONS, ids=EXECUTION_IDS)
+    def test_every_executor_warms_identically(self, tmp_path, execution):
+        log, store = write_store(tmp_path)
+        reference = repro.clean(log)
+        result = repro.clean(str(store), execution=execution)
+        assert parse_counters(result)["parse_dict_preloaded"] > 0
+        assert result.clean_log.records() == reference.clean_log.records()
+        assert result.metrics.comparable() == reference.metrics.comparable()
+        assert not result.metrics.conservation_violations()
 
-        log = generate_log(seed=11, scale=0.03)
-        store = tmp_path / "log.columnar"
-        write_columnar(log, store)
+    def test_damaged_store_dictionary_degrades_cold(self, tmp_path):
+        _, store = write_store(tmp_path)
         (store / "templates.bin").write_bytes(b"damaged")
         assert ColumnarSource(store).template_witnesses() == []
 
-    def test_explicit_dict_beats_store_witnesses(self, tmp_path):
-        # An explicit --template-dict must win over the store's own
-        # witnesses (the user asked for that sidecar specifically).
-        from repro.store.columnar import write_columnar
 
-        log = generate_log(seed=11, scale=0.03)
-        store = tmp_path / "log.columnar"
-        write_columnar(log, store)
-        path = tmp_path / "explicit.dict"
-        result = repro.clean(
-            str(store), execution="streaming", template_dict=path
-        )
-        counters = result.metrics.as_dict()["stages"]["parse"]["counters"]
-        # First run against an absent explicit dict: cold, then saved.
-        assert counters["parse_dict_preloaded"] == 0
-        assert path.exists()
+def rewrite_witnesses(store, witnesses):
+    """Hand-edit ``templates.bin`` to carry ``witnesses`` instead."""
+    import json
+
+    path = store / "templates.bin"
+    payload = json.loads(zlib.decompress(path.read_bytes()))
+    payload["witnesses"] = witnesses
+    path.write_bytes(zlib.compress(json.dumps(payload).encode("utf-8")))
+
+
+class TestMalformedStoreWitnesses:
+    """``templates.bin`` is the one persisted dictionary, so it checks
+    what any dictionary must: its witnesses are a list of texts, and
+    anything else only costs a cold start."""
+
+    @pytest.mark.parametrize(
+        "witnesses",
+        [[123, None], ["SELECT a FROM t", 7], "oops", {"a": 1}, None],
+        ids=["non-text", "mixed", "string", "object", "null"],
+    )
+    def test_loader_returns_no_witnesses(self, tmp_path, witnesses):
+        from repro.store.columnar import load_templates
+
+        _, store = write_store(tmp_path)
+        texts, _ = load_templates(store)
+        rewrite_witnesses(store, witnesses)
+        assert load_templates(store) == (texts, [])
+        assert ColumnarSource(store).template_witnesses() == []
+
+    @pytest.mark.parametrize("execution", EXECUTIONS, ids=EXECUTION_IDS)
+    def test_every_executor_starts_cold(self, tmp_path, execution):
+        _, store = write_store(tmp_path)
+        _, damaged = write_store(tmp_path, "damaged.columnar")
+        rewrite_witnesses(damaged, [123, None])
+        undamaged = repro.clean(str(store), execution=execution)
+        result = repro.clean(str(damaged), execution=execution)
+        assert parse_counters(undamaged)["parse_dict_preloaded"] > 0
+        assert parse_counters(result)["parse_dict_preloaded"] == 0
+        assert result.clean_log.records() == undamaged.clean_log.records()
+        assert result.metrics.comparable() == undamaged.metrics.comparable()
+        assert not result.metrics.conservation_violations()
 
 
 class TestCheckpointWitnessCarry:
@@ -275,23 +189,3 @@ class TestCheckpointWitnessCarry:
         second = StreamingCleaner(config)
         second.restore_state(state)  # must not raise
         assert second.stats.parse_dict_preloaded == 0
-
-
-class TestCliFlag:
-    def test_template_dict_flag_round_trips(self, tmp_path, capsys):
-        from repro.cli.main import main
-        from repro.log.io import write_csv
-
-        log = generate_log(seed=11, scale=0.02)
-        source = tmp_path / "log.csv"
-        write_csv(log, source)
-        path = tmp_path / "templates.dict"
-        assert (
-            main(["clean", str(source), "--template-dict", str(path)]) == 0
-        )
-        assert path.exists()
-        assert TemplateCache.load_dict(path)
-        capsys.readouterr()
-        assert (
-            main(["clean", str(source), "--template-dict", str(path)]) == 0
-        )
