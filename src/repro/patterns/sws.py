@@ -13,7 +13,8 @@ Detection has two layers:
 * an optional *shape check*: the instances' filter constants must be
   (mostly) non-repeating, the signature of a window sliding over the data
   rather than a user re-examining the same objects.  The check inspects
-  the numeric constants of each instance's WHERE clauses.
+  every literal of each instance's WHERE clauses — number, string and
+  NULL — in :meth:`~repro.sqlparser.ast_nodes.Node.walk` (pre-)order.
 """
 
 from __future__ import annotations
@@ -29,7 +30,8 @@ SWS_LABEL = "SWS"
 
 
 def _instance_constants(instance: PatternInstance) -> Tuple[str, ...]:
-    """All literal constants of an instance's WHERE clauses, in order."""
+    """All literals (number, string and NULL) of an instance's WHERE
+    clauses as ``kind:value`` strings, in walk order."""
     constants: List[str] = []
     for query in instance.queries:
         where = query.select.where

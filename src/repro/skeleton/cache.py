@@ -62,7 +62,7 @@ import gc
 import pickle
 import re
 from collections import OrderedDict
-from typing import Dict, Iterable, List, Optional, Tuple, Union
+from typing import Callable, Iterable, List, Optional, Tuple, Union
 
 from ..log.models import LogRecord
 from ..patterns.models import ParsedQuery
@@ -95,10 +95,11 @@ DEFAULT_PARSE_CACHE_SIZE = 4096
 # Source-order literal traversal
 #
 # The scanner's constant vector is in *token* order.  For almost every
-# node class, dataclass field order equals source order; the two
-# exceptions are overridden here (TOP precedes the select list, a simple
-# CASE operand precedes its WHEN arms).  Non-node fields are harmless to
-# visit, so overrides only need the fields that can contain nodes.
+# node class, dataclass field order (``ast.FIELD_NAMES``) equals source
+# order; the two exceptions are overridden here (TOP precedes the select
+# list, a simple CASE operand precedes its WHEN arms).  Non-node fields
+# are harmless to visit, so overrides only need the fields that can
+# contain nodes.
 
 _SOURCE_ORDER_OVERRIDES = {
     ast.SelectStatement: (
@@ -113,56 +114,85 @@ _SOURCE_ORDER_OVERRIDES = {
     ast.CaseExpression: ("operand", "whens", "else_result"),
 }
 
-_FIELD_ORDER_CACHE: Dict[type, Tuple[str, ...]] = {}
-
 
 def _source_fields(cls: type) -> Tuple[str, ...]:
-    order = _FIELD_ORDER_CACHE.get(cls)
-    if order is None:
-        order = _SOURCE_ORDER_OVERRIDES.get(cls)
-        if order is None:
-            order = tuple(f.name for f in dataclasses.fields(cls))
-        _FIELD_ORDER_CACHE[cls] = order
-    return order
+    return _SOURCE_ORDER_OVERRIDES.get(cls) or ast.FIELD_NAMES[cls]
 
 
-def _substitute_value(
-    value: object, values: Tuple[Tuple[str, str], ...], state: List[int]
-) -> object:
-    """Rebuild ``value`` with the i-th literal replaced by ``values[i]``.
+# ----------------------------------------------------------------------
+# Substitution plans
+#
+# Materialising a lazy query rebinds its constants into the prototype
+# AST, and only the nodes on a path from the root to a number/string
+# literal can change.  Each entry therefore keeps the *literal spine* of
+# its prototype, built on the first materialisation and never pickled:
+# one step per node or tuple on such a path,
+#
+#     (proto, build, args, spine)
+#
+# where ``args`` are the proto's field values in ``FIELD_NAMES`` order
+# (a tuple's items), ``build(*args)`` constructs it, and ``spine`` lists
+# in source order a ``(position, sub)`` pair per literal-bearing field:
+# ``sub`` is the literal's constant index, or the field subtree's step.
+# A rebuild visits the spine only, so literal-free subtrees, unchanged
+# literals and spine nodes whose literals all kept their values are the
+# prototype's own objects.
 
-    Subtrees without substituted literals are returned unchanged, so the
-    rebuilt statement structurally shares every literal-free branch with
-    the prototype.
-    """
-    if isinstance(value, ast.Literal):
-        kind = value.kind
-        if kind == "number" or kind == "string":
-            index = state[0]
-            state[0] = index + 1
-            new_kind, new_text = values[index]
-            if new_text != value.value or new_kind != kind:
-                return ast.Literal(new_text, new_kind)
-        return value
+_Step = Tuple[object, Callable[..., object], tuple, tuple]
+
+
+def _items(*items: object) -> tuple:
+    return items
+
+
+def _literal_plan(value: object, counter: List[int]) -> _Step:
+    """The literal spine of the node or tuple ``value``; ``counter``
+    holds the index of the next constant in source order."""
     if isinstance(value, ast.Node):
-        changes = None
-        for name in _source_fields(type(value)):
-            old = getattr(value, name)
-            new = _substitute_value(old, values, state)
-            if new is not old:
-                if changes is None:
-                    changes = {}
-                changes[name] = new
-        if changes is None:
-            return value
-        return dataclasses.replace(value, **changes)
-    if type(value) is tuple and value:
-        items = [_substitute_value(item, values, state) for item in value]
-        for new, old in zip(items, value):
-            if new is not old:
-                return tuple(items)
-        return value
-    return value
+        cls = type(value)
+        names = ast.FIELD_NAMES[cls]
+        args = tuple(getattr(value, name) for name in names)
+        order: Iterable[int] = [names.index(n) for n in _source_fields(cls)]
+        build: Callable[..., object] = cls
+    else:
+        args = value
+        order = range(len(args))
+        build = _items
+    spine = []
+    for position in order:
+        item = args[position]
+        if isinstance(item, ast.Literal):
+            if item.kind == "number" or item.kind == "string":
+                spine.append((position, counter[0]))
+                counter[0] += 1
+        elif isinstance(item, ast.Node) or (type(item) is tuple and item):
+            step = _literal_plan(item, counter)
+            if step[3]:
+                spine.append((position, step))
+    return (value, build, args, tuple(spine))
+
+
+def _rebuild(step: _Step, values) -> object:
+    """``step``'s subtree with the i-th literal bound to ``values[i]``."""
+    proto, build, args, spine = step
+    changed = None
+    for position, sub in spine:
+        old = args[position]
+        if type(sub) is int:
+            kind, text = values[sub]
+            if text == old.value and kind == old.kind:
+                continue
+            new = ast.Literal(text, kind)
+        else:
+            new = _rebuild(sub, values)
+            if new is old:
+                continue
+        if changed is None:
+            changed = list(args)
+        changed[position] = new
+    if changed is None:
+        return proto
+    return build(*changed)
 
 
 # ----------------------------------------------------------------------
@@ -368,7 +398,7 @@ class _MarkerFormatter(_CanonFormatter):
 
 def _collect_literal_nodes(value: object, out: List[ast.Literal]) -> None:
     """Append the subtree's number/string literal *nodes* in source order
-    (the order :func:`_substitute_value` consumes constants in)."""
+    (the constant-index order of :func:`_literal_plan`)."""
     if isinstance(value, ast.Literal):
         if value.kind == "number" or value.kind == "string":
             out.append(value)
@@ -415,8 +445,9 @@ class LazyParsedQuery(ParsedQuery):
     * ``clauses`` renders from the entry's splice templates — no AST;
     * ``equality_filter`` rebinds the prototype's predicate to this
       query's constant — no AST;
-    * ``statement`` / ``select`` run the full literal substitution over
-      the prototype AST and bump the cache's ``materialised`` counter.
+    * ``statement`` / ``select`` rebuild the prototype AST along the
+      entry's substitution plan and bump the cache's ``materialised``
+      counter.
 
     Instances compare equal (both directions) and hash identically to
     the eager :class:`ParsedQuery` they stand in for; comparing forces
@@ -459,7 +490,10 @@ class LazyParsedQuery(ParsedQuery):
         if constants == entry.constants:
             statement = proto.statement
         else:
-            statement = _substitute_value(proto.statement, constants, [0])
+            plan = entry.plan
+            if plan is None:
+                plan = entry.plan = _literal_plan(proto.statement, [0])
+            statement = _rebuild(plan, constants)
         # Entries are never built for UNIONs, so the statement is its
         # own leading SELECT.
         d["statement"] = statement
@@ -585,7 +619,7 @@ class _Entry:
     (:attr:`nulls`).
     """
 
-    __slots__ = ("proto", "constants", "splices", "eq", "nulls", "shared")
+    __slots__ = ("proto", "constants", "splices", "eq", "nulls", "shared", "plan")
 
     def __init__(
         self,
@@ -607,6 +641,9 @@ class _Entry:
             "outputs": proto.outputs,
             "interned_id": proto.interned_id,
         }
+        #: The prototype's substitution plan (see :func:`_literal_plan`):
+        #: built on the first materialisation, never pickled.
+        self.plan: Optional[_Step] = None
 
     def bind(self, record, constants, stats: _LazyStats) -> LazyParsedQuery:
         """One lazy bind: a dict copy, no AST, no splice render."""

@@ -12,8 +12,8 @@ engine v4 traded the frozen guard for construction speed, because a
 frozen ``__init__`` routes every field through ``object.__setattr__``
 (~2.5× the cost of plain slot assignment) and the cold parse path mints
 tens of nodes per statement.  Nothing in the codebase mutates a node
-after construction — the cache and visitor layers already build changed
-copies via ``dataclasses.replace`` — and the ``unsafe_hash`` contract
+after construction — the cache and visitor layers build changed copies
+through the node constructors — and the ``unsafe_hash`` contract
 (never mutate a node that keys a dict) is exactly the discipline the
 shared-prototype cache demanded under ``frozen`` too.
 
@@ -24,7 +24,8 @@ resolution (which table a column belongs to) happens later in
 available.
 
 Traversal: :meth:`Node.children` yields direct child nodes and
-:meth:`Node.walk` yields the subtree in pre-order; both are derived from the
+:meth:`Node.walk` yields the subtree in pre-order; both read the
+per-class field-name table :data:`FIELD_NAMES`, which is derived from the
 dataclass fields so new node types participate automatically.
 """
 
@@ -41,14 +42,32 @@ from typing import Iterator, Optional, Tuple
 _node_dataclass = dataclass(unsafe_hash=True, slots=True)
 
 
+class _FieldNameTable(dict):
+    """Node class → its dataclass field names, in declaration order.
+
+    Filled on first lookup per class, so traversal pays one dict probe
+    per node instead of a :func:`dataclasses.fields` call.
+    """
+
+    def __missing__(self, cls: type) -> Tuple[str, ...]:
+        names = self[cls] = tuple(f.name for f in dataclasses.fields(cls))
+        return names
+
+
+#: The one field-name table every generic AST traversal reads
+#: (:meth:`Node.children`, :func:`~repro.sqlparser.visitor.transform`,
+#: the parse cache's source-order walk).
+FIELD_NAMES = _FieldNameTable()
+
+
 @_node_dataclass
 class Node:
     """Base class of every AST node."""
 
     def children(self) -> Iterator["Node"]:
         """Yield the direct child nodes, in field order."""
-        for node_field in dataclasses.fields(self):
-            value = getattr(self, node_field.name)
+        for name in FIELD_NAMES[type(self)]:
+            value = getattr(self, name)
             if isinstance(value, Node):
                 yield value
             elif isinstance(value, tuple):

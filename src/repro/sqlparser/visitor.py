@@ -1,17 +1,17 @@
 """Generic AST rebuilding utilities.
 
 :func:`transform` applies a bottom-up rewrite function over a tree,
-reconstructing the frozen dataclass nodes only along changed paths.  Both
+reconstructing the slotted dataclass nodes only along changed paths (nodes
+are immutable by convention, so a change always builds a new node).  Both
 the skeletonizer (constants → placeholders) and the antipattern rewrites
 are expressed with it.
 """
 
 from __future__ import annotations
 
-import dataclasses
 from typing import Callable, Optional, TypeVar
 
-from .ast_nodes import Node
+from .ast_nodes import FIELD_NAMES, Node
 
 NodeT = TypeVar("NodeT", bound=Node)
 
@@ -27,23 +27,28 @@ def transform(node: NodeT, rewrite: Rewriter) -> NodeT:
     (with its new children).  Returning ``None`` keeps the node.  Untouched
     subtrees are shared, not copied.
     """
-    changes = {}
-    for node_field in dataclasses.fields(node):
-        value = getattr(node, node_field.name)
+    names = FIELD_NAMES[type(node)]
+    args = None
+    for position, name in enumerate(names):
+        value = getattr(node, name)
         if isinstance(value, Node):
             new_value = transform(value, rewrite)
-            if new_value is not value:
-                changes[node_field.name] = new_value
         elif isinstance(value, tuple) and any(
             isinstance(item, Node) for item in value
         ):
-            new_items = tuple(
+            new_value = tuple(
                 transform(item, rewrite) if isinstance(item, Node) else item
                 for item in value
             )
-            if any(a is not b for a, b in zip(new_items, value)):
-                changes[node_field.name] = new_items
+            if all(a is b for a, b in zip(new_value, value)):
+                new_value = value
+        else:
+            continue
+        if new_value is not value:
+            if args is None:
+                args = [getattr(node, n) for n in names]
+            args[position] = new_value
 
-    rebuilt = dataclasses.replace(node, **changes) if changes else node
+    rebuilt = type(node)(*args) if args is not None else node
     replacement = rewrite(rebuilt)
     return rebuilt if replacement is None else replacement  # type: ignore[return-value]

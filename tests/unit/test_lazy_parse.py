@@ -34,6 +34,7 @@ def warm(cache: TemplateCache, rec: LogRecord) -> None:
 
 SQL_A = "SELECT objid, ra FROM PhotoObj WHERE objid = 1 AND ra > 0.5"
 SQL_B = "SELECT objid, ra FROM PhotoObj WHERE objid = 2 AND ra > 9.25"
+SQL_C = "SELECT objid, ra FROM PhotoObj WHERE objid = 3 AND ra > 1.5"
 
 
 @pytest.fixture
@@ -160,22 +161,42 @@ class TestRebind:
         assert cache.materialised >= 1
 
 
+def assert_materialises_from_derived_plan(query, rec):
+    """The entry's substitution plan is derived state: absent until this
+    process materialises a member, then built and used."""
+    entry = query.__dict__["_entry"]
+    assert entry.__getstate__() == (
+        entry.proto, entry.constants, entry.splices, entry.eq, entry.nulls
+    )
+    assert entry.plan is None
+    statement = query.statement
+    assert entry.plan is not None
+    direct = fresh_parse(rec)
+    assert statement == direct.statement
+    assert format_sql(statement) == format_sql(direct.statement)
+    assert query == direct
+
+
 class TestCacheLifecycle:
     def test_seed_round_trip_serves_lazy_from_l2(self, lazy_hit):
-        cache, _, _ = lazy_hit
+        cache, _, query = lazy_hit
+        query.statement  # the exporting cache's entry has a plan now
         revived = TemplateCache.from_seed(cache.export_seed())
         assert revived.materialised == 0
         rec = record(4, SQL_B)
         query = revived.fetch(rec)
         assert type(query) is LazyParsedQuery
-        assert query == fresh_parse(rec)
+        assert_materialises_from_derived_plan(query, rec)
         # Materialisations in the revived cache book to *its* counter.
-        query.statement
         assert revived.materialised == 1
-        assert cache.materialised == 0
+        assert cache.materialised == 1
 
     def test_lazy_query_pickles(self, lazy_hit):
-        _, rec, query = lazy_hit
+        cache, rec, query = lazy_hit
+        # A sibling's materialisation gives the shared entry its plan.
+        sibling = cache.fetch(record(6, SQL_C))
+        sibling.statement
+        assert sibling.__dict__["_entry"] is query.__dict__["_entry"]
         clone = pickle.loads(pickle.dumps(query))
         assert type(clone) is LazyParsedQuery
-        assert clone == fresh_parse(rec)
+        assert_materialises_from_derived_plan(clone, rec)
