@@ -364,7 +364,10 @@ def parse_record(
             interner=interner,
         )
     except SqlError as error:
-        failure = (error, PARSE_ERROR)
+        # The failure outlives this call (the cache keeps it), so it must
+        # not keep its traceback: those frames would pin the callers'
+        # locals, a streamed chunk among them.
+        failure = (error.with_traceback(None), PARSE_ERROR)
     except RecursionError:
         failure = (
             SqlError("statement exceeds supported nesting depth"),
@@ -386,23 +389,31 @@ def parse_one(
     channel: Optional[QuarantineChannel],
     tally: StreamingStats,
     rejects: Optional[ParseStageResult] = None,
+    split: Optional[Tuple[str, List[Tuple[str, str]]]] = None,
 ) -> Optional[ParsedQuery]:
     """The parse stage's verdict on one record: its query, or ``None``.
 
     A repeat is served by ``cache`` or, without one, by the exact-text
     ``memo`` (``None`` for no memo: streaming stays bounded); anything
-    else goes through :func:`parse_record`.  A failure is a non-SELECT,
-    a record set aside in ``channel`` under the ``quarantine`` policy,
-    or a syntax error.  A query is bound to ``record`` with its id from
-    ``interner``, verified even on a cache hit (a prewarmed cache may
-    carry another run's ids).
+    else goes through :func:`parse_record`.  ``split``, when given, is
+    the raw scan of ``record.sql`` a store vouched for
+    (:meth:`~repro.store.columnar.StoredSplits.raw_split`): the cache
+    binds the record by it without scanning the text
+    (:meth:`~repro.skeleton.cache.TemplateCache.fetch_raw`).  A failure
+    is a non-SELECT, a record set aside in ``channel`` under the
+    ``quarantine`` policy, or a syntax error.  A query is bound to
+    ``record`` with its id from ``interner``, verified even on a cache
+    hit (a prewarmed cache may carry another run's ids).
 
     ``tally`` counts the verdicts (``parse_cold``, ``parse_lazy_hits``,
     ``non_select``, ``parse_quarantined``, ``syntax_errors``);
     ``rejects``, when given, also keeps the rejected records.
     """
     if cache is not None:
-        cached = cache.fetch(record)
+        if split is None:
+            cached = cache.fetch(record)
+        else:
+            cached = cache.fetch_raw(record, *split)
     elif memo is not None:
         cached = memo.get(record.sql)
     else:

@@ -12,7 +12,9 @@ how records are buffered, never what happens to one.
   and :func:`~repro.pipeline.framework.parse_one` (without the batch
   run's exact-text memo, which would grow with the stream), against a
   parse cache set up by
-  :func:`~repro.pipeline.framework.open_parse_cache`;
+  :func:`~repro.pipeline.framework.open_parse_cache`; a columnar
+  store's chunk (:class:`~repro.store.columnar.StoreChunk`) also hands
+  over its rows' stored splits, which bind rows without a raw scan;
 * **dedup** — a last-seen map keyed by (user, normalised statement),
   pruned of entries older than the threshold;
 * **blocking** — per-user open blocks; a block closes when its user goes
@@ -47,6 +49,7 @@ from ..log.models import LogRecord, QueryLog
 from ..obs import Recorder
 from ..patterns.models import Block, ParsedQuery
 from ..skeleton.interner import TemplateInterner
+from ..store.columnar import StoreChunk
 from .config import PipelineConfig
 from .framework import (
     StreamingStats,
@@ -225,7 +228,14 @@ class StreamingCleaner:
         strict_triple = config.strict_triple
         gap = self._block_gap
         max_block = self.max_block_queries
-        for record in records:
+        # A store chunk hands its rows' stored splits to the parse
+        # stage, which binds the rows they vouch for without a raw scan.
+        splits = (
+            records.take_splits()
+            if type(records) is StoreChunk and cache is not None
+            else None
+        )
+        for position, record in enumerate(records):
             stats.records_in += 1
             # Validation runs *before* the stream clock is consulted, so
             # a non-finite timestamp never pollutes idle-flush arithmetic.
@@ -267,6 +277,8 @@ class StreamingCleaner:
                 policy,
                 channel,
                 stats,
+                None,
+                None if splits is None else splits.raw_split(position, record),
             )
             if timed:
                 parse_seconds += clock() - after_dedup

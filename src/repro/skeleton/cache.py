@@ -619,7 +619,9 @@ class _Entry:
     (:attr:`nulls`).
     """
 
-    __slots__ = ("proto", "constants", "splices", "eq", "nulls", "shared", "plan")
+    __slots__ = (
+        "proto", "constants", "splices", "eq", "nulls", "unsigned", "shared", "plan"
+    )
 
     def __init__(
         self,
@@ -628,12 +630,15 @@ class _Entry:
         splices: Tuple[_Splice, _Splice, _Splice],
         eq: Optional[tuple],
         nulls: int,
+        unsigned: Tuple[int, ...] = (),
     ) -> None:
         self.proto = proto
         self.constants = constants
         self.splices = splices
         self.eq = eq
         self.nulls = nulls
+        #: Constant indexes of literal TOP counts (see :meth:`admits`).
+        self.unsigned = unsigned
         self.shared = {
             "template": proto.template,
             "template_id": proto.template_id,
@@ -656,12 +661,21 @@ class _Entry:
         object.__setattr__(query, "__dict__", state)
         return query
 
+    def admits(self, constants: Tuple[Tuple[str, str], ...]) -> bool:
+        """Whether a member parses like the prototype: the scanner folds
+        a minus after ``TOP`` into the count, which the parser refuses."""
+        for index in self.unsigned:
+            if constants[index][1][0] == "-":
+                return False
+        return True
+
     def __getstate__(self):
-        return (self.proto, self.constants, self.splices, self.eq, self.nulls)
+        return (
+            self.proto, self.constants, self.splices, self.eq, self.nulls, self.unsigned
+        )
 
     def __setstate__(self, state):
-        proto, constants, splices, eq, nulls = state
-        self.__init__(proto, constants, splices, eq, nulls)
+        self.__init__(*state)
 
 
 class _UnsafeMarker:
@@ -719,6 +733,7 @@ def _entry_from_markers(
     fingerprint: StatementFingerprint,
     splices: Tuple[_Splice, _Splice, _Splice],
     marker: _MarkerFormatter,
+    tops: Iterable[str],
 ) -> Optional[_Entry]:
     """Intern ``proto`` for its fingerprint key, or ``None`` if unsafe.
 
@@ -732,7 +747,8 @@ def _entry_from_markers(
     *and* that render order — which the splice slots encode — is token
     order, value for value.  Two
     identical constants transposed would pass, and splice identical
-    bytes either way.
+    bytes either way.  ``tops`` are the marker indexes of literal
+    ``TOP`` counts (see :meth:`_Entry.admits`).
     """
     if tuple(marker.consts) != fingerprint.constants:
         return None
@@ -742,7 +758,13 @@ def _entry_from_markers(
         splices,
         _equality_binding(proto),
         len(null_comparison_predicates(proto.select)),
+        tuple(map(int, tops)),
     )
+
+
+#: A literal ``TOP`` count in a marker rendering: the formatter spells
+#: the keyword only there, and a constant marker only at a literal.
+_TOP_COUNT = re.compile("TOP \x00(\\d+)\x01")
 
 
 # ----------------------------------------------------------------------
@@ -907,7 +929,7 @@ class TemplateCache:
         fingerprint = scanned.fingerprint
         if fingerprint is not None:
             entry = self._by_key.get(fingerprint.key)
-            if type(entry) is _Entry:
+            if type(entry) is _Entry and entry.admits(fingerprint.constants):
                 self._by_key.move_to_end(fingerprint.key)
                 result = entry.bind(
                     record, fingerprint.constants, self._lazy_stats
@@ -920,6 +942,24 @@ class TemplateCache:
         self.misses += 1
         self._pending = (sql, fingerprint, raw, scanned)
         return None
+
+    def fetch_raw(
+        self, record, raw_key: str, constants: List[Tuple[str, str]]
+    ) -> Optional[CacheResult]:
+        """:meth:`fetch` for a record whose :func:`_raw_scan` is known
+        (:meth:`repro.store.columnar.StoredSplits.raw_split`): a text L1
+        does not hold binds to the raw memo's verified entry unscanned;
+        anything else is an ordinary :meth:`fetch`."""
+        if record.sql not in self._exact:
+            memo = self._by_raw.get(raw_key)
+            if type(memo) is tuple:
+                self._by_raw.move_to_end(raw_key)
+                entry, folds = memo
+                for index in folds:
+                    constants[index] = ("number", "-" + constants[index][1])
+                self.hits += 1
+                return entry.bind(record, tuple(constants), self._lazy_stats)
+        return self.fetch(record)
 
     def store(self, sql: str, failure: Tuple[BaseException, str]) -> None:
         """Record the ``(error, reason)`` failure of a :meth:`build` that
@@ -1005,6 +1045,7 @@ class TemplateCache:
                 _make_splice(marker.splice_text(mfc)),
                 _make_splice(marker.splice_text(mwc)),
             )
+            tops = _TOP_COUNT.findall(" ".join((mprefix, msc, mfc, mwc, msuffix)))
             rendered = [
                 _render_constant(kind, value) for kind, value in marker.consts
             ]
@@ -1034,7 +1075,7 @@ class TemplateCache:
             if entry is None:
                 if marker is not None:
                     entry = _entry_from_markers(
-                        proto, fingerprint, splices, marker
+                        proto, fingerprint, splices, marker, tops
                     )
                 entry = _UNSAFE if entry is None else entry
                 by_key[fingerprint.key] = entry

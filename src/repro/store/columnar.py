@@ -42,6 +42,16 @@ template text and constant vector (:func:`chunk_rows`); the parallel
 executor cuts its shard buffers straight from the rows, because
 :func:`encode_shard` wants exactly that split.
 
+**Native bind.**  :func:`read_chunk` returns a :class:`StoreChunk`:
+the chunk's records, whose texts are still spliced (the record, the
+parse cache's L1 probe, dedup and the output all need them), carrying
+the rows' stored splits (:class:`StoredSplits`).  The streaming executor
+takes them per chunk and the parse cache binds a row to its raw key's
+verified entry without re-scanning its text
+(:meth:`~repro.skeleton.cache.TemplateCache.fetch_raw`) — but only when
+the *shape rule* below vouches for its split, because a store is
+outside input and its template alone cannot vouch for its rows.
+
 ``templates.bin`` also carries one **witness** statement per template —
 the first record text that interned it — and it is the one persistent
 template dictionary of the parse engine: :func:`load_templates` hands
@@ -142,6 +152,125 @@ def decode_sql(template: str, constants: Sequence[str]) -> str:
     """Splice ``constants`` back into ``template`` (inverse of
     :func:`encode_sql`)."""
     return _splice(_SLOT.split(template), constants)
+
+
+# ----------------------------------------------------------------------
+# The shape rule: when a stored split may stand in for the raw scan
+#
+# A store is outside input, so a row's stored split only *claims* to be
+# what ``_raw_scan`` makes of the row's spliced text, and its template
+# alone cannot vouch for it: the scan may lift two constants differently
+# in one context (under the template ``\x03.`` a stored ``1.2`` scans
+# back as itself, but a stored ``1`` splices to the single literal
+# ``1.``).  A split is trusted only when
+#
+# * every constant has one of three shapes (:data:`_SHAPE`): an ASCII
+#   digit run; a digit run, ``.`` and a digit run; a quote, a run with
+#   no quote or control byte, and a quote; and
+# * a real raw scan of a row with the same template and the same shape
+#   vector reproduced that row's own split.
+#
+# The scan regex tests character classes only and has no bounded
+# repetition, so two constants of one shape look alike to it in a fixed
+# context: the one verified row vouches for every row of its
+# ``(template, shape vector)`` pair.
+
+#: The three constant shapes; ``lastindex`` names the shape and group 3
+#: is a string's body (quote-free, so also its unquoted value).
+_SHAPE = re.compile(r"([0-9]+)|([0-9]+\.[0-9]+)|'([^'\x00-\x1f\x7f]*)'")
+
+
+class StoredSplits:
+    """The stored split of every row of one chunk, and the shape rule
+    that decides when a split may stand in for the raw scan.
+
+    Holds the chunk's records as read and its own template-id and
+    constant-vector columns (no per-row copies): the splits of one chunk
+    live only while the streaming executor feeds it (see
+    :meth:`StoreChunk.take_splits`).
+    """
+
+    __slots__ = ("_records", "_templates", "_ids", "_constants", "_verdicts")
+
+    def __init__(
+        self,
+        records: Sequence[LogRecord],
+        templates: Sequence[str],
+        ids: Sequence[int],
+        constants: Sequence[List[str]],
+    ) -> None:
+        self._records = records
+        self._templates = templates
+        self._ids = ids
+        self._constants = constants
+        #: ``(template id, shape vector)`` -> whether a real raw scan of
+        #: a row with that pair reproduced the row's split.
+        self._verdicts: Dict[Tuple[int, Tuple[int, ...]], bool] = {}
+
+    def raw_split(
+        self, position: int, record: LogRecord
+    ) -> Optional[Tuple[str, List[Tuple[str, str]]]]:
+        """``(raw key, constants)`` of ``record.sql`` as
+        :func:`~repro.skeleton.cache._raw_scan` would give them, or
+        ``None`` when the shape rule cannot vouch for the stored split —
+        or ``record`` is not the row read at ``position`` (a chunk is a
+        list its holder may reorder).
+
+        The constants are converted here, at bind time, into the scan's
+        ``(kind, value)`` pairs: a string's body holds no quote, so its
+        value is the body itself.
+        """
+        records = self._records
+        if position >= len(records) or records[position] is not record:
+            return None
+        template_id = self._ids[position]
+        if template_id == VERBATIM_TEMPLATE:
+            return None
+        constants = self._constants[position]
+        shapes = []
+        bound = []
+        match_shape = _SHAPE.fullmatch
+        for constant in constants:
+            match = match_shape(constant)
+            if match is None:
+                return None
+            shape = match.lastindex
+            shapes.append(shape)
+            if shape == 3:
+                bound.append(("string", match.group(3)))
+            else:
+                bound.append(("number", constant))
+        template = self._templates[template_id]
+        key = (template_id, tuple(shapes))
+        verdict = self._verdicts.get(key)
+        if verdict is None:
+            try:
+                verdict = encode_sql(record.sql) == (template, constants)
+            except ValueError:
+                verdict = False
+            self._verdicts[key] = verdict
+        return (template, bound) if verdict else None
+
+
+class StoreChunk(list):
+    """One chunk's records, as :func:`read_chunk` returns them, carrying
+    the rows' :class:`StoredSplits` for the streaming executor to hand
+    to the parse cache
+    (:meth:`~repro.skeleton.cache.TemplateCache.fetch_raw`)."""
+
+    __slots__ = ("_splits",)
+
+    def __init__(
+        self, records: Iterable[LogRecord], splits: Optional[StoredSplits]
+    ) -> None:
+        super().__init__(records)
+        self._splits = splits
+
+    def take_splits(self) -> Optional[StoredSplits]:
+        """Hand the splits over, once: the chunk keeps no reference, so
+        they are freed with the feed that took them."""
+        splits, self._splits = self._splits, None
+        return splits
 
 
 # ----------------------------------------------------------------------
@@ -430,10 +559,12 @@ def chunk_rows(
 
 def read_chunk(
     path: PathLike, index: int, templates: Sequence[str]
-) -> List[LogRecord]:
+) -> StoreChunk:
     """Materialise one chunk of the store as records in file order.
 
-    Each template is split on its slots once, at its first row.
+    Each template is split on its slots once, at its first row.  The
+    returned :class:`StoreChunk` also carries the rows' stored splits,
+    for the parse cache to bind without a raw scan.
     """
     columns = load_chunk_columns(path, index)
     split: Dict[int, List[str]] = {}
@@ -449,7 +580,7 @@ def read_chunk(
         if parts is None:
             parts = split[template_id] = _SLOT.split(templates[template_id])
         append(_splice(parts, constants))
-    return list(
+    records = tuple(
         map(
             LogRecord,
             columns["seq"],
@@ -460,6 +591,10 @@ def read_chunk(
             columns["session"],
             columns["rows"],
         )
+    )
+    return StoreChunk(
+        records,
+        StoredSplits(records, templates, columns["template"], columns["constants"]),
     )
 
 

@@ -204,10 +204,14 @@ class ColumnarSource(LogSource):
     """Chunked reader over a columnar store directory.
 
     Chunk boundaries are the store's own chunks, so ``start_chunk``
-    seeks — skipped chunks are never read or decompressed.  Besides
-    records (:meth:`open_chunks`) the source serves the stored rows with
-    their statements still split (:meth:`rows`), which the parallel
-    executor packs into shard buffers without rebuilding any text.
+    seeks — skipped chunks are never read or decompressed.  Each chunk
+    of records (:meth:`open_chunks`) is a
+    :class:`~repro.store.columnar.StoreChunk` that also carries its rows'
+    stored splits, which the streaming executor binds in the parse
+    cache without re-scanning their text.  The source also serves the
+    stored rows with their statements still split (:meth:`rows`), which
+    the parallel executor packs into shard buffers without rebuilding
+    any text.
 
     :attr:`chunks_read` and :attr:`bytes_read` count the chunk files
     this source has read (compressed bytes on disk) over its lifetime;

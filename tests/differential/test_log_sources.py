@@ -11,6 +11,8 @@ own chunk size, so any chunk-boundary leak (a block closed early, a
 dedup window reset, a shard split mid-user) breaks equality here.
 """
 
+import json
+
 import pytest
 
 import repro
@@ -25,6 +27,7 @@ from repro.store import (
     encode_shard,
     write_columnar,
 )
+from repro.store import columnar
 from repro.store.columnar import chunk_file_name
 
 from test_executor_metrics import EXECUTIONS, WORKLOADS, config, workload_log
@@ -192,3 +195,152 @@ class TestStoreCutShards:
             (report.shard, report.bytes_shipped) for report in store_stats.shards
         ] == [(report.shard, report.bytes_shipped) for report in ram_stats.shards]
         assert store_stats.bytes_shipped == sum(map(len, stored))
+
+
+# ----------------------------------------------------------------------
+# A tampered store: stored splits that lie about their text
+
+#: Template texts of the hand-written store.  1, 4 and 5 are no raw key
+#: of any text (slots glued to digits, to each other, or to a dot).
+TAMPERED_TEMPLATES = [
+    "SELECT objid, ra FROM photoobj WHERE objid = \x03",
+    "SELECT objid, ra FROM photoobj WHERE objid = \x03\x03",
+    "SELECT objid FROM photoobj WHERE ra BETWEEN \x03 AND \x03",
+    "SELECT objid FROM photoobj WHERE name = \x04",
+    "SELECT objid, ra FROM photoobj WHERE objid = 1\x03",
+    "SELECT objid FROM photoobj WHERE ra > \x03.",
+]
+
+#: ``(user, template id, constants)`` per row, in file (= time) order.
+#: A string in a number slot, digits glued across slots, non-ASCII
+#: digits, ``1e5``/``.5``/``1.``, an escaped quote, a control byte and
+#: a verbatim row all sit next to honest rows of the same templates.
+TAMPERED_ROWS = [
+    ("u1", 0, ["5"]),
+    ("u2", 1, ["1", "2"]),
+    ("u1", 0, ["'5'"]),
+    ("u3", 3, ["'abc'"]),
+    ("u1", 0, ["6"]),
+    ("u2", 1, ["3", "4"]),
+    ("u1", 0, ["7"]),
+    ("u3", 3, ["'it''s'"]),
+    ("u1", 0, ["٣"]),
+    ("u2", 4, ["5"]),
+    ("u1", 0, ["1e5"]),
+    ("u2", 2, ["1.5", "2"]),
+    ("u1", 0, [".5"]),
+    ("u3", 3, ["'a\x01b'"]),
+    ("u1", 0, ["1."]),
+    ("u2", 2, ["1", "2.5"]),
+    ("u3", 3, ["''"]),
+    ("u1", 0, ["'6'"]),
+    ("u2", 2, ["1", "2"]),
+    ("u3", 5, ["1.2"]),
+    ("u1", 0, ["5"]),
+    ("u3", 5, ["1"]),
+    ("u1", -1, ["SELECT objid, ra FROM photoobj WHERE objid = 9"]),
+    ("u3", 3, ["'abc'"]),
+    ("u1", 0, ["8"]),
+]
+
+#: Rows per chunk file, so the shape verdicts of one chunk end with it.
+TAMPERED_CHUNK = 13
+
+
+def write_tampered_store(path):
+    """Write TAMPERED_ROWS as a store by hand, bypassing the writer."""
+    path.mkdir()
+    chunks = []
+    for start in range(0, len(TAMPERED_ROWS), TAMPERED_CHUNK):
+        columns = {
+            name: []
+            for name in (
+                "seq", "timestamp", "user", "ip", "session", "rows",
+                "template", "constants",
+            )
+        }
+        for seq, (user, template_id, constants) in enumerate(
+            TAMPERED_ROWS[start:start + TAMPERED_CHUNK], start
+        ):
+            for name, value in (
+                ("seq", seq),
+                ("timestamp", 1000.0 + 2.0 * seq),
+                ("user", user),
+                ("ip", None),
+                ("session", None),
+                ("rows", None),
+                ("template", template_id),
+                ("constants", constants),
+            ):
+                columns[name].append(value)
+        columnar._dump_compressed(path / chunk_file_name(len(chunks)), columns)
+        chunks.append(len(columns["seq"]))
+    columnar._dump_compressed(
+        path / "templates.bin", {"texts": TAMPERED_TEMPLATES, "witnesses": []}
+    )
+    (path / "manifest.json").write_text(
+        json.dumps(
+            {
+                "format": columnar.FORMAT_NAME,
+                "version": columnar.FORMAT_VERSION,
+                "record_count": len(TAMPERED_ROWS),
+                "chunk_records": TAMPERED_CHUNK,
+                "chunks": chunks,
+                "template_count": len(TAMPERED_TEMPLATES),
+            }
+        )
+    )
+    return path
+
+
+def _raw_split(template, constants):
+    """What the codec makes of the row's spliced text, if anything."""
+    try:
+        return columnar.encode_sql(columnar.decode_sql(template, constants))
+    except ValueError:
+        return None
+
+
+class TestTamperedStore:
+    """Stored splits are a claim, not a fact: a store whose splits
+    disagree with the raw scan of their own text cleans exactly like
+    that text."""
+
+    def test_the_shape_rule_refuses_the_lies(self, tmp_path):
+        store = write_tampered_store(tmp_path / "tampered.columnar")
+        source = ColumnarSource(store)
+        texts = source._dictionary()[0]
+        vouched, refused = set(), set()
+        for index in range(source.chunk_count()):
+            chunk = columnar.read_chunk(store, index, texts)
+            splits = chunk.take_splits()
+            assert chunk.take_splits() is None  # handed over once
+            for position, record in enumerate(chunk):
+                answer = splits.raw_split(position, record)
+                (vouched if answer is not None else refused).add(record.seq)
+        honest = {
+            seq
+            for seq, (_, template_id, constants) in enumerate(TAMPERED_ROWS)
+            if template_id >= 0
+            and _raw_split(TAMPERED_TEMPLATES[template_id], constants)
+            == (TAMPERED_TEMPLATES[template_id], constants)
+        }
+        assert vouched <= honest
+        # Every honest row whose constants have shapes binds natively
+        # (19 verifies ``\x03.`` for decimals); the lies whose constants
+        # have shapes too are refused by verification (21 is an integer
+        # under that same template, which splices to the literal ``1.``).
+        assert vouched == {0, 3, 4, 6, 11, 15, 16, 18, 19, 20, 23, 24}
+        assert {1, 2, 5, 9, 17, 21} <= refused
+
+    def test_every_executor_cleans_it_like_its_text(self, tmp_path):
+        store = write_tampered_store(tmp_path / "tampered.columnar")
+        reference = repro.clean(ColumnarSource(store).read(), config())
+        write_csv(reference.clean_log, tmp_path / "reference.csv")
+        expected = (tmp_path / "reference.csv").read_bytes()
+        for exec_name, execution in EXECUTIONS:
+            result = repro.clean(ColumnarSource(store), config(), execution=execution)
+            assert result.clean_log.records() == reference.clean_log.records(), exec_name
+            assert result.metrics.comparable() == reference.metrics.comparable(), exec_name
+            write_csv(result.clean_log, tmp_path / f"{exec_name}.csv")
+            assert (tmp_path / f"{exec_name}.csv").read_bytes() == expected, exec_name

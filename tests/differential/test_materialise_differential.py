@@ -138,8 +138,9 @@ def _string(draw):
 
 _SLOT_DRAWS = {
     "n": _number,
-    # The parser takes only an unsigned count after TOP.
-    "t": lambda draw: draw(st.sampled_from(["0", "3", "10"])),
+    # The parser takes only an unsigned count after TOP; a signed one
+    # shares its fingerprint key and must be refused by the entry.
+    "t": lambda draw: draw(st.sampled_from(["0", "3", "10", "-3", "- 10"])),
     "s": _string,
     "c": lambda draw: (_number if draw(st.booleans()) else _string)(draw),
 }
@@ -306,12 +307,16 @@ def test_plan_rebuild_matches_frozen_substitution(pair):
 def test_lazy_materialise_matches_frozen_substitution(pair):
     substitute, _ = frozen_substitute()
     first, second = (record(seq, sql) for seq, sql in enumerate(pair))
-    if parse_or_none(first.sql) is None or parse_or_none(second.sql) is None:
+    if parse_or_none(first.sql) is None:
         return
     cache = TemplateCache()
     if cache.fetch(first) is None:
         cache.build(first)
     query = cache.fetch(second)
+    if parse_or_none(second.sql) is None:
+        # A warm cache never serves a query for text the parser refuses.
+        assert not isinstance(query, ParsedQuery), second.sql
+        return
     if type(query) is not LazyParsedQuery:
         return  # unsafe key or parse failure: no lazy bind to materialise
     entry = query.__dict__["_entry"]

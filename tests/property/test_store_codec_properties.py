@@ -12,7 +12,11 @@ built on it:
 * a store round trip (:func:`write_columnar` → records and rows of a
   :class:`ColumnarSource`) and a shard round trip
   (:func:`encode_shard` → :func:`decode_shard`) give back every record
-  exactly — marker-bearing, control-byte and odd-typed ones included.
+  exactly — marker-bearing, control-byte and odd-typed ones included;
+* the shape rule (:class:`StoredSplits`) never vouches for a stored
+  split the raw scan of its spliced text disagrees with, however
+  adversarial the store, and does vouch for the splits the codec
+  itself writes.
 """
 
 from __future__ import annotations
@@ -21,12 +25,13 @@ import math
 import tempfile
 
 import hypothesis.strategies as st
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from repro.log import LogRecord
 from repro.skeleton.cache import _raw_scan
 from repro.store import ColumnarSource, write_columnar
 from repro.store.columnar import (
+    StoredSplits,
     decode_shard,
     decode_sql,
     encode_shard,
@@ -197,3 +202,162 @@ class TestRoundTrips:
         assert buffer == encode_shard(stored)
         for original, back in zip(records, decode_shard(buffer)):
             assert same_record(original, back), (original, back)
+
+
+# ----------------------------------------------------------------------
+# The shape rule never vouches for a wrong split
+
+#: Static template pieces that can glue to a slot's constant: digits,
+#: dots, exponents, word characters, quotes, openers and non-ASCII.
+STATIC_PIECES = [
+    "SELECT a FROM t WHERE x = ",
+    " ",
+    ".",
+    "5",
+    ".5",
+    "e",
+    "e5",
+    "E+",
+    "a",
+    "_",
+    "#",
+    "$",
+    "-",
+    "'",
+    "''",
+    "'b'",
+    "[",
+    '"',
+    "/*",
+    "--",
+    "é",
+    "٣",
+    ",",
+    "(",
+    ")",
+]
+
+#: Constants a tampered store may hold: every shape (digit runs,
+#: decimals, strings, the empty string) next to near misses —
+#: non-ASCII digits, ``1.``, ``.5``, ``1e5``, signs, escaped quotes,
+#: control bytes and unbalanced quotes.
+STORED_CONSTANTS = [
+    "1",
+    "12",
+    "0",
+    "1.2",
+    "10.25",
+    "'a'",
+    "''",
+    "'x y'",
+    "'é'",
+    "'1'",
+    "'.5'",
+    "٣",
+    "²",
+    "1.",
+    ".5",
+    "1e5",
+    "-1",
+    "'it''s'",
+    "'a\x01b'",
+    "'a\tb'",
+    "'",
+    "'a",
+    "abc",
+    "",
+]
+
+
+@st.composite
+def stored_chunks(draw):
+    """One template (static pieces around number/string slots, slots
+    adjacent at will) and a few rows of stored constants for it."""
+    pieces = draw(
+        st.lists(
+            st.one_of(st.sampled_from(STATIC_PIECES), st.sampled_from("\x03\x04")),
+            min_size=1,
+            max_size=8,
+        )
+    )
+    template = "".join(pieces)
+    slots = template.count("\x03") + template.count("\x04")
+    rows = draw(
+        st.lists(
+            st.lists(
+                st.sampled_from(STORED_CONSTANTS), min_size=slots, max_size=slots
+            ),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    return template, rows
+
+
+def vouched_splits(template, rows):
+    """Run the rows through the shape rule in order; return
+    ``(text, constants, bound)`` for every row it vouched for."""
+    texts = [decode_sql(template, constants) for constants in rows]
+    records = [LogRecord(seq, text, 0.0) for seq, text in enumerate(texts)]
+    splits = StoredSplits(records, [template], [0] * len(rows), rows)
+    vouched = []
+    for position, (text, constants) in enumerate(zip(texts, rows)):
+        answer = splits.raw_split(position, records[position])
+        if answer is not None:
+            raw_key, bound = answer
+            assert raw_key == template
+            vouched.append((text, constants, bound))
+    return vouched
+
+
+class TestShapeRule:
+    @given(chunk=stored_chunks())
+    @settings(max_examples=500, deadline=None)
+    # A decimal row verifies the template; an integer row of it must not
+    # ride on that verdict (``1.`` is one literal).
+    @example(chunk=("x = \x03.", [["1.2"], ["1"]]))
+    @example(chunk=("x = \x04", [["'a'"], ["1"]]))
+    @example(chunk=("SELECT \x03.5", [["1.2"], ["1"]]))
+    @example(chunk=("SELECT \x03 .5", [["1.2"], ["1"], ["12"]]))
+    @example(chunk=("x = \x03", [["1"], ["٣"], ["²"], ["1."], [".5"], ["1e5"]]))
+    @example(chunk=("x = \x04", [["'a'"], ["'it''s'"], ["'a\x01b'"], ["''"]]))
+    @example(chunk=("\x04\x04", [["'a'", "'b'"], ["''", "''"]]))
+    @example(chunk=("\x03\x03", [["1", "2"], ["1.2", "3"]]))
+    @example(chunk=("\x03\x04\x03", [["1", "'a'", "2"], ["12", "''", "3.4"]]))
+    @example(chunk=("'\x04", [["'a'"], ["''"]]))
+    @example(chunk=("\x04'", [["'a'"], ["''"]]))
+    def test_a_vouched_split_is_the_raw_scan(self, chunk):
+        template, rows = chunk
+        for text, constants, bound in vouched_splits(template, rows):
+            raw = _raw_scan(text)
+            assert raw is not None, text
+            assert raw[0] == template, text
+            assert [text[start:end] for start, end in raw[1]] == constants, text
+            assert raw[2] == bound, text
+
+    @given(text=statement_texts)
+    @settings(max_examples=300, deadline=None)
+    def test_the_codec_splits_of_shaped_constants_are_vouched(self, text):
+        try:
+            template, constants = encode_sql(text)
+        except ValueError:
+            return
+        vouched = vouched_splits(template, [constants])
+        assert bool(vouched) == all(map(has_shape, constants)), (text, constants)
+
+
+def has_shape(constant):
+    """The shape rule, spelled out: ASCII digits, ASCII ``digits.digits``
+    or a quoted run without quotes and control bytes."""
+    if constant.isascii() and constant.isdigit():
+        return True
+    whole, dot, fraction = constant.partition(".")
+    if dot and all(part.isascii() and part.isdigit() for part in (whole, fraction)):
+        return True
+    body = constant[1:-1]
+    return (
+        len(constant) >= 2
+        and constant[0] == constant[-1] == "'"
+        and "'" not in body
+        and all(32 <= ord(char) != 127 for char in body)
+    )

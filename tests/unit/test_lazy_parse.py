@@ -166,7 +166,7 @@ def assert_materialises_from_derived_plan(query, rec):
     process materialises a member, then built and used."""
     entry = query.__dict__["_entry"]
     assert entry.__getstate__() == (
-        entry.proto, entry.constants, entry.splices, entry.eq, entry.nulls
+        entry.proto, entry.constants, entry.splices, entry.eq, entry.nulls, entry.unsigned
     )
     assert entry.plan is None
     statement = query.statement

@@ -293,3 +293,78 @@ class TestFormatVersion:
         assert "convert" in message
         with pytest.raises(ValueError, match="convert"):
             repro.clean(str(store))
+
+
+class TestNativeBind:
+    """Streaming a store binds its rows by their stored splits."""
+
+    def store(self, tmp_path, count=60):
+        records = [
+            LogRecord(
+                i,
+                f"SELECT a FROM t WHERE id = {i} AND name = 'n{i % 7}'",
+                float(i),
+                f"u{i % 3}",
+            )
+            for i in range(count)
+        ]
+        write_columnar(records, tmp_path / "log.columnar", chunk_records=16)
+        return records, tmp_path / "log.columnar"
+
+    def test_a_chunk_is_its_records_and_hands_its_splits_over_once(self, tmp_path):
+        from repro.store.columnar import StoreChunk, read_chunk
+
+        records, store = self.store(tmp_path)
+        chunk = read_chunk(store, 0, load_templates(store)[0])
+        assert type(chunk) is StoreChunk and chunk == records[:16]
+        splits = chunk.take_splits()
+        assert chunk.take_splits() is None
+        raw_key, bound = splits.raw_split(3, chunk[3])
+        raw = _raw_scan(chunk[3].sql)
+        assert (raw_key, bound) == (raw[0], raw[2])
+
+    def test_a_reordered_chunk_binds_nothing_by_position(self, tmp_path):
+        from repro.store.columnar import read_chunk
+
+        records, store = self.store(tmp_path)
+        chunk = read_chunk(store, 0, load_templates(store)[0])
+        chunk.reverse()
+        splits = chunk.take_splits()
+        assert all(
+            splits.raw_split(position, record) is None
+            for position, record in enumerate(chunk)
+        )
+        assert splits.raw_split(len(chunk), chunk[0]) is None
+
+    def test_streaming_a_store_skips_the_raw_scan(self, tmp_path, monkeypatch):
+        import repro
+        from repro.skeleton import cache as cache_module
+
+        records, store = self.store(tmp_path)
+        scans = []
+
+        def counted(text):
+            scans.append(text)
+            return _raw_scan(text)
+
+        monkeypatch.setattr(cache_module, "_raw_scan", counted)
+        in_ram = repro.clean(QueryLog(records), execution="streaming")
+        in_ram_scans = len(scans)
+        del scans[:]
+        stored = repro.clean(ColumnarSource(store), execution="streaming")
+        assert stored.clean_log.records() == in_ram.clean_log.records()
+        assert stored.metrics.comparable() == in_ram.metrics.comparable()
+        assert in_ram_scans >= len(records) - 1
+        # One scan per chunk for the template's first row (a cold
+        # cache has no verified raw key to bind to yet), none after.
+        assert len(scans) <= 2
+
+    def test_a_cacheless_run_leaves_the_splits_alone(self, tmp_path):
+        import repro
+
+        records, store = self.store(tmp_path)
+        reference = repro.clean(QueryLog(records), parse_cache=False)
+        result = repro.clean(
+            ColumnarSource(store), execution="streaming", parse_cache=False
+        )
+        assert result.clean_log.records() == reference.clean_log.records()

@@ -193,6 +193,69 @@ class TestUnsafeFallback:
         assert clone.hits == cache.hits + 1
 
 
+class TestSignedTopCount:
+    """The parser takes only an unsigned count after ``TOP``, but the
+    scanner folds a minus there into the number, so ``TOP -5`` shares
+    the fingerprint key of ``TOP 5``.  The entry refuses to bind it."""
+
+    @pytest.mark.parametrize(
+        "proto_sql, member_sql",
+        [
+            ("SELECT TOP 5 a FROM u", "SELECT TOP -5 a FROM u"),
+            ("SELECT TOP 5 a FROM u", "SELECT TOP - 7 a FROM u"),
+            (
+                "SELECT a FROM (SELECT TOP 3 b FROM u WHERE c = 2) AS d",
+                "SELECT a FROM (SELECT TOP -3 b FROM u WHERE c = -2) AS d",
+            ),
+        ],
+    )
+    def test_a_warm_cache_refuses_a_signed_top_count(self, proto_sql, member_sql):
+        cache = TemplateCache()
+        proto = record(proto_sql, seq=0)
+        assert cache.fetch(proto) is None
+        cache.build(proto)
+        member = record(member_sql, seq=1)
+        assert fingerprint_statement(member_sql).key == (
+            fingerprint_statement(proto_sql).key
+        )
+        assert cache.fetch(member) is None
+        with pytest.raises(SqlError):
+            cache.build(member)
+        with pytest.raises(SqlError):
+            parse(member_sql)
+
+    def test_parenthesised_counts_still_bind(self):
+        cache = TemplateCache()
+        proto = record("SELECT TOP (5) a FROM u WHERE b = -1", seq=0)
+        cache.fetch(proto)
+        cache.build(proto)
+        member = record("SELECT TOP (6) a FROM u WHERE b = -2", seq=1)
+        hit = cache.fetch(member)
+        assert hit is not None and hit == full_parse(member)
+
+    def test_cache_on_and_off_agree_under_quarantine(self):
+        import repro
+        from repro.log import QueryLog
+        from repro.pipeline import PipelineConfig
+
+        log = QueryLog(
+            [
+                LogRecord(seq=1, sql="SELECT TOP 5 a FROM u", timestamp=1.0, user="x"),
+                LogRecord(seq=2, sql="SELECT TOP -5 a FROM u", timestamp=90.0, user="x"),
+            ]
+        )
+        config = PipelineConfig(error_policy="quarantine")
+        for execution in ("batch", "streaming", "parallel"):
+            runs = [
+                repro.clean(log, config, execution=execution, parse_cache=cache)
+                for cache in (True, False)
+            ]
+            for result in runs:
+                assert [r.seq for r in result.clean_log.records()] == [1], execution
+                assert result.quarantine.by_reason() == {"parse_error": 1}, execution
+            assert runs[0].metrics.comparable() == runs[1].metrics.comparable()
+
+
 class TestRawTemplateMemo:
     """The raw-template memo: scanner-free binds, verified once."""
 
