@@ -264,7 +264,7 @@ def test_parse_v3(bench_config, tmp_path):
     assert witnesses, "the store carries no template witnesses"
     # The L2 entries a preload of these witnesses interns, in a cache
     # like the run's own.
-    probe = TemplateCache(shared_config.execution.parse_cache_size)
+    probe = TemplateCache()
     probe.preload(
         witnesses,
         fold_variables=shared_config.fold_variables,

@@ -118,13 +118,10 @@ def cmd_clean(args: argparse.Namespace) -> int:
         print("choose one of --streaming / --parallel", file=sys.stderr)
         return 2
     mode = "streaming" if args.streaming else "parallel" if args.parallel else "batch"
-    execution_kwargs = {"mode": mode, "workers": args.workers}
-    if args.no_parse_cache:
-        execution_kwargs["parse_cache"] = False
-    if args.parse_cache_size is not None:
-        execution_kwargs["parse_cache_size"] = args.parse_cache_size
     try:
-        execution = ExecutionConfig(**execution_kwargs)
+        execution = ExecutionConfig(
+            mode=mode, workers=args.workers, parse_cache=not args.no_parse_cache
+        )
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
         return 2
@@ -414,15 +411,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="disable the fingerprint-keyed parse fast path (every "
         "statement takes the full parser; output is identical either way)",
-    )
-    clean.add_argument(
-        "--parse-cache-size",
-        type=int,
-        default=None,
-        metavar="N",
-        help="max cached statement templates per cache instance "
-        "(default 4096; one cache per run, per streaming instance, "
-        "or per parallel worker process)",
     )
     clean.add_argument(
         "--checkpoint-dir",

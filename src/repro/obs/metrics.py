@@ -98,9 +98,10 @@ STAGE_COUNTERS = {
 #: records each cache instance saw first, so only the ledger-local law
 #: ``parse_lazy_hits + parse_eager == records_out`` is portable.
 #: ``parse_cold`` rides with the cache misses it mirrors, and
-#: ``parse_dict_preloaded`` with how many cache instances a dictionary
-#: was preloaded into (one for batch/streaming, one per worker for
-#: parallel).
+#: ``parse_dict_preloaded`` with how many preloads a run makes: one per
+#: run for every executor (the parallel parent books its run's single
+#: preload; pool workers rebuild theirs from its exported seed and book
+#: none), but a resumed streaming run adds its checkpoint's on top.
 EXECUTOR_DEPENDENT_COUNTERS = {
     "parse": frozenset(
         {

@@ -44,7 +44,6 @@ from .parallel import (
     StageTimings,
     WorkerPool,
     get_worker_pool,
-    set_worker_seed,
     shard_index,
     shard_records,
     shutdown_worker_pools,
@@ -90,7 +89,6 @@ __all__ = [
     "StageTimings",
     "WorkerPool",
     "get_worker_pool",
-    "set_worker_seed",
     "shard_index",
     "shard_records",
     "shutdown_worker_pools",

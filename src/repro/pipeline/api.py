@@ -92,8 +92,8 @@ def clean(
         batch and parallel have no serialisable mid-run state and
         reject it).
     :param resume: continue a run from ``checkpoint_dir`` instead of
-        starting over.  The checkpoint must match the source and
-        configuration it was written under.
+        starting over.  The checkpoint must match the source (its
+        chunk size included) and configuration it was written under.
 
     Example::
 
@@ -151,10 +151,7 @@ def clean(
     if not is_memory_log:
         io_channel = QuarantineChannel()
         source, owned = as_source(
-            log,
-            chunk_records=effective.execution.source_chunk_records,
-            errors=effective.error_policy,
-            channel=io_channel,
+            log, errors=effective.error_policy, channel=io_channel
         )
 
     # Store-auto-warm: a columnar store carries one witness statement
@@ -210,10 +207,7 @@ def clean(
                     quarantine=cleaner.quarantine,
                 )
             if source is None:
-                source = InMemorySource(
-                    log,
-                    chunk_records=effective.execution.source_chunk_records,
-                )
+                source = InMemorySource(log)
                 owned = True
             cleaned, cleaner = clean_streaming_source(
                 source,

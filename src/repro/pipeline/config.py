@@ -22,7 +22,15 @@ class ExecutionConfig:
     """*How* the pipeline runs — orthogonal to *what* it computes.
 
     Every execution knob lives here, so the same :class:`PipelineConfig`
-    can be handed to any execution path unchanged.
+    can be handed to any execution path unchanged.  What is not a knob
+    is a constant with one home: the parse-cache bound
+    (``skeleton.cache.DEFAULT_PARSE_CACHE_SIZE``), the shard retry
+    budget and backoff (``parallel.MAX_SHARD_RETRIES`` and
+    ``RETRY_BACKOFF_S``), and the chunk size of a source that
+    :func:`repro.clean` builds from a path or an in-memory log
+    (``store.sources.DEFAULT_CHUNK_RECORDS``; an explicit
+    :class:`~repro.store.sources.LogSource` carries its own
+    ``chunk_records``).
 
     :param mode: ``"batch"`` (whole log in memory, full
         :class:`~repro.pipeline.framework.PipelineResult` artifacts),
@@ -37,12 +45,6 @@ class ExecutionConfig:
         streaming mode — the memory ceiling is roughly ``open users ×
         max_block_queries``.  Ignored by batch and parallel modes (they
         hold whole blocks by construction).
-    :param max_shard_retries: how many times a failed parallel shard is
-        re-submitted (worker crash, timeout, transient stage exception)
-        before it is declared terminally failed and handed to the error
-        policy.  ``0`` disables retries.
-    :param retry_backoff: base sleep (seconds) between retry rounds;
-        doubles each round.
     :param task_timeout: per-shard wall-clock budget in seconds for
         parallel mode; ``None`` (the default) waits indefinitely.  A
         shard exceeding it is treated like a crashed worker: the pool is
@@ -58,26 +60,13 @@ class ExecutionConfig:
         from its checkpoint's; there is no other template dictionary —
         to warm a re-run of a CSV or JSONL log, convert it to a store
         first (``sqlog-clean convert``).
-    :param parse_cache_size: maximum number of cached templates per
-        cache instance (batch keeps one cache per run; streaming one per
-        pipeline instance; parallel one per worker process).
-    :param source_chunk_records: records per chunk when a
-        :class:`~repro.store.sources.LogSource` is built from a path or
-        in-memory log (sources constructed explicitly carry their own
-        chunking; the columnar store streams its stored chunks).  Chunk
-        size bounds streaming-mode working memory and sets the
-        checkpoint granularity.
     """
 
     mode: str = "batch"
     workers: int = 0
     max_block_queries: int = 10_000
-    max_shard_retries: int = 2
-    retry_backoff: float = 0.05
     task_timeout: Optional[float] = None
     parse_cache: bool = True
-    parse_cache_size: int = 4096
-    source_chunk_records: int = 8192
 
     def __post_init__(self) -> None:
         if self.mode not in EXECUTION_MODES:
@@ -90,26 +79,9 @@ class ExecutionConfig:
             raise ValueError(
                 f"max_block_queries must be >= 2, got {self.max_block_queries}"
             )
-        if self.max_shard_retries < 0:
-            raise ValueError(
-                f"max_shard_retries must be >= 0, got {self.max_shard_retries}"
-            )
-        if self.retry_backoff < 0:
-            raise ValueError(
-                f"retry_backoff must be >= 0, got {self.retry_backoff}"
-            )
         if self.task_timeout is not None and self.task_timeout <= 0:
             raise ValueError(
                 f"task_timeout must be positive or None, got {self.task_timeout}"
-            )
-        if self.parse_cache_size < 1:
-            raise ValueError(
-                f"parse_cache_size must be >= 1, got {self.parse_cache_size}"
-            )
-        if self.source_chunk_records < 1:
-            raise ValueError(
-                "source_chunk_records must be >= 1, "
-                f"got {self.source_chunk_records}"
             )
 
     def resolved_workers(self) -> int:

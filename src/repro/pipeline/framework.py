@@ -234,11 +234,10 @@ def open_parse_cache(
     :meth:`~repro.skeleton.cache.TemplateCache.preload`); ``None`` or
     an empty sequence preloads nothing.
     """
-    execution = config.execution
-    if not execution.parse_cache:
+    if not config.execution.parse_cache:
         return None, 0
     if cache is None:
-        cache = TemplateCache(execution.parse_cache_size)
+        cache = TemplateCache()
     if not witnesses:
         return cache, 0
     preloaded = cache.preload(

@@ -45,26 +45,31 @@ dominates small runs, so every fan-out runs on a reusable pool:
 :func:`get_worker_pool` parks one :class:`WorkerPool` per worker count in
 a process-wide registry, reused across :func:`repro.clean` calls.  Each
 worker keeps a persistent :class:`~repro.skeleton.cache.TemplateCache`
-across shards *and* runs, optionally pre-seeded with interned prototypes
-via :func:`set_worker_seed` — outputs stay byte-identical because the
-cache is correctness-checked per hit, only the ``parse_cache_*``
-counters (executor-dependent by contract) change.  A new seed retires
-the pools spawned under the old one; re-seeding with identical bytes (a
-columnar store warms every run from the same witnesses) keeps them
-warm.  All registry pools
-are shut down atexit, or earlier by :func:`shutdown_worker_pools`; a
-raising run discards its pool rather than leaving queued shards running
-behind the caller's back.  A log that plans to a single shard (one
-worker, one user, or nothing at all) never leaves the parent.
+across shards *and* runs.  A run over a columnar store preloads one
+cache from the store's witnesses and ships its
+:meth:`~repro.skeleton.cache.TemplateCache.export_seed` bytes in every
+shard payload; a worker rebuilds its cache from them
+(:meth:`~repro.skeleton.cache.TemplateCache.from_seed`) whenever the
+seed or the parse knobs differ from the ones its cache was built under.
+A seed therefore never retires a pool: runs over different stores share
+the same warm workers.
+Outputs stay byte-identical because the cache is correctness-checked
+per hit; only the ``parse_cache_*`` counters (executor-dependent by
+contract) change.  All registry pools are shut down atexit, or earlier
+by :func:`shutdown_worker_pools`; a raising run discards its pool rather
+than leaving queued shards running behind the caller's back.  A log that
+plans to a single shard (one worker, one user, or nothing at all) never
+leaves the parent.
 
 **Fault tolerance.**  The fan-out runs on
 :class:`concurrent.futures.ProcessPoolExecutor` rather than
 ``multiprocessing.Pool`` because a killed worker surfaces promptly as
 ``BrokenProcessPool`` instead of hanging the parent forever.  A shard
 whose worker crashed, timed out (``execution.task_timeout``) or raised a
-transient exception is re-queued up to ``execution.max_shard_retries``
-times with exponential backoff (the encoded buffer is reused across
-retries); a crashed or timed-out pool is rebuilt in place
+transient exception is re-queued up to :data:`MAX_SHARD_RETRIES` times,
+sleeping :data:`RETRY_BACKOFF_S` doubled each round (the encoded buffer
+is reused across retries); a crashed or timed-out pool is rebuilt in
+place
 (:meth:`WorkerPool.rebuild`).  A shard that exhausts its retries is
 handed to the config's ``error_policy`` — ``strict`` raises
 :class:`~repro.errors.ShardFailure`, ``lenient`` drops its records,
@@ -121,6 +126,13 @@ STAGES = ("dedup", "parse", "mine", "detect", "solve", "merge")
 
 #: What a shard holds: in-RAM records, or a columnar store's rows.
 ShardItem = Union[LogRecord, StoreRow]
+
+#: How many times a failed shard is re-submitted (worker crash, timeout,
+#: transient stage exception) before the error policy gets it.
+MAX_SHARD_RETRIES = 2
+
+#: Seconds slept before the first retry round; doubles each round.
+RETRY_BACKOFF_S = 0.05
 
 
 @dataclass
@@ -320,46 +332,34 @@ def shard_records(
 # Worker-side machinery
 #
 # Everything here is module-level (not closures) so it pickles under
-# every ``multiprocessing`` start method.  The three globals below live
-# in the *worker* processes: the seed is handed to ``_worker_init`` when
-# the pool spawns, the cache persists across shards and runs.
+# every ``multiprocessing`` start method.  The two globals below live in
+# the *worker* processes: the cache persists across shards and runs.
 
-_WORKER_SEED: Optional[Tuple[Tuple[bool, bool], bytes]] = None
 _WORKER_CACHE: Optional[TemplateCache] = None
-_WORKER_CACHE_KEY: Optional[Tuple[int, bool, bool]] = None
+_WORKER_CACHE_KEY: Optional[Tuple[bool, bool, Optional[bytes]]] = None
 
 
-def _worker_init(seed: Optional[Tuple[Tuple[bool, bool], bytes]] = None) -> None:
-    """Pool initializer: remember the template-cache seed, if any."""
-    global _WORKER_SEED
-    _WORKER_SEED = seed
-
-
-def _process_parse_cache(config: PipelineConfig) -> Optional[TemplateCache]:
+def _process_parse_cache(
+    config: PipelineConfig, seed: Optional[bytes]
+) -> Optional[TemplateCache]:
     """This worker's persistent parse cache (or ``None`` if disabled).
 
-    The cache is keyed by the parse knobs it may legally serve — a
-    config change mid-pool resets it rather than risking a stale
-    skeleton (see the invariant on
-    :func:`~repro.pipeline.framework.parse_log`).  When a seed matching
-    the knobs is available the first cache of this process starts warm.
+    The cache is keyed by the parse knobs it may legally serve and by
+    the run's ``seed`` (the parent's preloaded cache, exported; ``None``
+    when nothing was preloaded) — a change of either rebuilds it rather
+    than risking a stale skeleton (see the invariant on
+    :func:`~repro.pipeline.framework.parse_log`).  The parent built the
+    seed under the run's own knobs, so a seeded cache starts warm.
     """
-    execution = config.execution
-    if not execution.parse_cache:
+    if not config.execution.parse_cache:
         return None
     global _WORKER_CACHE, _WORKER_CACHE_KEY
-    key = (
-        execution.parse_cache_size,
-        config.fold_variables,
-        config.strict_triple,
-    )
+    key = (config.fold_variables, config.strict_triple, seed)
     if _WORKER_CACHE is None or _WORKER_CACHE_KEY != key:
         cache: Optional[TemplateCache] = None
-        if _WORKER_SEED is not None and _WORKER_SEED[0] == key[1:]:
+        if seed is not None:
             try:
-                cache = TemplateCache.from_seed(
-                    _WORKER_SEED[1], max_entries=execution.parse_cache_size
-                )
+                cache = TemplateCache.from_seed(seed)
             except Exception:  # a bad seed must never fail a shard
                 cache = None
         if cache is None:
@@ -403,27 +403,24 @@ def _clean_shard_log(
 
 
 def _clean_shard_encoded(
-    payload: Tuple[int, bytes, PipelineConfig]
+    payload: Tuple[int, bytes, PipelineConfig, Optional[bytes]]
 ) -> ShardReport:
     """Worker body: clean one encoded shard buffer (the pool path).
 
-    ``payload`` is ``(shard, buffer, config)``, where ``buffer`` is the
-    contiguous :func:`~repro.store.columnar.encode_shard` encoding of
-    the shard's records.  The worker's persistent parse cache serves
-    every shard it is handed.
+    ``payload`` is ``(shard, buffer, config, seed)``, where ``buffer``
+    is the contiguous :func:`~repro.store.columnar.encode_shard`
+    encoding of the shard's records and ``seed`` the run's exported
+    parse cache (or ``None``).  The worker's persistent parse cache
+    serves every shard it is handed.
     """
-    shard, buffer, config = payload
-    cache = _process_parse_cache(config)
+    shard, buffer, config, seed = payload
+    cache = _process_parse_cache(config, seed)
     records = decode_shard(buffer)
     return _clean_shard_log(shard, QueryLog(records), config, cache)
 
 
 # ----------------------------------------------------------------------
 # Warm worker pools
-
-#: The template-cache seed handed to newly spawned workers, as
-#: ``((fold_variables, strict_triple), TemplateCache.export_seed())``.
-_POOL_SEED: Optional[Tuple[Tuple[bool, bool], bytes]] = None
 
 #: Process-wide registry of reusable pools, keyed by worker count.
 _POOLS: Dict[int, WorkerPool] = {}
@@ -434,24 +431,17 @@ class WorkerPool:
 
     The executor is created lazily on first :meth:`submit` and kept warm
     until :meth:`shutdown` — the whole point is to pay the fork +
-    interpreter + seed cost once, not per ``repro.clean()`` call.
+    interpreter cost once, not per ``repro.clean()`` call.
     :meth:`rebuild` retires a broken executor (crashed or hung workers)
     and provisions a fresh one in place; :attr:`generation` counts how
     many executors this pool has provisioned, so tests can assert a
     rebuild actually happened.
     """
 
-    def __init__(
-        self,
-        workers: int,
-        *,
-        seed: Optional[Tuple[Tuple[bool, bool], bytes]] = None,
-        mp_context=None,
-    ) -> None:
+    def __init__(self, workers: int, *, mp_context=None) -> None:
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
         self.workers = workers
-        self.seed = seed
         self._mp_context = mp_context or multiprocessing.get_context()
         self._executor: Optional[futures.ProcessPoolExecutor] = None
         #: executors provisioned over this pool's lifetime.
@@ -462,10 +452,7 @@ class WorkerPool:
         """The live executor, provisioning one if needed."""
         if self._executor is None:
             self._executor = futures.ProcessPoolExecutor(
-                max_workers=self.workers,
-                mp_context=self._mp_context,
-                initializer=_worker_init,
-                initargs=(self.seed,),
+                max_workers=self.workers, mp_context=self._mp_context
             )
             self.generation += 1
         return self._executor
@@ -493,13 +480,12 @@ class WorkerPool:
 def get_worker_pool(workers: int) -> WorkerPool:
     """The process-wide reusable pool for ``workers`` worker processes.
 
-    Created (with the current :func:`set_worker_seed` seed) on first
-    request, then returned as-is — callers share the warm workers.  All
-    registry pools are shut down atexit.
+    Created on first request, then returned as-is — callers share the
+    warm workers.  All registry pools are shut down atexit.
     """
     pool = _POOLS.get(workers)
     if pool is None:
-        pool = WorkerPool(workers, seed=_POOL_SEED)
+        pool = WorkerPool(workers)
         _POOLS[workers] = pool
     return pool
 
@@ -520,34 +506,6 @@ def shutdown_worker_pools(wait: bool = True) -> None:
 
 
 atexit.register(shutdown_worker_pools)
-
-
-def set_worker_seed(
-    cache: Optional[TemplateCache],
-    *,
-    fold_variables: bool = False,
-    strict_triple: bool = False,
-) -> None:
-    """Pre-seed future pool workers with ``cache``'s interned templates.
-
-    Newly spawned workers start their persistent parse cache from
-    ``cache.export_seed()`` instead of cold, provided the run's
-    ``(fold_variables, strict_triple)`` knobs match the ones declared
-    here (a mismatched seed is ignored — the invariant on
-    :func:`~repro.pipeline.framework.parse_log` forbids sharing caches
-    across knob combinations).  Existing registry pools were spawned
-    under the previous seed and are retired, unless the new seed is
-    byte-identical to it (a columnar store warms every run with the same
-    witnesses).  ``set_worker_seed(None)`` clears the seed.
-    """
-    global _POOL_SEED
-    if cache is None:
-        seed = None
-    else:
-        seed = ((fold_variables, strict_triple), cache.export_seed())
-    if seed != _POOL_SEED:
-        _POOL_SEED = seed
-        shutdown_worker_pools(wait=False)
 
 
 class ParallelCleaner:
@@ -609,7 +567,6 @@ class ParallelCleaner:
         codec — the records never leave the parent, so encoding them
         would be pure overhead.  ``cache`` is the run's parse cache.
         """
-        execution = self.config.execution
         attempt = 0
         while True:
             attempt += 1
@@ -618,13 +575,13 @@ class ParallelCleaner:
             except RecordFailure:
                 raise  # strict-policy verdict, not a fault — no retry
             except Exception as exc:
-                if attempt > execution.max_shard_retries:
+                if attempt > MAX_SHARD_RETRIES:
                     self._terminal_failure(
                         0, records, attempt, repr(exc), quarantine
                     )
                     return [], attempt - 1, [0]
-                if execution.retry_backoff:
-                    time.sleep(execution.retry_backoff * 2 ** (attempt - 1))
+                if RETRY_BACKOFF_S:
+                    time.sleep(RETRY_BACKOFF_S * 2 ** (attempt - 1))
             else:
                 return [report], attempt - 1, []
 
@@ -633,6 +590,7 @@ class ParallelCleaner:
         shards: List[List[ShardItem]],
         workers: int,
         quarantine: QuarantineChannel,
+        seed: Optional[bytes],
     ) -> Tuple[List[ShardReport], int, List[int], int]:
         """Fan the shards out over the warm pool, re-queueing failures.
 
@@ -642,18 +600,19 @@ class ParallelCleaner:
         pool is rebuilt and *all* pending shards get one attempt
         charged — innocents succeed on the next round, and the
         accounting stays bounded: no shard is ever submitted more than
-        ``max_shard_retries + 1`` times.
+        ``MAX_SHARD_RETRIES + 1`` times.
 
         Takes ownership of ``shards`` (the list is emptied): each shard
         is encoded exactly once and its input dropped right away; the
         buffer is reused across retries and dropped the moment the shard
         completes.  A shard that fails for good hands the records
-        decoded from its buffer to the error policy.  Returns the
-        reports, the retry count, the failed shards and the bytes
-        shipped.
+        decoded from its buffer to the error policy.  Every payload
+        carries ``seed``, the run's exported parse cache (``None`` when
+        nothing was preloaded).  Returns the reports, the retry count,
+        the failed shards and the bytes shipped.
         """
         execution = self.config.execution
-        max_attempts = execution.max_shard_retries + 1
+        max_attempts = MAX_SHARD_RETRIES + 1
         inputs = dict(enumerate(shards))
         shards.clear()
         pending = set(inputs)
@@ -686,10 +645,8 @@ class ParallelCleaner:
                 round_number += 1
                 if round_number > 1:
                     retried += len(pending)
-                    if execution.retry_backoff:
-                        time.sleep(
-                            execution.retry_backoff * 2 ** (round_number - 2)
-                        )
+                    if RETRY_BACKOFF_S:
+                        time.sleep(RETRY_BACKOFF_S * 2 ** (round_number - 2))
                 submitted: Dict[futures.Future, int] = {}
                 broken = False
                 for shard in sorted(pending):
@@ -699,7 +656,8 @@ class ParallelCleaner:
                         bytes_shipped += len(buffer)
                     try:
                         future = pool.submit(
-                            _clean_shard_encoded, (shard, buffer, self.config)
+                            _clean_shard_encoded,
+                            (shard, buffer, self.config, seed),
                         )
                     except BrokenProcessPool as exc:
                         # A warm worker died while the wave was still
@@ -782,9 +740,9 @@ class ParallelCleaner:
 
         With template witnesses (a columnar store's own) the run
         preloads one warmed cache and routes it to the shards: a
-        single-shard run cleans with it inline, pool runs ship it as
-        the worker seed (:func:`set_worker_seed`), so freshly spawned
-        workers start their persistent cache warm.
+        single-shard run cleans with it inline, pool runs ship its
+        exported seed in every shard payload, so the workers' persistent
+        caches start warm.
         """
         execution = self.config.execution
         workers = execution.resolved_workers()
@@ -802,17 +760,9 @@ class ParallelCleaner:
         # shard to overlap with.  An empty log plans no shards at all.
         bytes_shipped = 0
         if shard_count > 1:
-            if dict_preloaded:
-                # Replaces any different previous seed and retires the
-                # pools spawned under it; the new pool's workers start
-                # their persistent caches dictionary-warm.
-                set_worker_seed(
-                    cache,
-                    fold_variables=self.config.fold_variables,
-                    strict_triple=self.config.strict_triple,
-                )
+            seed = cache.export_seed() if dict_preloaded else None
             reports, retried, failed, bytes_shipped = self._run_pool(
-                shards, workers, quarantine
+                shards, workers, quarantine, seed
             )
         elif shards:
             records = [

@@ -83,7 +83,10 @@ class LogSource:
         """Identity string stored in checkpoints: a resumed run refuses
         to continue when the source's fingerprint changed underneath it.
         File-backed sources include path, size and mtime; the in-memory
-        source can only offer a weak length-based identity."""
+        source can only offer a weak length-based identity.  A source
+        that chunks by ``chunk_records`` includes it too: a checkpoint
+        counts finished *chunks*, so resuming under another chunk size
+        would skip or repeat records."""
         hint = self.count_hint()
         return f"{type(self).__name__}:{hint if hint is not None else '?'}"
 
@@ -131,7 +134,7 @@ class InMemorySource(LogSource):
         return len(self._records)
 
     def fingerprint(self) -> str:
-        return f"inmemory:{len(self._records)}"
+        return f"inmemory:{len(self._records)}:{self.chunk_records}"
 
 
 class _FileSource(LogSource):
@@ -174,7 +177,7 @@ class _FileSource(LogSource):
         stat = self.path.stat()
         return (
             f"{self.format_name}:{self.path.resolve()}"
-            f":{stat.st_size}:{stat.st_mtime_ns}"
+            f":{stat.st_size}:{stat.st_mtime_ns}:{self.chunk_records}"
         )
 
 

@@ -32,7 +32,12 @@ from repro.errors import (
     ShardFailure,
 )
 from repro.log import LogRecord, QueryLog
-from repro.pipeline import ExecutionConfig, PipelineConfig, shard_records
+from repro.pipeline import (
+    ExecutionConfig,
+    PipelineConfig,
+    parallel,
+    shard_records,
+)
 from repro.store import ColumnarSource, columnar, write_columnar
 from repro.store.columnar import StoreRow, encode_shard
 
@@ -281,10 +286,17 @@ def _parallel(workers, **knobs):
     return ExecutionConfig(mode="parallel", workers=workers, **knobs)
 
 
+def _retry_policy(monkeypatch, retries, backoff):
+    """Set the parallel executor's shard retry budget and backoff."""
+    monkeypatch.setattr(parallel, "MAX_SHARD_RETRIES", retries)
+    monkeypatch.setattr(parallel, "RETRY_BACKOFF_S", backoff)
+
+
 class TestWorkerRecovery:
     def test_killed_worker_is_requeued_and_run_completes(
-        self, poisoned_log, reference, tmp_path
+        self, poisoned_log, reference, tmp_path, monkeypatch
     ):
+        _retry_policy(monkeypatch, 2, 0.01)
         detectors = [
             KillOnceDetector(str(tmp_path / "kill"), os.getpid())
         ] + default_detectors()
@@ -292,7 +304,7 @@ class TestWorkerRecovery:
             error_policy="quarantine", detectors=detectors
         )
         result = repro.clean(
-            poisoned_log, config, execution=_parallel(2, retry_backoff=0.01)
+            poisoned_log, config, execution=_parallel(2)
         )
         _dump_artifact("worker-kill", result)
         assert (tmp_path / "kill").exists(), "the kill fault never fired"
@@ -312,15 +324,16 @@ class TestWorkerRecovery:
         assert result.metrics.conservation_violations() == []
 
     def test_transient_worker_exception_is_retried(
-        self, valid_log, reference, tmp_path
+        self, valid_log, reference, tmp_path, monkeypatch
     ):
+        _retry_policy(monkeypatch, 2, 0.01)
         detectors = [
             FailOnceDetector(str(tmp_path / "fail"), os.getpid())
         ] + default_detectors()
         config = PipelineConfig(detectors=detectors)  # strict is fine:
         # a detector exception is a fault, not a record verdict
         result = repro.clean(
-            valid_log, config, execution=_parallel(2, retry_backoff=0.01)
+            valid_log, config, execution=_parallel(2)
         )
         assert (tmp_path / "fail").exists()
         assert result.parallel_stats.shard_count >= 2
@@ -328,8 +341,9 @@ class TestWorkerRecovery:
         assert result.clean_log == reference.clean_log
 
     def test_hung_worker_hits_task_timeout_and_requeues(
-        self, valid_log, reference, tmp_path
+        self, valid_log, reference, tmp_path, monkeypatch
     ):
+        _retry_policy(monkeypatch, 2, 0.01)
         detectors = [
             SleepOnceDetector(
                 str(tmp_path / "sleep"), os.getpid(), seconds=8.0
@@ -339,28 +353,32 @@ class TestWorkerRecovery:
         result = repro.clean(
             valid_log,
             config,
-            execution=_parallel(2, task_timeout=1.0, retry_backoff=0.01),
+            execution=_parallel(2, task_timeout=1.0),
         )
         assert (tmp_path / "sleep").exists()
         assert result.parallel_stats.shard_count >= 2
         assert result.parallel_stats.shards_retried >= 1
         assert result.clean_log == reference.clean_log
 
-    def test_inline_path_retries_too(self, valid_log, reference, tmp_path):
+    def test_inline_path_retries_too(
+        self, valid_log, reference, tmp_path, monkeypatch
+    ):
         # workers=1 never forks; the retry loop must still apply
+        _retry_policy(monkeypatch, 2, 0.01)
         detectors = [
             FailOnceDetector(str(tmp_path / "inline-fail"))
         ] + default_detectors()
         config = PipelineConfig(detectors=detectors)
         result = repro.clean(
-            valid_log, config, execution=_parallel(1, retry_backoff=0.01)
+            valid_log, config, execution=_parallel(1)
         )
         assert result.parallel_stats.shards_retried >= 1
         assert result.clean_log == reference.clean_log
 
 
 class TestTerminalShardFailure:
-    def test_strict_raises_shard_failure(self, valid_log):
+    def test_strict_raises_shard_failure(self, valid_log, monkeypatch):
+        _retry_policy(monkeypatch, 1, 0.01)
         config = PipelineConfig(
             detectors=[AlwaysFailDetector()] + default_detectors()
         )
@@ -368,13 +386,12 @@ class TestTerminalShardFailure:
             repro.clean(
                 valid_log,
                 config,
-                execution=_parallel(
-                    2, max_shard_retries=1, retry_backoff=0.01
-                ),
+                execution=_parallel(2),
             )
         assert excinfo.value.attempts == 2
 
-    def test_quarantine_sets_whole_shards_aside(self, valid_log):
+    def test_quarantine_sets_whole_shards_aside(self, valid_log, monkeypatch):
+        _retry_policy(monkeypatch, 0, 0.05)
         config = PipelineConfig(
             error_policy="quarantine",
             detectors=[AlwaysFailDetector()] + default_detectors(),
@@ -382,7 +399,7 @@ class TestTerminalShardFailure:
         result = repro.clean(
             valid_log,
             config,
-            execution=_parallel(1, max_shard_retries=0),
+            execution=_parallel(1),
         )
         assert len(result.clean_log) == 0
         assert result.parallel_stats.shards_failed >= 1
@@ -393,7 +410,8 @@ class TestTerminalShardFailure:
             record.seq for record in valid_log
         ]
 
-    def test_lenient_drops_failed_shards(self, valid_log):
+    def test_lenient_drops_failed_shards(self, valid_log, monkeypatch):
+        _retry_policy(monkeypatch, 0, 0.05)
         config = PipelineConfig(
             error_policy="lenient",
             detectors=[AlwaysFailDetector()] + default_detectors(),
@@ -401,7 +419,7 @@ class TestTerminalShardFailure:
         result = repro.clean(
             valid_log,
             config,
-            execution=_parallel(1, max_shard_retries=0),
+            execution=_parallel(1),
         )
         assert len(result.clean_log) == 0
         assert not result.quarantine
@@ -409,7 +427,10 @@ class TestTerminalShardFailure:
         merge = result.metrics.stages["merge"].counters
         assert merge["shards_failed"] == result.parallel_stats.shards_failed
 
-    def test_inline_strict_failure_reports_every_attempt(self, valid_log):
+    def test_inline_strict_failure_reports_every_attempt(
+        self, valid_log, monkeypatch
+    ):
+        _retry_policy(monkeypatch, 2, 0.0)
         config = PipelineConfig(
             detectors=[AlwaysFailDetector()] + default_detectors()
         )
@@ -417,15 +438,16 @@ class TestTerminalShardFailure:
             repro.clean(
                 valid_log,
                 config,
-                execution=_parallel(1, max_shard_retries=2, retry_backoff=0.0),
+                execution=_parallel(1),
             )
         assert excinfo.value.shard == 0
         assert excinfo.value.attempts == 3
 
     @pytest.mark.parametrize("workers", [1, 2], ids=["inline", "pool"])
-    def test_retry_accounting_is_exact(self, valid_log, workers):
-        """Every shard is tried ``max_shard_retries + 1`` times, no more:
+    def test_retry_accounting_is_exact(self, valid_log, workers, monkeypatch):
+        """Every shard is tried ``MAX_SHARD_RETRIES + 1`` times, no more:
         retries are booked per re-submission, failures per shard."""
+        _retry_policy(monkeypatch, 2, 0.0)
         config = PipelineConfig(
             error_policy="lenient",
             detectors=[AlwaysFailDetector()] + default_detectors(),
@@ -433,7 +455,7 @@ class TestTerminalShardFailure:
         result = repro.clean(
             valid_log,
             config,
-            execution=_parallel(workers, max_shard_retries=2, retry_backoff=0.0),
+            execution=_parallel(workers),
         )
         pstats = result.parallel_stats
         assert pstats.shard_count == len(shard_records(valid_log, workers))
@@ -486,8 +508,9 @@ class TestPoisonedStore:
         assert in_ram.metrics.conservation_violations() == []
 
     def test_killed_worker_retries_from_the_same_buffer(
-        self, poisoned_store, reference, tmp_path
+        self, poisoned_store, reference, tmp_path, monkeypatch
     ):
+        _retry_policy(monkeypatch, 2, 0.01)
         detectors = [
             KillOnceDetector(str(tmp_path / "kill"), os.getpid())
         ] + default_detectors()
@@ -496,7 +519,7 @@ class TestPoisonedStore:
         )
         source = ColumnarSource(poisoned_store)
         result = repro.clean(
-            source, config, execution=_parallel(2, retry_backoff=0.01)
+            source, config, execution=_parallel(2)
         )
         assert (tmp_path / "kill").exists(), "the kill fault never fired"
         pstats = result.parallel_stats
@@ -516,6 +539,7 @@ class TestPoisonedStore:
     def test_terminal_failure_quarantines_exactly_its_shard(
         self, valid_store, monkeypatch
     ):
+        _retry_policy(monkeypatch, 0, 0.05)
         source = ColumnarSource(valid_store)
         plan = shard_records(source.rows(), 2)
         (failing,) = [
@@ -536,7 +560,7 @@ class TestPoisonedStore:
             detectors=[FailUserDetector("user3")] + default_detectors(),
         )
         result = repro.clean(
-            source, config, execution=_parallel(2, max_shard_retries=0)
+            source, config, execution=_parallel(2)
         )
         pstats = result.parallel_stats
         assert pstats.shard_count == len(plan) >= 2

@@ -30,6 +30,7 @@ from repro.pipeline import (
     ExecutionConfig,
     PipelineConfig,
     get_worker_pool,
+    parallel,
     shard_index,
     shutdown_worker_pools,
 )
@@ -79,8 +80,8 @@ def clean_slate():
     assert _drain_children() == []
 
 
-def _parallel(workers, **knobs):
-    return ExecutionConfig(mode="parallel", workers=workers, **knobs)
+def _parallel(workers):
+    return ExecutionConfig(mode="parallel", workers=workers)
 
 
 class TestPoolHygiene:
@@ -118,7 +119,9 @@ class TestPoolHygiene:
         shutdown_worker_pools(wait=True)
         assert _drain_children() == []
 
-    def test_raising_run_leaves_no_workers_behind(self, clean_slate):
+    def test_raising_run_leaves_no_workers_behind(self, clean_slate, monkeypatch):
+        monkeypatch.setattr(parallel, "MAX_SHARD_RETRIES", 0)
+        monkeypatch.setattr(parallel, "RETRY_BACKOFF_S", 0.0)
         config = PipelineConfig(
             detectors=[AlwaysFailDetector(main_pid=os.getpid())]
             + default_detectors()
@@ -127,7 +130,7 @@ class TestPoolHygiene:
             repro.clean(
                 QueryLog(valid_records()),
                 config,
-                execution=_parallel(2, max_shard_retries=0, retry_backoff=0.0),
+                execution=_parallel(2),
             )
         # the raising run discarded its pool — workers drain on their own,
         # with no shutdown_worker_pools() call from the caller

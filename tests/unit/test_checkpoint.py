@@ -6,7 +6,7 @@ import json
 import pytest
 
 import repro
-from repro.log import LogRecord, QueryLog, write_jsonl
+from repro.log import LogRecord, QueryLog, write_csv, write_jsonl
 from repro.obs import NULL, Recorder
 from repro.pipeline.config import ExecutionConfig, PipelineConfig
 from repro.pipeline.streaming import StreamingCleaner
@@ -19,7 +19,7 @@ from repro.store import (
     write_columnar,
 )
 from repro.store.checkpoint import STATE_VERSION
-from repro.store.sources import InMemorySource
+from repro.store.sources import CsvSource, InMemorySource, JsonlSource
 from repro.workload import generate_log
 
 
@@ -47,7 +47,7 @@ class TestConfigDigest:
             )
         ) != base
         assert config_digest(
-            streaming_config(source_chunk_records=17)
+            streaming_config(max_block_queries=17)
         ) != base
 
     def test_frozensets_digest_order_free(self):
@@ -164,7 +164,7 @@ class TestStreamingStateRoundTrip:
 
 class TestCleanStreamingSource:
     def test_checkpointed_equals_plain(self, workload, tmp_path):
-        config = streaming_config(source_chunk_records=150)
+        config = streaming_config()
         source = InMemorySource(workload, chunk_records=150)
         plain, _ = clean_streaming_source(source, config, Recorder())
         checked, cleaner = clean_streaming_source(
@@ -175,7 +175,7 @@ class TestCleanStreamingSource:
         assert state["complete"] is True
 
     def test_resume_mid_run_reproduces_result(self, workload, tmp_path):
-        config = streaming_config(source_chunk_records=100)
+        config = streaming_config()
         source = InMemorySource(workload, chunk_records=100)
         reference, _ = clean_streaming_source(source, config, Recorder())
 
@@ -213,7 +213,7 @@ class TestCleanStreamingSource:
         assert resumed.records() == reference.records()
 
     def test_resume_of_complete_run_is_idempotent(self, workload, tmp_path):
-        config = streaming_config(source_chunk_records=150)
+        config = streaming_config()
         source = InMemorySource(workload, chunk_records=150)
         first, _ = clean_streaming_source(
             source, config, Recorder(), checkpoint_dir=tmp_path / "ck"
@@ -228,7 +228,7 @@ class TestCleanStreamingSource:
         assert again.records() == first.records()
 
     def test_resume_rejects_changed_source(self, workload, tmp_path):
-        config = streaming_config(source_chunk_records=150)
+        config = streaming_config()
         source = InMemorySource(workload, chunk_records=150)
         clean_streaming_source(
             source, config, Recorder(), checkpoint_dir=tmp_path / "ck"
@@ -246,14 +246,14 @@ class TestCleanStreamingSource:
             )
 
     def test_resume_rejects_changed_config(self, workload, tmp_path):
-        config = streaming_config(source_chunk_records=150)
+        config = streaming_config()
         source = InMemorySource(workload, chunk_records=150)
         clean_streaming_source(
             source, config, Recorder(), checkpoint_dir=tmp_path / "ck"
         )
         changed = PipelineConfig(
             dedup_threshold=5.0,
-            execution=ExecutionConfig(mode="streaming", source_chunk_records=150),
+            execution=ExecutionConfig(mode="streaming"),
         )
         with pytest.raises(CheckpointError, match="different configuration"):
             clean_streaming_source(
@@ -302,17 +302,58 @@ class TestCleanApiCheckpointing:
         assert checked.metrics.conservation_violations() == []
         assert checked.original is None  # out-of-core runs keep no input log
 
+    def test_resume_under_another_chunk_size_is_refused(self, tmp_path):
+        """A checkpoint counts finished chunks: three chunks of 100
+        resumed as chunks of 200 would skip records 300-599 (the clean
+        log came out with 286 records instead of 491)."""
+        log = generate_log(seed=11, scale=0.03)
+        path = tmp_path / "log.csv"
+        write_csv(log, path)
+
+        class Killed(Exception):
+            pass
+
+        class KilledAfterThreeChunks(CsvSource):
+            def open_chunks(self, *, start_chunk=0):
+                chunks = super().open_chunks(start_chunk=start_chunk)
+                for index, chunk in enumerate(chunks):
+                    if index == 3:
+                        raise Killed
+                    yield chunk
+
+        with pytest.raises(Killed):
+            repro.clean(
+                KilledAfterThreeChunks(path, chunk_records=100),
+                execution="streaming",
+                checkpoint_dir=tmp_path / "ck",
+            )
+        with pytest.raises(CheckpointError, match="different source"):
+            repro.clean(
+                CsvSource(path, chunk_records=200),
+                execution="streaming",
+                checkpoint_dir=tmp_path / "ck",
+                resume=True,
+            )
+        resumed = repro.clean(
+            CsvSource(path, chunk_records=100),
+            execution="streaming",
+            checkpoint_dir=tmp_path / "ck",
+            resume=True,
+        )
+        reference = repro.clean(log, execution="streaming")
+        assert resumed.clean_log.records() == reference.clean_log.records()
+
     def test_jsonl_source_checkpoint_resume(self, workload, tmp_path):
         path = tmp_path / "log.jsonl"
         write_jsonl(workload, path)
-        execution = ExecutionConfig(mode="streaming", source_chunk_records=120)
+        source = JsonlSource(path, chunk_records=120)
         base = repro.clean(workload, execution="streaming")
         run = repro.clean(
-            str(path), execution=execution, checkpoint_dir=tmp_path / "ck"
+            source, execution="streaming", checkpoint_dir=tmp_path / "ck"
         )
         resumed = repro.clean(
-            str(path),
-            execution=execution,
+            source,
+            execution="streaming",
             checkpoint_dir=tmp_path / "ck",
             resume=True,
         )

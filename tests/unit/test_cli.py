@@ -433,6 +433,11 @@ class TestParser:
             main(["clean", str(generated_csv), "--parallel", *flags])
         assert excinfo.value.code == 2
 
+    def test_removed_parse_cache_size_flag_exits_2(self, generated_csv):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["clean", str(generated_csv), "--parse-cache-size", "10"])
+        assert excinfo.value.code == 2
+
     def test_missing_command_exits(self):
         with pytest.raises(SystemExit):
             main([])

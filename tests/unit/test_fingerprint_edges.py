@@ -49,7 +49,7 @@ def cached_parse(cache: TemplateCache, rec: LogRecord) -> ParsedQuery:
 
 def serving(cache: TemplateCache, seeded: bool) -> TemplateCache:
     """The warmed ``cache`` itself, or — as a parallel worker receives
-    it — a fresh cache revived from its pool seed."""
+    it — a fresh cache revived from the seed in its shard payload."""
     if seeded:
         return TemplateCache.from_seed(cache.export_seed())
     return cache
@@ -82,7 +82,7 @@ class TestDelimiterKeys:
     @pytest.mark.parametrize("sql", FORMS)
     def test_cached_equals_uncached_per_form(self, sql, seeded):
         """Warm each form's own key, then fetch a constant variant (from
-        the warm cache or from its pool seed): the cached instantiation
+        the warm cache or from its exported seed): the cached instantiation
         must equal a fresh full parse, and its clause texts must render
         the same bytes."""
         cache = TemplateCache()
@@ -180,7 +180,7 @@ class TestNumberEdges:
     @pytest.mark.parametrize("seeded", [False, True])
     def test_accepted_edges_round_trip_through_cache(self, sql, seeded):
         """Shapes both sides accept: the cached instantiation of a
-        sibling constant — from the warm cache or from its pool seed —
+        sibling constant — from the warm cache or from its exported seed —
         must be byte-equal to its fresh parse."""
         assert fingerprint_statement(sql) is not None
         cache = TemplateCache()

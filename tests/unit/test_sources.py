@@ -101,6 +101,18 @@ class TestFileSources:
             handle.write("99,99.0,ux,,,,SELECT 1\n")
         assert CsvSource(paths["csv"]).fingerprint() != before
 
+    def test_fingerprint_changes_with_chunk_size(self, on_disk):
+        # a checkpoint counts finished chunks, so the chunk size is part
+        # of what a resume must match
+        log, paths = on_disk
+        for make in (
+            lambda size: InMemorySource(log, chunk_records=size),
+            lambda size: CsvSource(paths["csv"], chunk_records=size),
+            lambda size: JsonlSource(paths["jsonl"], chunk_records=size),
+        ):
+            assert make(4).fingerprint() == make(4).fingerprint()
+            assert make(4).fingerprint() != make(5).fingerprint()
+
     def test_quarantine_channel_plumbs_through(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text(

@@ -10,6 +10,7 @@ plus a Hypothesis property tying fingerprint equality to template
 identity.
 """
 
+import dataclasses
 import pickle
 
 import hypothesis.strategies as st
@@ -22,7 +23,7 @@ from repro.patterns.models import ParsedQuery
 from repro.pipeline.config import ExecutionConfig
 from repro.pipeline.framework import parse_log
 from repro.skeleton import build_template
-from repro.skeleton.cache import TemplateCache
+from repro.skeleton.cache import DEFAULT_PARSE_CACHE_SIZE, TemplateCache
 from repro.sqlparser import SqlError, parse
 from repro.sqlparser.scanner import fingerprint_statement
 
@@ -457,14 +458,34 @@ class TestCachedParseLogDifferential:
 
 
 class TestExecutionConfigKnobs:
-    def test_parse_cache_size_validated(self):
-        with pytest.raises(ValueError, match="parse_cache_size"):
-            ExecutionConfig(parse_cache_size=0)
-
     def test_defaults(self):
         execution = ExecutionConfig()
         assert execution.parse_cache is True
-        assert execution.parse_cache_size == 4096
+        assert DEFAULT_PARSE_CACHE_SIZE == 4096
+        assert TemplateCache().max_entries == DEFAULT_PARSE_CACHE_SIZE
+
+    def test_five_knobs(self):
+        assert [field.name for field in dataclasses.fields(ExecutionConfig)] == [
+            "mode",
+            "workers",
+            "max_block_queries",
+            "task_timeout",
+            "parse_cache",
+        ]
+
+    @pytest.mark.parametrize(
+        "knob",
+        [
+            {"max_shard_retries": 0},
+            {"retry_backoff": 0.0},
+            {"source_chunk_records": 100},
+            {"parse_cache_size": 65536},
+        ],
+        ids=lambda knob: next(iter(knob)),
+    )
+    def test_removed_knobs_are_rejected(self, knob):
+        with pytest.raises(TypeError):
+            ExecutionConfig(**knob)
 
 
 numbers = st.integers(min_value=0, max_value=10**9)

@@ -25,7 +25,6 @@ from repro.pipeline.parallel import (
     WorkerPool,
     discard_worker_pool,
     get_worker_pool,
-    set_worker_seed,
     shard_records,
     shutdown_worker_pools,
 )
@@ -131,18 +130,6 @@ class TestCacheSeed:
             assert warm.fetch(rec) is not None
         assert warm.misses == 0
 
-    def test_from_seed_trims_to_smaller_capacity(self):
-        cache = _seeded_cache(
-            [
-                record(i, f"SELECT c{i} FROM t{i} WHERE a = {i}")
-                for i in range(6)
-            ]
-        )
-        assert len(cache) == 6
-        warm = TemplateCache.from_seed(cache.export_seed(), max_entries=2)
-        assert len(warm) <= 2
-        assert warm.key_entries <= 2
-
     def test_from_seed_rejects_garbage(self):
         import pickle
 
@@ -158,7 +145,6 @@ class TestCacheSeed:
 def pool_registry():
     shutdown_worker_pools()
     yield
-    set_worker_seed(None)
     shutdown_worker_pools()
 
 
@@ -272,8 +258,38 @@ class TestDataPlaneAccounting:
 # Seeded pools, end to end
 
 
+def _store(records, path):
+    from repro.store.columnar import write_columnar
+
+    write_columnar(records, path, chunk_records=40)
+    return str(path)
+
+
+def _varied_records(count=160):
+    """Statements whose skeletons depend on ``fold_variables``."""
+    return [
+        record(
+            i,
+            f"SELECT name FROM Employee WHERE empId = @e{i % 3}"
+            if i % 2
+            else f"SELECT name FROM Employee WHERE empId = {i % 9}",
+            user=f"user{i % 8}",
+        )
+        for i in range(count)
+    ]
+
+
 class TestSeededPoolEndToEnd:
-    def test_seeded_workers_start_their_parse_cache_warm(self, pool_registry):
+    def test_set_worker_seed_is_gone(self):
+        import repro.pipeline
+
+        assert not hasattr(repro.pipeline, "set_worker_seed")
+        with pytest.raises(ImportError):
+            from repro.pipeline import set_worker_seed  # noqa: F401
+
+    def test_seeded_workers_start_their_parse_cache_warm(
+        self, pool_registry, tmp_path
+    ):
         records = [
             record(
                 i,
@@ -290,47 +306,89 @@ class TestSeededPoolEndToEnd:
         assert cold.parallel_stats.shard_count >= 2
         assert cold.parallel_stats.stats.parse_cache_misses > 0
 
-        set_worker_seed(_seeded_cache(records))
-        warm = repro.clean(log, PipelineConfig(), execution=execution)
+        # Fresh workers: a store run ships the seed its witnesses warmed.
+        shutdown_worker_pools()
+        warm = repro.clean(
+            _store(records, tmp_path / "log.columnar"),
+            PipelineConfig(),
+            execution=execution,
+        )
         pstats = warm.parallel_stats.stats
+        assert pstats.parse_dict_preloaded > 0
         assert pstats.parse_cache_misses == 0
         assert pstats.parse_cache_hits > 0
         # seeding is a pure speed knob: the output is byte-identical
         assert warm.clean_log == cold.clean_log
         assert warm.metrics.comparable() == cold.metrics.comparable()
 
-    def test_mismatched_seed_knobs_are_ignored(self, pool_registry):
-        records = sample_records(count=120, users=8)
-        log = QueryLog(records)
-        # the seed declares fold_variables=True; the run uses defaults —
-        # workers must fall back to a cold cache, not serve stale skeletons
-        set_worker_seed(_seeded_cache(records), fold_variables=True)
+    def test_mismatched_seed_knobs_are_ignored(self, pool_registry, tmp_path):
+        records = _varied_records()
+        execution = ExecutionConfig(mode="parallel", workers=2)
+        # The store run seeds the workers under fold_variables=True; the
+        # next run uses defaults on the same pool — workers must fall
+        # back to a cold cache, not serve stale skeletons.
+        seeded = repro.clean(
+            _store(records, tmp_path / "log.columnar"),
+            PipelineConfig(fold_variables=True),
+            execution=execution,
+        )
+        assert seeded.parallel_stats.stats.parse_dict_preloaded > 0
         result = repro.clean(
-            log,
-            PipelineConfig(),
-            execution=ExecutionConfig(mode="parallel", workers=2),
+            QueryLog(records), PipelineConfig(), execution=execution
         )
         assert result.parallel_stats.shard_count >= 2
         assert result.parallel_stats.stats.parse_cache_misses > 0
         assert result.metrics.conservation_violations() == []
 
-    def test_store_runs_share_one_pool(self, pool_registry, tmp_path):
-        from repro.store.columnar import write_columnar
-
-        records = sample_records(count=160, users=8)
-        store = tmp_path / "log.columnar"
-        write_columnar(records, store, chunk_records=40)
+    def test_fold_variables_store_run_then_default_run_equal_batch(
+        self, pool_registry, tmp_path
+    ):
+        records = _varied_records()
+        store = _store(records, tmp_path / "log.columnar")
         execution = ExecutionConfig(mode="parallel", workers=2)
-        # Every store run seeds the pool from the store's witnesses; an
-        # identical seed keeps the warm pool instead of forking anew.
-        first = repro.clean(str(store), PipelineConfig(), execution=execution)
+        runs = [
+            (store, PipelineConfig(fold_variables=True)),
+            (store, PipelineConfig()),
+            (QueryLog(records), PipelineConfig(fold_variables=True)),
+            (QueryLog(records), PipelineConfig()),
+        ]
+        for log, config in runs:
+            batch = repro.clean(QueryLog(records), config)
+            result = repro.clean(log, config, execution=execution)
+            assert result.parallel_stats.shard_count >= 2
+            assert result.clean_log == batch.clean_log
+            assert result.metrics.comparable() == batch.metrics.comparable()
+            assert result.metrics.conservation_violations() == []
+        assert get_worker_pool(2).generation == 1
+
+    def test_store_runs_share_one_pool(self, pool_registry, tmp_path):
+        records = sample_records(count=160, users=8)
+        execution = ExecutionConfig(mode="parallel", workers=2)
+        # Each store run ships its own seed in the shard payloads; a
+        # different store (a different seed) keeps the warm pool too.
+        first = repro.clean(
+            _store(records, tmp_path / "a.columnar"),
+            PipelineConfig(),
+            execution=execution,
+        )
         assert first.parallel_stats.shard_count >= 2
         pool = get_worker_pool(2)
-        second = repro.clean(str(store), PipelineConfig(), execution=execution)
+        other = _varied_records()
+        second = repro.clean(
+            _store(other, tmp_path / "b.columnar"),
+            PipelineConfig(),
+            execution=execution,
+        )
+        assert second.parallel_stats.shard_count >= 2
+        assert second.parallel_stats.stats.parse_dict_preloaded > 0
+        again = repro.clean(
+            _store(records, tmp_path / "a.columnar"),
+            PipelineConfig(),
+            execution=execution,
+        )
         assert get_worker_pool(2) is pool
+        assert pool.alive
         assert pool.generation == 1
-        assert second.clean_log == first.clean_log
-        # A different seed still retires the pools spawned under the old.
-        set_worker_seed(_seeded_cache(records[:5]))
-        assert get_worker_pool(2) is not pool
-        assert not pool.alive
+        assert again.clean_log == first.clean_log
+        assert first.clean_log == repro.clean(QueryLog(records)).clean_log
+        assert second.clean_log == repro.clean(QueryLog(other)).clean_log
