@@ -23,10 +23,9 @@ from ..skeleton import (
 )
 from ..skeleton.features import (
     Predicate,
-    count_predicates,
     null_comparison_predicates,
     output_columns,
-    single_equality_filter,
+    predicate_facts,
 )
 from ..sqlparser import ast_nodes as ast
 
@@ -110,19 +109,51 @@ class ParsedQuery:
             fold_variables=fold_variables,
             strict_triple=strict_triple,
         )
-        template_id = template_fingerprint(template)
-        return cls(
+        return cls.assemble(
+            record,
+            statement,
+            select,
+            template,
+            template_fingerprint(template),
+            build_clause_texts(statement),
+            interner,
+        )
+
+    @classmethod
+    def assemble(
+        cls,
+        record: LogRecord,
+        statement: ast.Statement,
+        select: ast.SelectStatement,
+        template: QueryTemplate,
+        template_id: str,
+        clauses: ClauseTexts,
+        interner: Optional[TemplateInterner],
+    ) -> "ParsedQuery":
+        """Build a freshly parsed query around its template and clauses.
+
+        The one constructor of both cold paths, cacheless
+        (:meth:`from_statement`) and cached
+        (:meth:`repro.skeleton.cache.TemplateCache.build`): one
+        :func:`~repro.skeleton.features.predicate_facts` pass gives CP,
+        the equality filter and the NULL-comparison count, which seeds
+        :meth:`null_predicate_count`'s memo.
+        """
+        predicate_count, equality_filter, nulls = predicate_facts(select)
+        query = cls(
             record=record,
             statement=statement,
             select=select,
             template=template,
             template_id=template_id,
-            clauses=build_clause_texts(statement),
-            predicate_count=count_predicates(select),
-            equality_filter=single_equality_filter(select),
+            clauses=clauses,
+            predicate_count=predicate_count,
+            equality_filter=equality_filter,
             outputs=frozenset(output_columns(select)),
             interned_id=-1 if interner is None else interner.intern(template_id),
         )
+        query.__dict__["_null_predicates"] = nulls
+        return query
 
 
 @dataclass(frozen=True)

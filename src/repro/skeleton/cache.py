@@ -78,13 +78,7 @@ from ..sqlparser.scanner import (
     StatementFingerprint,
     scan,
 )
-from .features import (
-    Predicate,
-    count_predicates,
-    null_comparison_predicates,
-    output_columns,
-    single_equality_filter,
-)
+from .features import Predicate, single_equality_filter
 from .fingerprint import template_fingerprint
 from .template import ClauseTexts, QueryTemplate, _clause_strings
 
@@ -761,7 +755,7 @@ def _entry_from_markers(
         fingerprint.constants,
         splices,
         _equality_binding(proto),
-        len(null_comparison_predicates(proto.select)),
+        proto.null_predicate_count(),
         tuple(map(int, tops)),
     )
 
@@ -788,10 +782,22 @@ _TOP_COUNT = re.compile("TOP \x00(\\d+)\x01")
 # full scanner pass.  The guards mirror the scanner's punt conditions —
 # no literal is stripped where the hand lexer would merge it into a
 # word (``abc1``) or reject it (``1abc``).
+#
+# The pattern opens with the character class of every literal's first
+# character, so ``re`` compiles a charset prefix and skips the offsets
+# that cannot start a literal in C; a leading lookbehind would give it
+# no prefix, and it would enter the full matcher at every offset.  The
+# branches then tell the literal kinds apart by looking back at that
+# first character, and a number's "not after a word character" guard
+# is the width-2 lookbehind over the character before it.  At every
+# offset this matches exactly what the plain three-branch alternation
+# (string, digits, dot-digits) would.
 _RAW_LITERAL = re.compile(
-    r"'(?:[^']|'')*'"
-    r"|(?<![0-9A-Za-z_\#\$])(?:[0-9]+(?:\.(?!\.)[0-9]*)?|\.[0-9]+)"
-    r"(?:[eE][+-]?[0-9]+)?(?![A-Za-z0-9_\#\$])"
+    r"(['.0-9]"
+    r"(?:(?<=')(?:[^']|'')*'"
+    r"|(?<![0-9A-Za-z_\#\$].)"
+    r"(?:(?<=[0-9])[0-9]*(?:\.(?!\.)[0-9]*)?|(?<=\.)[0-9]+)"
+    r"(?:[eE][+-]?[0-9]+)?(?![A-Za-z0-9_\#\$])))"
 )
 
 #: ``(raw_key, spans, constants)`` for one statement text, or ``None``
@@ -808,30 +814,28 @@ def _raw_scan(text: str) -> Optional[RawTemplate]:
     constants come back already in the scanner's ``(kind, value)``
     format — same unquoting, same ``''`` collapse — so a verified raw
     key can feed :meth:`_Entry.bind` directly.
+
+    The capturing split alternates the text between literals with the
+    literals themselves; each literal is swapped for its placeholder in
+    place, and the spans follow from the running part lengths.
     """
     if _FP_UNSAFE.search(text):
         return None
+    parts = _RAW_LITERAL.split(text)
     spans: List[Tuple[int, int]] = []
     constants: List[Tuple[str, str]] = []
-    parts: List[str] = []
-    append = parts.append
-    last = 0
-    for m in _RAW_LITERAL.finditer(text):
-        start, end = m.span()
-        token = text[start:end]
+    start = len(parts[0])
+    for index in range(1, len(parts), 2):
+        token = parts[index]
+        end = start + len(token)
+        spans.append((start, end))
         if token[0] == "'":
             constants.append(("string", token[1:-1].replace("''", "'")))
-            append(text[last:start])
-            append(_FP_STRING)
+            parts[index] = _FP_STRING
         else:
             constants.append(("number", token))
-            append(text[last:start])
-            append(_FP_NUMBER)
-        spans.append((start, end))
-        last = end
-    if not spans:
-        return (text, (), constants)
-    append(text[last:])
+            parts[index] = _FP_NUMBER
+        start = end + len(parts[index + 1])
     return ("".join(parts), tuple(spans), constants)
 
 
@@ -1053,24 +1057,18 @@ class TemplateCache:
             rendered = [
                 _render_constant(kind, value) for kind, value in marker.consts
             ]
-            template_id = template_fingerprint(template)
-            proto = ParsedQuery(
-                record=record,
-                statement=statement,
-                select=statement,
-                template=template,
-                template_id=template_id,
-                clauses=ClauseTexts(
+            proto = ParsedQuery.assemble(
+                record,
+                statement,
+                statement,
+                template,
+                template_fingerprint(template),
+                ClauseTexts(
                     sc=_render_splice(splices[0], rendered),
                     fc=_render_splice(splices[1], rendered),
                     wc=_render_splice(splices[2], rendered),
                 ),
-                predicate_count=count_predicates(statement),
-                equality_filter=single_equality_filter(statement),
-                outputs=frozenset(output_columns(statement)),
-                interned_id=(
-                    -1 if interner is None else interner.intern(template_id)
-                ),
+                interner,
             )
         self._remember_exact(sql, proto)
         if fingerprint is not None:

@@ -18,7 +18,7 @@ schema and therefore takes a ``key_columns`` set provided by the caller
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Sequence, Set
+from typing import Iterator, List, Optional, Sequence, Set, Tuple
 
 from ..sqlparser import ast_nodes as ast
 
@@ -132,11 +132,6 @@ def iter_predicates(where: Optional[ast.Expression]) -> Iterator[Predicate]:
             yield Predicate(THETA_OTHER, None, None, node)
 
 
-def count_predicates(statement: ast.SelectStatement) -> int:
-    """CP of Definition 11: number of leaf predicates in the WHERE clause."""
-    return sum(1 for _ in iter_predicates(statement.where))
-
-
 def predicates_of(statement: ast.SelectStatement) -> List[Predicate]:
     """All leaf predicates of the statement's WHERE clause."""
     return list(iter_predicates(statement.where))
@@ -148,7 +143,10 @@ def single_equality_filter(
     """Return the predicate iff the statement filters by exactly one
     equality comparison of a column against a constant — the Stifle /
     CTH-follow-up shape (CP=1, θ='equality')."""
-    predicates = predicates_of(statement)
+    return _single_equality(predicates_of(statement))
+
+
+def _single_equality(predicates: List[Predicate]) -> Optional[Predicate]:
     if len(predicates) != 1:
         return None
     predicate = predicates[0]
@@ -157,6 +155,19 @@ def single_equality_filter(
     if predicate.value is None:
         return None
     return predicate
+
+
+def predicate_facts(
+    statement: ast.SelectStatement,
+) -> Tuple[int, Optional[Predicate], int]:
+    """CP of Definition 11 (the number of leaf predicates in the WHERE
+    clause), the single equality filter and the number of ``= NULL`` /
+    ``<> NULL`` predicates, from one predicate pass: what a freshly
+    parsed query carries (:func:`single_equality_filter` and
+    :func:`null_comparison_predicates` each take their own pass)."""
+    predicates = predicates_of(statement)
+    nulls = sum(1 for predicate in predicates if predicate.compares_null)
+    return len(predicates), _single_equality(predicates), nulls
 
 
 def output_columns(statement: ast.SelectStatement) -> Set[str]:

@@ -171,8 +171,12 @@ def decode_sql(template: str, constants: Sequence[str]) -> str:
 #   vector reproduced that row's own split.
 #
 # The scan regex tests character classes only and has no bounded
-# repetition, so two constants of one shape look alike to it in a fixed
-# context: the one verified row vouches for every row of its
+# repetition.  Its lookbehinds read only the character before a literal
+# and the literal's own first character.  The character before is a
+# template byte or the last character of the constant before it, and
+# each of the three shapes fixes the class of a constant's first and
+# last characters.  So two constants of one shape look alike to it in
+# a fixed context: the one verified row vouches for every row of its
 # ``(template, shape vector)`` pair.
 
 #: The three constant shapes; ``lastindex`` names the shape and group 3

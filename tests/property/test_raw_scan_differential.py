@@ -1,0 +1,161 @@
+"""Differential tests: the charset-first raw scan vs its frozen original.
+
+:func:`repro.skeleton.cache._raw_scan` is the raw-template tier's
+per-record kernel and the columnar store's template codec.  Its pattern
+was restated to open with the character class of a literal's first
+character (so ``re`` can skip non-candidate offsets in C), and the scan
+itself moved from ``finditer`` to a capturing ``split``.  Both are only
+safe if the function is *bit-for-bit* the old one: same raw key, same
+spans, same constants, same refusal of control bytes.
+
+The reference is the scan of rev ``484718b``, exec'd straight out of
+git history so it cannot drift along with the code under test.  It is
+checked against the live scan
+
+* on every text of the E29 bench inputs — the seed-2018-shaped
+  SkyServer log and the long-tail log — for two seeds,
+* on Hypothesis strings over the literal grammar's edge pieces, and
+* through the store: a log written with :func:`write_columnar` under
+  the frozen scan and under the live one gives identical files.
+"""
+
+from __future__ import annotations
+
+import importlib.util
+import re
+import subprocess
+import sys
+from pathlib import Path
+from typing import List, Optional, Tuple
+
+import hypothesis.strategies as st
+import pytest
+from hypothesis import example, given, settings
+
+from repro.skeleton import cache
+from repro.store import columnar, write_columnar
+
+REPO_ROOT = Path(__file__).resolve().parents[2]
+
+#: The last commit whose ``_raw_scan`` opens its pattern with a
+#: lookbehind and walks ``finditer``.
+FROZEN_REV = "484718b"
+
+_frozen_cache = {}
+
+
+def frozen_raw_scan():
+    """The frozen ``_raw_scan``, exec'd from git history with its
+    pattern; the placeholder bytes and the control-byte refusal are the
+    scanner's, unchanged since."""
+    if "scan" not in _frozen_cache:
+        try:
+            source = subprocess.run(
+                ["git", "show", f"{FROZEN_REV}:src/repro/skeleton/cache.py"],
+                cwd=REPO_ROOT,
+                capture_output=True,
+                text=True,
+                check=True,
+            ).stdout
+        except (OSError, subprocess.CalledProcessError):
+            pytest.skip(
+                f"git history for {FROZEN_REV} unavailable (shallow clone?); "
+                "the live raw scan is still pinned by test_template_cache.py"
+            )
+        start = source.index("_RAW_LITERAL = re.compile(")
+        end = source.index("#: What the parse loop caches")
+        namespace = {
+            "re": re,
+            "List": List,
+            "Optional": Optional,
+            "Tuple": Tuple,
+            "_FP_NUMBER": cache._FP_NUMBER,
+            "_FP_STRING": cache._FP_STRING,
+            "_FP_UNSAFE": cache._FP_UNSAFE,
+        }
+        exec(compile(source[start:end], "frozen_raw_scan.py", "exec"), namespace)
+        _frozen_cache["scan"] = namespace["_raw_scan"]
+    return _frozen_cache["scan"]
+
+
+def e29_workloads():
+    """``e29_ledger/workloads.py``, the one definition of the bench inputs."""
+    if "workloads" not in _frozen_cache:
+        path = REPO_ROOT / "e29_ledger" / "workloads.py"
+        if not path.exists():
+            pytest.skip("e29_ledger/workloads.py not in this checkout")
+        spec = importlib.util.spec_from_file_location("e29_workloads", path)
+        module = importlib.util.module_from_spec(spec)
+        # Registered before it runs: its dataclasses look their module up.
+        sys.modules[spec.name] = module
+        spec.loader.exec_module(module)
+        _frozen_cache["workloads"] = module
+    return _frozen_cache["workloads"]
+
+
+def bench_texts(seed: int) -> List[str]:
+    """Every statement text of the seed's seed-2018-shaped and long-tail
+    logs at the E29 bench size."""
+    workloads = e29_workloads()
+    sky = workloads.build_log(
+        workloads.WORKLOADS["seed2018-batch"],
+        seed,
+        workloads.WORKLOADS["seed2018-batch"].size("bench"),
+    )
+    tail = workloads.build_log(
+        workloads.WORKLOADS["longtail-batch"],
+        seed,
+        workloads.WORKLOADS["longtail-batch"].size("bench"),
+    )
+    return [record.sql for record in sky] + [record.sql for record in tail]
+
+
+@pytest.mark.parametrize("seed", [2018, 7])
+def test_bench_texts_scan_as_before(seed):
+    frozen = frozen_raw_scan()
+    texts = bench_texts(seed)
+    mismatches = [text for text in texts if cache._raw_scan(text) != frozen(text)]
+    assert mismatches == []
+    assert len(texts) > 60_000
+
+
+#: The literal grammar's edge pieces: quotes and escaped quotes, dots,
+#: leading-dot and trailing-dot numbers, exponents with and without
+#: digits, numbers glued to words and to ``#``/``$``, a newline (which
+#: the lookbehind's ``.`` does not match) and control bytes.
+PIECES = [
+    "'", "''", ".", "..", ".5", "1.e5", "1e+", "a.5", "abc1", "1abc",
+    "#1", "$1", "\n", "\x00", "\x03", "\x04", "\x1f",
+    " ", "1", "e", "E7", "-", "x", "_", "é", "١",
+]
+
+
+@settings(max_examples=2000)
+@given(st.lists(st.sampled_from(PIECES), max_size=16).map("".join))
+@example("SELECT 1.e5, a.5, .5e3 FROM t WHERE b = 'it''s'")
+@example("1")
+@example(".5")
+@example("'")
+@example("x'a'''")
+@example("\n1\n.5")
+@example("a\x00 1")
+def test_edge_strings_scan_as_before(text):
+    assert cache._raw_scan(text) == frozen_raw_scan()(text)
+
+
+def _store_files(path: Path) -> dict:
+    return {child.name: child.read_bytes() for child in sorted(path.iterdir())}
+
+
+def test_stores_are_byte_identical(tmp_path, monkeypatch):
+    workloads = e29_workloads()
+    smoke = workloads.WORKLOADS["seed2018-batch"].size("smoke")
+    log = workloads.build_log(workloads.WORKLOADS["seed2018-batch"], 2018, smoke)
+    frozen = frozen_raw_scan()
+    write_columnar(log, tmp_path / "live", chunk_records=2048)
+    monkeypatch.setattr(columnar, "_raw_scan", frozen)
+    write_columnar(log, tmp_path / "frozen", chunk_records=2048)
+    live_files = _store_files(tmp_path / "live")
+    frozen_files = _store_files(tmp_path / "frozen")
+    assert {"manifest.json", "templates.bin", "chunk-00000.bin"} <= set(live_files)
+    assert live_files == frozen_files

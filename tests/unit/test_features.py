@@ -9,11 +9,11 @@ from repro.skeleton.features import (
     THETA_IS_NULL,
     THETA_LIKE,
     THETA_RANGE,
-    count_predicates,
     filter_columns,
     is_key_filter,
     null_comparison_predicates,
     output_columns,
+    predicate_facts,
     predicates_of,
     referenced_tables,
     single_equality_filter,
@@ -23,7 +23,7 @@ from repro.sqlparser import parse_select
 
 class TestPredicateCensus:
     def test_no_where_means_zero_predicates(self):
-        assert count_predicates(parse_select("SELECT a FROM t")) == 0
+        assert predicate_facts(parse_select("SELECT a FROM t"))[0] == 0
 
     def test_single_equality(self):
         predicates = predicates_of(parse_select("SELECT a FROM t WHERE id = 5"))
@@ -37,16 +37,12 @@ class TestPredicateCensus:
         assert predicate.column.name == "id"
 
     def test_conjunction_counts_both(self):
-        assert (
-            count_predicates(parse_select("SELECT a FROM t WHERE a = 1 AND b > 2"))
-            == 2
-        )
+        statement = parse_select("SELECT a FROM t WHERE a = 1 AND b > 2")
+        assert predicate_facts(statement)[0] == 2
 
     def test_disjunction_counts_both(self):
-        assert (
-            count_predicates(parse_select("SELECT a FROM t WHERE a = 1 OR b = 2"))
-            == 2
-        )
+        statement = parse_select("SELECT a FROM t WHERE a = 1 OR b = 2")
+        assert predicate_facts(statement)[0] == 2
 
     def test_not_descends(self):
         predicate = predicates_of(
@@ -165,6 +161,28 @@ class TestNullComparisons:
     def test_range_against_null_not_snc(self):
         assert not null_comparison_predicates(
             parse_select("SELECT * FROM bugs WHERE assigned_to > NULL")
+        )
+
+
+
+class TestPredicateFacts:
+    @pytest.mark.parametrize(
+        "sql",
+        [
+            "SELECT a FROM t",
+            "SELECT a FROM t WHERE id = 5",
+            "SELECT a FROM t WHERE id = NULL",
+            "SELECT a FROM t WHERE a <> NULL AND NOT (b = NULL OR c = 'x')",
+            "SELECT a FROM t WHERE a = 1 AND b IN (1, 2) AND c IS NULL",
+            "SELECT a FROM t WHERE x.id = y.id",
+        ],
+    )
+    def test_one_pass_equals_the_separate_censuses(self, sql):
+        statement = parse_select(sql)
+        assert predicate_facts(statement) == (
+            len(predicates_of(statement)),
+            single_equality_filter(statement),
+            len(null_comparison_predicates(statement)),
         )
 
 

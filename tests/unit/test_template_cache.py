@@ -398,6 +398,29 @@ class TestRawScanAudit:
         assert fingerprint_statement(text) is None
         assert _raw_scan(text) is not None  # the regex alone can't know
 
+    def test_pattern_opens_with_the_literal_charset(self):
+        # ``re`` searches a pattern's first-character charset in C only
+        # when the pattern opens with a character class; an edit that
+        # puts a lookbehind or a branch first keeps every result and
+        # silently loses that speed.
+        try:
+            from re import _parser as sre_parse
+        except ImportError:  # Python 3.9/3.10
+            import sre_parse
+        from repro.skeleton.cache import _RAW_LITERAL
+
+        op, av = sre_parse.parse(_RAW_LITERAL.pattern)[0]
+        while op is sre_parse.SUBPATTERN:
+            op, av = av[-1][0]
+        assert op is sre_parse.IN
+        assert sorted(av) == sorted(
+            [
+                (sre_parse.LITERAL, ord("'")),
+                (sre_parse.LITERAL, ord(".")),
+                (sre_parse.RANGE, (ord("0"), ord("9"))),
+            ]
+        )
+
 
 STATEMENTS = [
     "SELECT a, b FROM t WHERE a = 0 AND b >= 3",
