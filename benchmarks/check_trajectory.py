@@ -123,8 +123,8 @@ def check_parse_v3(report):
             f"only {warm['preloaded']} of {warm['parseable']} parseable "
             "store witnesses preloaded"
         )
-    if warm["cold_store"] != warm["cold_in_ram"] - warm["interned"]:
-        yield "store run's cold count is not cold_in_ram − interned"
+    if warm["cold_store"] != warm["cold_in_ram"] - warm["raw_verified"]:
+        yield "store run's cold count is not cold_in_ram − raw_verified"
     if not warm["identical_to_in_ram"]:
         yield "store-warmed run's clean log differs from the in-RAM run's"
     for run in report["clean_runs"]:

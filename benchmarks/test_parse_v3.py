@@ -17,8 +17,8 @@ as a columnar store and cleaned from the store, whose ``templates.bin``
 carries one first-seen witness statement per store template and warms
 the run's parse cache.  Every parseable witness must be admitted (some
 witnesses are non-SELECT statements or lexer errors), and the store
-run's cold builds must be the in-RAM run's minus the L2 entries the
-preload interned.  The five executor configurations then clean the
+run's cold builds must be the in-RAM run's minus the raw keys the
+preload verified.  The five executor configurations then clean the
 store against a cacheless in-RAM batch reference, asserting
 byte-identical clean logs, equal comparable ledgers and zero
 conservation violations — the witnesses may only ever change speed.
@@ -67,8 +67,8 @@ REPO_ROOT = Path(__file__).resolve().parents[1]
 LEGACY_REV = "90f9fda"
 
 #: Distinct-template statement families: the ``{i}`` identifiers make
-#: every statement a fresh fingerprint key, so none can ride the L2 or
-#: raw-template fast paths — each one pays the whole cold path.
+#: every statement a fresh fingerprint key, so none can ride the
+#: raw-template fast path — each one pays the whole cold path.
 SHAPES = (
     "SELECT objid, ra_{i}, dec FROM photoprimary_{i} "
     "WHERE ra BETWEEN {a} AND {b} AND dec > {c}",
@@ -262,7 +262,7 @@ def test_parse_v3(bench_config, tmp_path):
     write_columnar(log, store)
     witnesses = ColumnarSource(store).template_witnesses()
     assert witnesses, "the store carries no template witnesses"
-    # The L2 entries a preload of these witnesses interns, in a cache
+    # The raw keys a preload of these witnesses verifies, in a cache
     # like the run's own.
     probe = TemplateCache()
     probe.preload(
@@ -280,7 +280,7 @@ def test_parse_v3(bench_config, tmp_path):
         "witnesses": len(witnesses),
         "parseable": sum(1 for sql in witnesses if _parses(sql)),
         "preloaded": warm["parse_dict_preloaded"],
-        "interned": probe.key_entries,
+        "raw_verified": probe.raw_entries,
         "cold_in_ram": cold_first,
         "cold_store": warm["parse_cold"],
         "identical_to_in_ram": second.clean_log.records()
@@ -375,9 +375,10 @@ def test_parse_v3(bench_config, tmp_path):
         f"{warm['preloaded']} of {warm['parseable']} parseable store "
         "witnesses preloaded (bar: every one)"
     )
-    # Every L2 entry the preload interned avoids exactly one cold build,
-    # and the warmed run's output is unchanged.
-    assert warm["cold_store"] == warm["cold_in_ram"] - warm["interned"]
+    # Every raw key the preload verified avoids exactly one cold build
+    # (sign and whitespace variants of one fingerprint key each have a
+    # raw key of their own), and the warmed run's output is unchanged.
+    assert warm["cold_store"] == warm["cold_in_ram"] - warm["raw_verified"]
     assert warm["identical_to_in_ram"]
     assert all(run["identical_to_reference"] for run in runs)
     assert all(run["metrics_match_reference"] for run in runs)

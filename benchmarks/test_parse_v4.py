@@ -86,8 +86,8 @@ V3_MODULES = (
 )
 
 #: Distinct-template statement families: the ``{i}`` identifiers make
-#: every statement a fresh fingerprint key, so none can ride the L2 or
-#: raw-template fast paths — each one pays the whole cold path.
+#: every statement a fresh fingerprint key, so none can ride the
+#: raw-template fast path — each one pays the whole cold path.
 SHAPES = (
     "SELECT objid, ra_{i}, dec FROM photoprimary_{i} "
     "WHERE ra BETWEEN {a} AND {b} AND dec > {c}",

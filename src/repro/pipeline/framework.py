@@ -499,7 +499,7 @@ def parse_log(
     the splice and the AST until a downstream consumer actually touches
     them; the count of lazy emissions is booked as ``parse_lazy_hits``
     (with ``parse_eager`` its complement — cold-built prototypes and
-    their exact-text repeats — so ``parse_lazy_hits + parse_eager ==
+    the text memo's repeats — so ``parse_lazy_hits + parse_eager ==
     records_out`` is a ledger law).
 
     Every statement that reaches the full parser is booked as

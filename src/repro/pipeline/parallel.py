@@ -82,7 +82,6 @@ fault, and is re-raised immediately without retrying.
 from __future__ import annotations
 
 import atexit
-import multiprocessing
 import time
 import zlib
 from concurrent import futures
@@ -438,11 +437,10 @@ class WorkerPool:
     rebuild actually happened.
     """
 
-    def __init__(self, workers: int, *, mp_context=None) -> None:
+    def __init__(self, workers: int) -> None:
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
         self.workers = workers
-        self._mp_context = mp_context or multiprocessing.get_context()
         self._executor: Optional[futures.ProcessPoolExecutor] = None
         #: executors provisioned over this pool's lifetime.
         self.generation = 0
@@ -451,9 +449,7 @@ class WorkerPool:
     def executor(self) -> futures.ProcessPoolExecutor:
         """The live executor, provisioning one if needed."""
         if self._executor is None:
-            self._executor = futures.ProcessPoolExecutor(
-                max_workers=self.workers, mp_context=self._mp_context
-            )
+            self._executor = futures.ProcessPoolExecutor(max_workers=self.workers)
             self.generation += 1
         return self._executor
 

@@ -383,7 +383,7 @@ class StreamingCleaner:
                 self.stats.parse_materialised,
             ],
             # Witness texts of the interned templates, so a resume
-            # starts with the warm L2 the dead run had earned.
+            # starts with the warm cache the dead run had earned.
             "template_dict_witnesses": (
                 self._parse_cache.dict_witnesses()
                 if self._parse_cache is not None

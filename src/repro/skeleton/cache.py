@@ -4,38 +4,42 @@ SkyServer-style logs are dominated by machine-generated statements that
 repeat a small set of templates with different constants (the premise of
 the paper's Section 3).  The full parse path re-derives the same
 skeleton, template and clause features thousands of times; this module
-short-circuits that with three bounded LRU tiers, probed in order by
-:meth:`TemplateCache.fetch`:
+short-circuits that with two disjoint bounded LRU memos, probed in
+order by :meth:`TemplateCache.fetch`:
 
-* **L1 (exact text)** — statement text → prototype
-  :class:`~repro.patterns.models.ParsedQuery` *or* a cached parse
-  failure.  A hit costs one dict probe plus a record rebind.  Failures
-  live only here: parser error messages carry line/column positions
-  that depend on the exact whitespace, so they are never shared across
-  texts.
+* **Text memo** — statement text → a cached parse failure, or the
+  prototype :class:`~repro.patterns.models.ParsedQuery` of a text the
+  raw memo cannot serve (no raw key, or an unsafe one: every ``UNION``,
+  a literal inside a comment or a bracketed identifier).  A hit costs
+  one dict probe plus a record rebind.  Failures live only here: parser
+  error messages carry line/column positions that depend on the exact
+  whitespace, so they are never shared across texts.
 * **Raw-template memo** — constant-stripped raw text → a
-  *witness-verified* L2 entry.  Workloads like SkyServer's collapse to
-  a few dozen raw templates, so once a template's first member has paid
-  for a full fingerprint scan, later members skip the scanner entirely:
-  a single cheap regex pass strips the literals and one dict probe
-  binds them to the interned entry.  Admission is per raw key and only
-  happens when the regex strip provably reproduced the scanner — the
-  witness's literal spans must equal the scanner's token spans
-  position for position (see :func:`_raw_scan`); anything else marks
-  the raw key unsafe and members keep taking the scanner path.
-* **L2 (fingerprint key)** — canonical-token-stream key from
-  :func:`~repro.sqlparser.scanner.scan` → an interned :class:`_Entry`
-  holding the prototype and precomputed *splice templates* of its
-  clause texts.  L2 is where an entry's safety is verified, and it
-  serves every member whose raw key is unsafe.
+  *witness-verified* interned :class:`_Entry` holding the prototype and
+  precomputed *splice templates* of its clause texts.  Workloads like
+  SkyServer's collapse to a few dozen raw templates, so once a
+  template's first member has paid for a cold build, later members —
+  exact repeats included — skip the scanner entirely: a single cheap
+  regex pass strips the literals and one dict probe binds them to the
+  entry.  Admission is per raw key and only happens when the regex
+  strip provably reproduced the scanner — the witness's literal spans
+  must equal the scanner's token spans position for position (see
+  :func:`_raw_scan`); anything else marks the raw key unsafe, and its
+  texts go to the text memo instead.
 
-A raw-memo or L2 hit emits a :class:`LazyParsedQuery` carrying only the
+Entries are interned by the scanner's *fingerprint key*
+(:func:`~repro.sqlparser.scanner.scan`), which is where an entry's
+safety is verified; the key is consulted only when :meth:`build`
+admits an entry, so raw keys that differ only in sign or whitespace
+share one entry.
+
+A raw-memo hit emits a :class:`LazyParsedQuery` carrying only the
 interned skeleton and the member's constant vector; the AST, clause
 texts and equality filter materialise on first access.  Mining,
 registry and detection run on the shared skeleton fields, so a typical
 run never builds most members' ASTs at all.  A miss goes through
 :meth:`TemplateCache.build`, the one-shot cold path that parses the
-statement and admits its entry.
+statement and admits its outcome into one of the two memos.
 
 Correctness rests on one invariant and one escape hatch:
 
@@ -49,10 +53,11 @@ Correctness rests on one invariant and one escape hatch:
   accepts string-literal aliases.  Instead of enumerating those cases,
   :func:`_entry_from_markers` *verifies* at entry-build time that the
   constants the prototype actually rendered equal the scanner's
-  constant vector, in order.  Any mismatch marks the key **unsafe**:
-  every statement with that key permanently takes the full parse path
-  (so does every ``UNION``, which has no marker rendering).  Ambiguity
-  can therefore only ever cost speed, never correctness.
+  constant vector, in order.  Any mismatch marks the key **unsafe**,
+  and with it every raw key that maps to it: each new text with such a
+  key takes the full parse path (so does every ``UNION``, which has no
+  marker rendering).  Ambiguity can therefore only ever cost speed,
+  never correctness.
 """
 
 from __future__ import annotations
@@ -74,7 +79,6 @@ from ..sqlparser.scanner import (
     _FP_NUMBER,
     _FP_STRING,
     _FP_UNSAFE,
-    Scan,
     StatementFingerprint,
     scan,
 )
@@ -434,7 +438,7 @@ _EQ_MATERIALISE = "materialise"
 class LazyParsedQuery(ParsedQuery):
     """A skeleton-only :class:`ParsedQuery` bound to an interned entry.
 
-    Emitted by the cache on a raw-memo or L2 hit: only the fields the
+    Emitted by the cache on a raw-memo hit: only the fields the
     post-parse stages actually touch (record, template, template id,
     predicate count, outputs, interned id) are populated eagerly — the
     AST (``statement`` / ``select``), the clause texts and the equality
@@ -617,9 +621,7 @@ class _Entry:
     (:attr:`nulls`).
     """
 
-    __slots__ = (
-        "proto", "constants", "splices", "eq", "nulls", "unsigned", "shared", "plan"
-    )
+    __slots__ = ("proto", "constants", "splices", "eq", "nulls", "shared", "plan")
 
     def __init__(
         self,
@@ -628,15 +630,12 @@ class _Entry:
         splices: Tuple[_Splice, _Splice, _Splice],
         eq: Optional[tuple],
         nulls: int,
-        unsigned: Tuple[int, ...] = (),
     ) -> None:
         self.proto = proto
         self.constants = constants
         self.splices = splices
         self.eq = eq
         self.nulls = nulls
-        #: Constant indexes of literal TOP counts (see :meth:`admits`).
-        self.unsigned = unsigned
         self.shared = {
             "template": proto.template,
             "template_id": proto.template_id,
@@ -659,25 +658,16 @@ class _Entry:
         object.__setattr__(query, "__dict__", state)
         return query
 
-    def admits(self, constants: Tuple[Tuple[str, str], ...]) -> bool:
-        """Whether a member parses like the prototype: the scanner folds
-        a minus after ``TOP`` into the count, which the parser refuses."""
-        for index in self.unsigned:
-            if constants[index][1][0] == "-":
-                return False
-        return True
-
     def __getstate__(self):
-        return (
-            self.proto, self.constants, self.splices, self.eq, self.nulls, self.unsigned
-        )
+        return (self.proto, self.constants, self.splices, self.eq, self.nulls)
 
     def __setstate__(self, state):
         self.__init__(*state)
 
 
 class _UnsafeMarker:
-    """Permanent full-parse marker for an ambiguous fingerprint key."""
+    """Permanent full-parse marker for an ambiguous fingerprint or raw
+    key."""
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return "<unsafe fingerprint key>"
@@ -731,7 +721,6 @@ def _entry_from_markers(
     fingerprint: StatementFingerprint,
     splices: Tuple[_Splice, _Splice, _Splice],
     marker: _MarkerFormatter,
-    tops: Iterable[str],
 ) -> Optional[_Entry]:
     """Intern ``proto`` for its fingerprint key, or ``None`` if unsafe.
 
@@ -745,8 +734,7 @@ def _entry_from_markers(
     *and* that render order — which the splice slots encode — is token
     order, value for value.  Two
     identical constants transposed would pass, and splice identical
-    bytes either way.  ``tops`` are the marker indexes of literal
-    ``TOP`` counts (see :meth:`_Entry.admits`).
+    bytes either way.
     """
     if tuple(marker.consts) != fingerprint.constants:
         return None
@@ -756,13 +744,7 @@ def _entry_from_markers(
         splices,
         _equality_binding(proto),
         proto.null_predicate_count(),
-        tuple(map(int, tops)),
     )
-
-
-#: A literal ``TOP`` count in a marker rendering: the formatter spells
-#: the keyword only there, and a constant marker only at a literal.
-_TOP_COUNT = re.compile("TOP \x00(\\d+)\x01")
 
 
 # ----------------------------------------------------------------------
@@ -778,10 +760,10 @@ _TOP_COUNT = re.compile("TOP \x00(\\d+)\x01")
 # in for the scan.  A literal the regex sees but the scanner does not
 # (inside a comment or a bracketed identifier), or vice versa (a folded
 # ``- -5``, an ``a.5`` member access), shifts or changes the spans and
-# the raw key is marked unsafe: its members simply keep paying for the
-# full scanner pass.  The guards mirror the scanner's punt conditions —
-# no literal is stripped where the hand lexer would merge it into a
-# word (``abc1``) or reject it (``1abc``).
+# the raw key is marked unsafe: each new member pays for a full parse,
+# and its text is memoised by itself.  The guards mirror the scanner's
+# punt conditions — no literal is stripped where the hand lexer would
+# merge it into a word (``abc1``) or reject it (``1abc``).
 #
 # The pattern opens with the character class of every literal's first
 # character, so ``re`` compiles a charset prefix and skips the offsets
@@ -845,14 +827,18 @@ CacheResult = Union[ParsedQuery, Tuple[BaseException, str]]
 
 
 class TemplateCache:
-    """Bounded three-tier LRU for the parse fast path.
+    """Bounded two-memo LRU for the parse fast path.
 
-    One instance serves one executor run (batch), one cleaner instance
-    (streaming) or one worker shard (parallel) — instances are picklable
-    so prewarmed caches can cross process boundaries, but they are never
-    shared concurrently.
+    The raw-template memo serves every success it can verify; the text
+    memo keeps only what the raw memo cannot serve (failures, and
+    prototypes whose raw key is missing or unsafe).  One instance serves
+    one executor run (batch), one cleaner instance (streaming) or one
+    worker shard (parallel) — instances are picklable so prewarmed
+    caches can cross process boundaries, but they are never shared
+    concurrently.
 
-    :param max_entries: LRU bound applied to each level independently.
+    :param max_entries: LRU bound applied to each memo (and to the
+        interned fingerprint keys) independently.
     """
 
     def __init__(self, max_entries: int = DEFAULT_PARSE_CACHE_SIZE) -> None:
@@ -865,23 +851,16 @@ class TemplateCache:
         self.misses = 0
         self.evictions = 0
         self._lazy_stats = _LazyStats()
-        self._exact: "OrderedDict[str, CacheResult]" = OrderedDict()
+        #: statement text → a failure, or the eager prototype of a text
+        #: whose raw key is ``None`` or unsafe.
+        self._text: "OrderedDict[str, CacheResult]" = OrderedDict()
+        #: fingerprint key → interned _Entry, or _UNSAFE; read only when
+        #: :meth:`build` admits an entry.
         self._by_key: "OrderedDict[str, object]" = OrderedDict()
         #: raw template key → (entry, fold indexes) once witness-verified,
         #: or _UNSAFE when the regex strip provably disagrees with the
         #: scanner for this raw key.
         self._by_raw: "OrderedDict[str, object]" = OrderedDict()
-        #: (sql, fingerprint, raw, scan) remembered from the last miss so
-        #: that the build() that follows does not rescan the text (the
-        #: scan carries the token stream the parser consumes).
-        self._pending: Optional[
-            Tuple[
-                str,
-                Optional[StatementFingerprint],
-                Optional[RawTemplate],
-                Scan,
-            ]
-        ] = None
 
     @property
     def materialised(self) -> int:
@@ -893,12 +872,18 @@ class TemplateCache:
         return self._lazy_stats.materialised
 
     def __len__(self) -> int:
-        return len(self._exact)
+        """Number of texts in the text memo."""
+        return len(self._text)
 
     @property
     def key_entries(self) -> int:
-        """Number of interned fingerprint-key entries (L2)."""
+        """Number of interned fingerprint keys (safe or unsafe)."""
         return len(self._by_key)
+
+    @property
+    def raw_entries(self) -> int:
+        """Number of witness-verified raw keys in the raw memo."""
+        return sum(1 for memo in self._by_raw.values() if type(memo) is tuple)
 
     def fetch(self, record) -> Optional[CacheResult]:
         """Return the cached parse outcome for ``record``, or ``None``.
@@ -910,70 +895,58 @@ class TemplateCache:
         failure if that raises).
         """
         sql = record.sql
-        exact = self._exact
-        cached = exact.get(sql)
+        text = self._text
+        cached = text.get(sql)
         if cached is not None:
-            exact.move_to_end(sql)
+            text.move_to_end(sql)
             self.hits += 1
             if type(cached) is tuple:
                 return cached
             return rebind_query(cached, record, cached.interned_id)
         raw = _raw_scan(sql)
         if raw is not None:
-            memo = self._by_raw.get(raw[0])
-            if type(memo) is tuple:
-                # Verified raw template: the regex strip stands in for
-                # the scanner.  No L1 promotion — this path is already
-                # one probe, and distinct-text workloads would only
-                # churn the exact level.
-                self._by_raw.move_to_end(raw[0])
-                entry, folds = memo
-                constants = raw[2]
-                for index in folds:
-                    constants[index] = ("number", "-" + constants[index][1])
-                self.hits += 1
-                return entry.bind(record, tuple(constants), self._lazy_stats)
-        scanned = scan(sql)
-        fingerprint = scanned.fingerprint
-        if fingerprint is not None:
-            entry = self._by_key.get(fingerprint.key)
-            if type(entry) is _Entry and entry.admits(fingerprint.constants):
-                self._by_key.move_to_end(fingerprint.key)
-                result = entry.bind(
-                    record, fingerprint.constants, self._lazy_stats
-                )
-                self.hits += 1
-                self._admit_raw(raw, fingerprint, entry)
-                # Promote into L1 so an exact repeat skips the scanner.
-                self._remember_exact(sql, result)
-                return result
+            hit = self._bind_raw(record, raw[0], raw[2])
+            if hit is not None:
+                return hit
         self.misses += 1
-        self._pending = (sql, fingerprint, raw, scanned)
         return None
 
     def fetch_raw(
         self, record, raw_key: str, constants: List[Tuple[str, str]]
     ) -> Optional[CacheResult]:
         """:meth:`fetch` for a record whose :func:`_raw_scan` is known
-        (:meth:`repro.store.columnar.StoredSplits.raw_split`): a text L1
-        does not hold binds to the raw memo's verified entry unscanned;
-        anything else is an ordinary :meth:`fetch`."""
-        if record.sql not in self._exact:
-            memo = self._by_raw.get(raw_key)
-            if type(memo) is tuple:
-                self._by_raw.move_to_end(raw_key)
-                entry, folds = memo
-                for index in folds:
-                    constants[index] = ("number", "-" + constants[index][1])
-                self.hits += 1
-                return entry.bind(record, tuple(constants), self._lazy_stats)
+        (:meth:`repro.store.columnar.StoredSplits.raw_split`): a text the
+        text memo does not hold binds to the raw memo's verified entry
+        unscanned; anything else is an ordinary :meth:`fetch`."""
+        if record.sql not in self._text:
+            hit = self._bind_raw(record, raw_key, constants)
+            if hit is not None:
+                return hit
         return self.fetch(record)
+
+    def _bind_raw(
+        self, record, raw_key: str, constants: List[Tuple[str, str]]
+    ) -> Optional[LazyParsedQuery]:
+        """Bind ``record`` to the verified entry of ``raw_key``, replaying
+        the unary minus folds into ``constants``; ``None`` when the raw
+        memo holds no verified entry for the key."""
+        by_raw = self._by_raw
+        memo = by_raw.get(raw_key)
+        if type(memo) is not tuple:
+            return None
+        by_raw.move_to_end(raw_key)
+        entry, folds = memo
+        for index in folds:
+            constants[index] = ("number", "-" + constants[index][1])
+        self.hits += 1
+        return entry.bind(record, tuple(constants), self._lazy_stats)
 
     def store(self, sql: str, failure: Tuple[BaseException, str]) -> None:
         """Record the ``(error, reason)`` failure of a :meth:`build` that
-        raised.  Failures stay L1-only: their messages carry text-specific
-        line/column positions, so they are never shared across texts."""
-        self._remember_exact(sql, failure)
+        raised.  Failures stay in the text memo: their messages carry
+        text-specific line/column positions, so they are never shared
+        across texts."""
+        self._remember_text(sql, failure)
 
     def build(
         self,
@@ -985,30 +958,26 @@ class TemplateCache:
     ) -> ParsedQuery:
         """Full-parse ``record`` after a :meth:`fetch` miss — in one shot.
 
-        Parse engine v3's cold path.  The scanner pass the miss already
-        paid for feeds the parser directly (no second tokenization), and
-        one case-normalising marker rendering of the raw parse tree
-        (:class:`_MarkerFormatter`) yields the template, the clause
-        texts and the interned splice :class:`_Entry` together — the
-        legacy parse-then-re-derive path case-normalised the tree three
-        times and formatted it four.  On success the prototype is
-        admitted into L1, and its entry into L2 and the raw memo.
+        Parse engine v3's cold path.  One scanner pass feeds the parser
+        (no second tokenization), and one case-normalising marker
+        rendering of the raw parse tree (:class:`_MarkerFormatter`)
+        yields the template, the clause texts and the interned splice
+        :class:`_Entry` together — the legacy parse-then-re-derive path
+        case-normalised the tree three times and formatted it four.  On
+        success the entry is interned under its fingerprint key and the
+        text's raw key is witness-verified against it; a text whose raw
+        key is then not verified (none, or unsafe) is admitted into the
+        text memo instead.
 
         Failures (:class:`~repro.sqlparser.errors.SqlError` subclasses,
         ``RecursionError``) propagate to the caller, which records them
         with :meth:`store`.
         """
         sql = record.sql
-        pending = self._pending
-        self._pending = None
-        if pending is not None and pending[0] == sql:
-            _, fingerprint, raw, scanned = pending
-        else:
-            scanned = scan(sql)
-            fingerprint = scanned.fingerprint
-            raw = _raw_scan(sql)
+        scanned = scan(sql)
         if scanned.error is not None:
             raise scanned.error
+        fingerprint = scanned.fingerprint
         statement = Parser(scanned.tokens).parse_statement()
         marker = None
         if fingerprint is None or isinstance(statement, ast.Union):
@@ -1018,7 +987,7 @@ class TemplateCache:
             # folds a full statement rendering into its suffix, which
             # isn't worth a marker variant for how rarely unions appear.
             # Both derive exactly as the cacheless path does; a UNION's
-            # key is pinned unsafe below (exact-text L1 only).
+            # key is pinned unsafe below (text memo only).
             proto = ParsedQuery.from_statement(
                 record,
                 statement,
@@ -1053,7 +1022,6 @@ class TemplateCache:
                 _make_splice(marker.splice_text(mfc)),
                 _make_splice(marker.splice_text(mwc)),
             )
-            tops = _TOP_COUNT.findall(" ".join((mprefix, msc, mfc, mwc, msuffix)))
             rendered = [
                 _render_constant(kind, value) for kind, value in marker.consts
             ]
@@ -1070,21 +1038,21 @@ class TemplateCache:
                 ),
                 interner,
             )
-        self._remember_exact(sql, proto)
+        memo: object = _UNSAFE
         if fingerprint is not None:
             by_key = self._by_key
             entry = by_key.get(fingerprint.key)
             if entry is None:
                 if marker is not None:
-                    entry = _entry_from_markers(
-                        proto, fingerprint, splices, marker, tops
-                    )
+                    entry = _entry_from_markers(proto, fingerprint, splices, marker)
                 entry = _UNSAFE if entry is None else entry
                 by_key[fingerprint.key] = entry
                 if len(by_key) > self.max_entries:
                     by_key.popitem(last=False)
                     self.evictions += 1
-            self._admit_raw(raw, fingerprint, entry)
+            memo = self._admit_raw(_raw_scan(sql), fingerprint, entry)
+        if type(memo) is not tuple:
+            self._remember_text(sql, proto)
         return proto
 
     def _admit_raw(
@@ -1092,24 +1060,27 @@ class TemplateCache:
         raw: Optional[RawTemplate],
         fingerprint: StatementFingerprint,
         entry: object,
-    ) -> None:
-        """Witness-verify ``raw`` against the scanner and memoise it.
+    ) -> object:
+        """Witness-verify ``raw`` against the scanner, memoise the
+        verdict and return the raw key's memo (``_UNSAFE`` for no key).
 
         Admission requires the regex strip and the scanner to have seen
         exactly the same literals at exactly the same source positions;
         the only tolerated difference is a unary minus the scanner
         folded into a number's *value* (its span stays the literal
         alone), which is recorded as a fold index and replayed on every
-        later bind.  Any other disagreement — or an unsafe L2 entry —
-        pins the raw key to the full scanner path.
+        later bind.  Any other disagreement — or an unsafe entry — pins
+        the raw key to the full parse path.  A raw key keeps its first
+        verdict.
         """
         if raw is None:
-            return
+            return _UNSAFE
         raw_key, spans, constants = raw
         by_raw = self._by_raw
-        if raw_key in by_raw:
-            return
-        memo: object = _UNSAFE
+        memo = by_raw.get(raw_key)
+        if memo is not None:
+            return memo
+        memo = _UNSAFE
         if type(entry) is _Entry and spans == fingerprint.spans:
             folds: List[int] = []
             for index, (pair, scanned) in enumerate(
@@ -1131,13 +1102,14 @@ class TemplateCache:
         by_raw[raw_key] = memo
         if len(by_raw) > self.max_entries:
             by_raw.popitem(last=False)
+        return memo
 
-    def _remember_exact(self, sql: str, result: CacheResult) -> None:
-        exact = self._exact
-        exact[sql] = result
-        exact.move_to_end(sql)
-        if len(exact) > self.max_entries:
-            exact.popitem(last=False)
+    def _remember_text(self, sql: str, result: CacheResult) -> None:
+        text = self._text
+        text[sql] = result
+        text.move_to_end(sql)
+        if len(text) > self.max_entries:
+            text.popitem(last=False)
             self.evictions += 1
 
     # ------------------------------------------------------------------
@@ -1152,7 +1124,7 @@ class TemplateCache:
     # adversarial dictionary can only cost speed, never output.
 
     def dict_witnesses(self) -> List[str]:
-        """One witness statement text per interned L2 entry."""
+        """One witness statement text per interned entry."""
         return [
             entry.proto.record.sql
             for entry in self._by_key.values()
@@ -1166,41 +1138,30 @@ class TemplateCache:
         fold_variables: bool = False,
         strict_triple: bool = False,
     ) -> int:
-        """Warm L1/L2/raw by re-parsing ``witnesses`` through the cold path.
+        """Warm both memos by re-parsing ``witnesses`` through the cold path.
 
         Returns the number of witnesses admitted.  Unparsable witnesses
         (a dictionary from another corpus, say) are skipped.  Counter
         neutral: hit/miss/eviction totals are restored afterwards, so
         the pipeline's conservation laws only ever see real traffic.
 
-        Parse engine v4 batches the pass instead of replaying the
-        per-witness fetch/build protocol.  Each witness goes straight
-        into the single-lex :meth:`build` — the fetch probe ladder
-        (L1 → raw memo → L2) exists to *avoid* a cold build, but a
-        dictionary is one witness per template, so every probe would
-        miss anyway; an exact-text membership check covers the only
-        realistic duplicate.  Shared setup is hoisted once per batch:
-        the counter snapshot, the bound build method, and a gc
-        suspension — a preload is pure bulk allocation into long-lived
-        caches, and generational collection passes over the growing
-        heap are wasted work until the batch completes.  Admissions are
-        byte-identical to the per-witness flow: :meth:`build` performs
-        the same scan, raw strip, parse and L1/L2/raw admissions a
-        fetch-miss-then-build would.
+        Each witness goes straight into :meth:`build`, which makes the
+        same admissions a fetch-miss-then-build would: a dictionary is
+        one witness per template, so a fetch probe would only ever miss.
+        Shared setup is hoisted once per batch: the counter snapshot,
+        the bound build method, and a gc suspension — a preload is pure
+        bulk allocation into long-lived caches, and generational
+        collection passes over the growing heap are wasted work until
+        the batch completes.
         """
         hits, misses, evictions = self.hits, self.misses, self.evictions
         build = self.build
-        exact = self._exact
         gc_was_enabled = gc.isenabled()
         if gc_was_enabled:
             gc.disable()
         loaded = 0
         try:
             for index, sql in enumerate(witnesses):
-                if sql in exact:
-                    exact.move_to_end(sql)
-                    loaded += 1
-                    continue
                 try:
                     build(
                         LogRecord(seq=-1 - index, sql=sql, timestamp=0.0),
@@ -1220,27 +1181,21 @@ class TemplateCache:
     # Pre-seeding (warm worker pools)
 
     def export_seed(self) -> bytes:
-        """Snapshot the cache's interned entries as a portable seed.
+        """Snapshot the cache's memos as a portable seed.
 
         The seed is a pickled copy of this cache with its counters
-        zeroed and its pending-miss state cleared — a parallel run ships
-        it to its pool workers inside every shard payload
-        (:mod:`repro.pipeline.parallel`), so their first shard already
-        hits on every template this cache has interned.  The caller
-        owns the correctness contract documented on
+        zeroed — a parallel run ships it to its pool workers inside
+        every shard payload (:mod:`repro.pipeline.parallel`), so their
+        first shard already hits on every template this cache has
+        interned.  Neither memo holds a lazy query, so the copy shares
+        no materialisation counter with this cache.  The caller owns
+        the correctness contract documented on
         :func:`~repro.pipeline.framework.parse_log`: a seed must only
         ever warm caches serving the same ``(fold_variables,
         strict_triple)`` parse knobs it was built under.
         """
         clone = TemplateCache(self.max_entries)
-        # Lazy L1 values hold this cache's materialisation counter; a
-        # seeded cache must count its own, so they stay behind (the
-        # interned L2 entry regenerates them on the first key hit).
-        clone._exact = OrderedDict(
-            (sql, value)
-            for sql, value in self._exact.items()
-            if type(value) is not LazyParsedQuery
-        )
+        clone._text = OrderedDict(self._text)
         clone._by_key = OrderedDict(self._by_key)
         clone._by_raw = OrderedDict(self._by_raw)
         return pickle.dumps(clone, protocol=pickle.HIGHEST_PROTOCOL)
@@ -1259,5 +1214,4 @@ class TemplateCache:
         cache.misses = 0
         cache.evictions = 0
         cache._lazy_stats = _LazyStats()
-        cache._pending = None
         return cache

@@ -44,7 +44,7 @@ executor cuts its shard buffers straight from the rows, because
 
 **Native bind.**  :func:`read_chunk` returns a :class:`StoreChunk`:
 the chunk's records, whose texts are still spliced (the record, the
-parse cache's L1 probe, dedup and the output all need them), carrying
+parse cache's text-memo probe, dedup and the output all need them), carrying
 the rows' stored splits (:class:`StoredSplits`).  The streaming executor
 takes them per chunk and the parse cache binds a row to its raw key's
 verified entry without re-scanning its text

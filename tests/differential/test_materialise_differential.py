@@ -139,7 +139,7 @@ def _string(draw):
 _SLOT_DRAWS = {
     "n": _number,
     # The parser takes only an unsigned count after TOP; a signed one
-    # shares its fingerprint key and must be refused by the entry.
+    # shares its fingerprint key but not its raw key, and must fail.
     "t": lambda draw: draw(st.sampled_from(["0", "3", "10", "-3", "- 10"])),
     "s": _string,
     "c": lambda draw: (_number if draw(st.booleans()) else _string)(draw),

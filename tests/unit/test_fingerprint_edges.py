@@ -4,7 +4,7 @@ Three families, each pinning a scanner/lexer agreement the template
 cache's fast path depends on:
 
 * **Delimited identifiers** — ``[objid]``, ``"objid"`` and ``objid``
-  parse to the same AST today, but they must *not* share an L2
+  parse to the same AST today, but they must *not* share a
   fingerprint key: a splice renders the prototype's text, so folding
   the three forms onto one key would emit one form's delimiter bytes
   for another form's statement.  The fix keeps the opening delimiter in
@@ -56,7 +56,7 @@ def serving(cache: TemplateCache, seeded: bool) -> TemplateCache:
 
 
 class TestDelimiterKeys:
-    """The headline regression: delimiter kind is part of the L2 key."""
+    """The headline regression: delimiter kind is part of the fingerprint key."""
 
     FORMS = (
         "SELECT objid FROM PhotoObj WHERE ra = 1",

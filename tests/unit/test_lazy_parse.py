@@ -1,6 +1,6 @@
 """Unit tests of the lazy parse fast path (Parse engine v2).
 
-A :class:`TemplateCache` answers raw-memo and L2 fingerprint hits with
+A :class:`TemplateCache` answers raw-memo hits with
 :class:`LazyParsedQuery` objects that carry only the record, the
 interned skeleton facts and the constant vector; SQL text, AST and
 clause features bind on first access.  These tests pin the binding
@@ -49,10 +49,10 @@ def lazy_hit():
 
 
 class TestLazyBinding:
-    def test_l2_hit_is_lazy_l1_promotion_stays_lazy(self, lazy_hit):
+    def test_raw_memo_repeat_stays_lazy(self, lazy_hit):
         cache, _, query = lazy_hit
-        # The exact text was promoted to L1; a repeat must come back
-        # lazy too (rebound to its record, not re-spliced).
+        # An exact repeat binds through the raw memo again: lazy, bound
+        # to its own record, nothing materialised.
         again = cache.fetch(record(2, SQL_B))
         assert type(again) is LazyParsedQuery
         assert again.record.seq == 2
@@ -166,7 +166,7 @@ def assert_materialises_from_derived_plan(query, rec):
     process materialises a member, then built and used."""
     entry = query.__dict__["_entry"]
     assert entry.__getstate__() == (
-        entry.proto, entry.constants, entry.splices, entry.eq, entry.nulls, entry.unsigned
+        entry.proto, entry.constants, entry.splices, entry.eq, entry.nulls
     )
     assert entry.plan is None
     statement = query.statement

@@ -118,9 +118,12 @@ class TestTemplateCacheMechanics:
         for rec in records(statements):
             assert cache.fetch(rec) is None
             cache.build(rec)
-        assert len(cache) == 2
+        # Safe successes live in the raw memo only; the text memo holds
+        # none of them.
+        assert len(cache) == 0
         assert cache.key_entries == 2
-        assert cache.evictions >= 2  # one per level for the oldest entry
+        assert cache.raw_entries == 2
+        assert cache.evictions == 1  # the oldest fingerprint key
         # The first statement was evicted: a same-template probe misses.
         assert cache.fetch(record("SELECT a FROM t WHERE b = 9")) is None
         # The most recent one is still resident.
@@ -138,6 +141,43 @@ class TestTemplateCacheMechanics:
         assert isinstance(again, tuple)
 
 
+class TestTextMemoAdmission:
+    """The text memo keeps only what the raw memo cannot serve."""
+
+    def test_admits_failures_unions_and_unsafe_raw_keys_only(self):
+        from repro.skeleton.cache import LazyParsedQuery
+
+        cache = TemplateCache()
+        bad = record("SELECT FROM WHERE ((", seq=0)
+        assert cache.fetch(bad) is None
+        with pytest.raises(SqlError) as raised:
+            cache.build(bad)
+        cache.store(bad.sql, (raised.value, "parse_error"))
+        admitted = [
+            "SELECT a FROM t UNION ALL SELECT b FROM u WHERE c = 1",
+            "SELECT a FROM t WHERE b = 1 /* top 5 */",
+            "SELECT [a''b] FROM t WHERE x = 1",
+        ]
+        safe = "SELECT a FROM t WHERE b = 1 AND n = 'x'"
+        for seq, sql in enumerate(admitted + [safe], start=1):
+            rec = record(sql, seq=seq)
+            assert cache.fetch(rec) is None
+            cache.build(rec)
+        assert sorted(cache._text) == sorted([bad.sql] + admitted)
+        assert cache.raw_entries == 1
+
+        repeat = record(safe, seq=9)
+        hit = cache.fetch(repeat)
+        assert type(hit) is LazyParsedQuery
+        assert hit.record is repeat
+        assert hit == full_parse(repeat)
+        assert cache.materialised == 1  # the comparison built its AST
+        for seq, sql in enumerate([bad.sql] + admitted, start=10):
+            again = cache.fetch(record(sql, seq=seq))
+            assert type(again) is not LazyParsedQuery
+        assert cache.misses == 5
+
+
 class TestUnsafeFallback:
     @pytest.mark.parametrize(
         "proto_sql, member_sql",
@@ -152,7 +192,7 @@ class TestUnsafeFallback:
             ("SELECT a AS 'label' FROM t", "SELECT a AS 'other' FROM t"),
             # Double unary minus folds differently in parser vs scanner.
             ("SELECT - -5 FROM t", "SELECT - -7 FROM t"),
-            # UNION keys are never interned: exact-text L1 only.
+            # UNION keys are never interned: text memo only.
             (
                 "SELECT a FROM t UNION ALL SELECT b FROM u WHERE c = 1",
                 "SELECT a FROM t UNION ALL SELECT b FROM u WHERE c = 2",
@@ -167,7 +207,7 @@ class TestUnsafeFallback:
         member = record(member_sql, seq=1)
         assert cache.fetch(member) is None  # unsafe key → full parse
         cache.build(member)
-        # The exact texts still hit through L1, with correct rebinding.
+        # The exact texts still hit the text memo, with correct rebinding.
         repeat = record(member_sql, seq=2)
         hit = cache.fetch(repeat)
         assert hit is not None
@@ -197,7 +237,8 @@ class TestUnsafeFallback:
 class TestSignedTopCount:
     """The parser takes only an unsigned count after ``TOP``, but the
     scanner folds a minus there into the number, so ``TOP -5`` shares
-    the fingerprint key of ``TOP 5``.  The entry refuses to bind it."""
+    the fingerprint key of ``TOP 5``.  Its raw key keeps the minus, so
+    a warm cache misses and the cold path raises the parser's error."""
 
     @pytest.mark.parametrize(
         "proto_sql, member_sql",
@@ -292,7 +333,9 @@ class TestRawTemplateMemo:
         (memo,) = cache._by_raw.values()
         assert type(memo) is not tuple
         member = record("SELECT a FROM t WHERE b = 2 /* top 5 */", seq=1)
-        assert cache.fetch(member) == full_parse(member)
+        # A member of an unsafe raw key misses and takes the full parse.
+        assert cache.fetch(member) is None
+        assert cache.build(member) == full_parse(member)
 
     def test_scientific_notation_members_bind_scanner_free(self):
         # ``1.e5`` — dot immediately followed by the exponent, no
@@ -307,7 +350,7 @@ class TestRawTemplateMemo:
     def test_double_unary_minus_is_unsafe(self):
         # ``- -5``: the scanner folds the inner minus into the number's
         # value, leaving an operator-then-negative-literal sequence the
-        # splice verifier cannot round-trip — the L2 entry is unsafe, so
+        # splice verifier cannot round-trip — the entry is unsafe, so
         # the raw key must be pinned to the full path as well.
         cache = self.warmed("SELECT a FROM t WHERE b = - -5")
         (memo,) = cache._by_raw.values()
@@ -321,12 +364,13 @@ class TestRawTemplateMemo:
         # The strip regex sees ``''`` inside ``[a''b]`` as an empty
         # string literal; the scanner sees a delimited identifier and no
         # literal at all.  Spans disagree, so the raw key is pinned to
-        # the full scanner path — members still come out byte-correct.
+        # the full parse path — members still come out byte-correct.
         cache = self.warmed("SELECT [a''b] FROM t WHERE x = 1")
         (memo,) = cache._by_raw.values()
         assert type(memo) is not tuple
         member = record("SELECT [a''b] FROM t WHERE x = 2", seq=1)
-        assert cache.fetch(member) == full_parse(member)
+        assert cache.fetch(member) is None
+        assert cache.build(member) == full_parse(member)
 
     def test_raw_memo_respects_the_lru_bound(self):
         cache = TemplateCache(2)

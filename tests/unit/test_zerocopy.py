@@ -117,13 +117,20 @@ def _seeded_cache(records):
 
 class TestCacheSeed:
     def test_from_seed_restores_templates_with_zeroed_counters(self):
-        records = sample_records()
+        # Safe templates land in the raw memo; a UNION and a syntax
+        # error land in the text memo.  The seed carries both.
+        records = sample_records() + [
+            record(12, "SELECT a FROM T UNION SELECT b FROM U"),
+            record(13, "SELECT broken FROM WHERE (("),
+        ]
         cache = _seeded_cache(records)
-        assert len(cache) > 0 and cache.misses > 0
+        assert len(cache) == 2 and cache.raw_entries == 1
+        assert cache.misses > 0
 
         warm = TemplateCache.from_seed(cache.export_seed())
         assert len(warm) == len(cache)
         assert warm.key_entries == cache.key_entries
+        assert warm.raw_entries == cache.raw_entries
         assert (warm.hits, warm.misses, warm.evictions) == (0, 0, 0)
         # every statement the donor saw is a hit in the restored cache
         for rec in records:
