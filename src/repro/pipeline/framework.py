@@ -50,7 +50,12 @@ from ..patterns.models import Block, ParsedQuery
 from ..patterns.registry import PatternRegistry
 from ..patterns.sws import SwsReport, detect_sws
 from ..rewrite.solver import SolveResult, remove, solve
-from ..skeleton.cache import LazyParsedQuery, TemplateCache, rebind_query
+from ..skeleton.cache import (
+    LazyParsedQuery,
+    TemplateCache,
+    collector_paused,
+    rebind_query,
+)
 from ..skeleton.interner import TemplateInterner
 from ..sqlparser import SqlError, UnsupportedStatementError, parse
 from .config import PipelineConfig
@@ -838,23 +843,29 @@ def run_stages(
     earlier runs: the ``parse_materialised`` it books is what this run's
     stages forced, counted once they have all run (SWS and the solver
     materialise lazy queries too).
+
+    Both callers hand it a bounded log, so the chain runs under
+    :func:`~repro.skeleton.cache.collector_paused`: it builds a heap of
+    long-lived artifacts that the cyclic collector would re-traverse at
+    every 25% of growth without freeing anything.
     """
     channel = QuarantineChannel()
     interner = TemplateInterner()
     base_materialised = cache.materialised if cache is not None else 0
-    validated = validate_stage(log, config, recorder, channel)
-    dedup = dedup_stage(validated, config, recorder)
-    parse_result = parse_stage(
-        dedup.log, config, recorder, channel, cache=cache, interner=interner
-    )
-    mining = mine_stage(parse_result.queries, config, recorder)
-    antipatterns = detect_stage(mining.blocks, config, recorder)
-    pattern_registry = sws_report = None
-    if registry:
-        pattern_registry, sws_report = registry_stage(
-            mining, antipatterns, config, recorder
+    with collector_paused():
+        validated = validate_stage(log, config, recorder, channel)
+        dedup = dedup_stage(validated, config, recorder)
+        parse_result = parse_stage(
+            dedup.log, config, recorder, channel, cache=cache, interner=interner
         )
-    solve_result = solve_stage(parse_result.parsed_log, antipatterns, recorder)
+        mining = mine_stage(parse_result.queries, config, recorder)
+        antipatterns = detect_stage(mining.blocks, config, recorder)
+        pattern_registry = sws_report = None
+        if registry:
+            pattern_registry, sws_report = registry_stage(
+                mining, antipatterns, config, recorder
+            )
+        solve_result = solve_stage(parse_result.parsed_log, antipatterns, recorder)
     if cache is not None:
         recorder.count(
             "parse", "parse_materialised", cache.materialised - base_materialised

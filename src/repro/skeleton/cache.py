@@ -62,12 +62,13 @@ Correctness rests on one invariant and one escape hatch:
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import gc
 import pickle
 import re
 from collections import OrderedDict
-from typing import Callable, Iterable, List, Optional, Tuple, Union
+from typing import Callable, Iterable, Iterator, List, Optional, Tuple, Union
 
 from ..log.models import LogRecord
 from ..patterns.models import ParsedQuery
@@ -92,6 +93,33 @@ from .template import ClauseTexts, QueryTemplate, _clause_strings
 #: 2,254 evictions but only 34 of 5,210 cold builds, with no wall-time
 #: gain beyond run-to-run noise.
 DEFAULT_PARSE_CACHE_SIZE = 4096
+
+
+@contextlib.contextmanager
+def collector_paused() -> Iterator[None]:
+    """Pause CPython's cyclic garbage collector for the ``with`` body.
+
+    Bulk-building long-lived artifacts (a preloaded template dictionary;
+    a batch run's records, lazy queries, blocks and ASTs) grows the heap
+    without making garbage cycles, yet every 25% of growth triggers a
+    full-heap collection pass that frees nothing.  Reference counting
+    still frees all acyclic garbage while paused; any cycle the body
+    does make is collected once the collector runs again.  So use it
+    only around bounded work: an unbounded run (streaming) keeps the
+    collector on.
+
+    On exit, exceptions included, the caller's state is restored: a
+    collector the caller had disabled stays disabled.  This is the one
+    place the package switches the collector off.
+    """
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
+
 
 # ----------------------------------------------------------------------
 # Source-order literal traversal
@@ -849,6 +877,7 @@ class TemplateCache:
         self.max_entries = max_entries
         self.hits = 0
         self.misses = 0
+        #: LRU pops from the text memo, the raw memo and the fingerprint keys.
         self.evictions = 0
         self._lazy_stats = _LazyStats()
         #: statement text → a failure, or the eager prototype of a text
@@ -1102,6 +1131,7 @@ class TemplateCache:
         by_raw[raw_key] = memo
         if len(by_raw) > self.max_entries:
             by_raw.popitem(last=False)
+            self.evictions += 1
         return memo
 
     def _remember_text(self, sql: str, result: CacheResult) -> None:
@@ -1148,32 +1178,25 @@ class TemplateCache:
         Each witness goes straight into :meth:`build`, which makes the
         same admissions a fetch-miss-then-build would: a dictionary is
         one witness per template, so a fetch probe would only ever miss.
-        Shared setup is hoisted once per batch: the counter snapshot,
-        the bound build method, and a gc suspension — a preload is pure
-        bulk allocation into long-lived caches, and generational
-        collection passes over the growing heap are wasted work until
-        the batch completes.
+        A preload is pure bulk allocation into long-lived caches, so it
+        runs under :func:`collector_paused`.
         """
         hits, misses, evictions = self.hits, self.misses, self.evictions
         build = self.build
-        gc_was_enabled = gc.isenabled()
-        if gc_was_enabled:
-            gc.disable()
         loaded = 0
         try:
-            for index, sql in enumerate(witnesses):
-                try:
-                    build(
-                        LogRecord(seq=-1 - index, sql=sql, timestamp=0.0),
-                        fold_variables=fold_variables,
-                        strict_triple=strict_triple,
-                    )
-                except (SqlError, RecursionError):
-                    continue
-                loaded += 1
+            with collector_paused():
+                for index, sql in enumerate(witnesses):
+                    try:
+                        build(
+                            LogRecord(seq=-1 - index, sql=sql, timestamp=0.0),
+                            fold_variables=fold_variables,
+                            strict_triple=strict_triple,
+                        )
+                    except (SqlError, RecursionError):
+                        continue
+                    loaded += 1
         finally:
-            if gc_was_enabled:
-                gc.enable()
             self.hits, self.misses, self.evictions = hits, misses, evictions
         return loaded
 

@@ -123,11 +123,26 @@ class TestTemplateCacheMechanics:
         assert len(cache) == 0
         assert cache.key_entries == 2
         assert cache.raw_entries == 2
-        assert cache.evictions == 1  # the oldest fingerprint key
+        # The oldest fingerprint key and the oldest raw key.
+        assert cache.evictions == 2
         # The first statement was evicted: a same-template probe misses.
         assert cache.fetch(record("SELECT a FROM t WHERE b = 9")) is None
         # The most recent one is still resident.
         assert cache.fetch(record("SELECT e FROM v WHERE f = 9")) is not None
+
+    def test_raw_key_pop_counts_as_eviction(self):
+        # Two spacings of one template: one fingerprint key, two raw keys.
+        cache = TemplateCache(1)
+        for rec in records(
+            ["SELECT a FROM t WHERE b = 1", "SELECT a FROM t  WHERE b = 2"]
+        ):
+            assert cache.fetch(rec) is None
+            cache.build(rec)
+        assert cache.key_entries == 1
+        assert cache.raw_entries == 1
+        assert cache.evictions == 1  # the first spacing's raw key
+        assert cache.fetch(record("SELECT a FROM t WHERE b = 9")) is None
+        assert cache.fetch(record("SELECT a FROM t  WHERE b = 9")) is not None
 
     def test_failures_stay_l1_only(self):
         cache = TemplateCache()
