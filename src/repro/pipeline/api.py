@@ -141,9 +141,9 @@ def clean(
     if resume and checkpoint_dir is None:
         raise ValueError("resume=True requires checkpoint_dir")
 
-    # Resolve the input.  A plain QueryLog on the batch/in-memory paths
-    # keeps its historical treatment (no source indirection at all); a
-    # path or LogSource goes out of core.
+    # Resolve the input.  Batch and parallel take a plain QueryLog as
+    # it is, and streaming serves it in chunks; a path or LogSource goes
+    # out of core.
     is_memory_log = isinstance(log, QueryLog)
     io_channel: Optional[QuarantineChannel] = None
     source: Optional[LogSource] = None
@@ -187,25 +187,7 @@ def clean(
         if mode == "streaming":
             from ..store.checkpoint import clean_streaming_source
             from ..store.sources import InMemorySource
-            from .streaming import StreamingCleaner
 
-            if source is None and checkpoint_dir is None:
-                # The classic in-memory streaming path, untouched.
-                cleaner = StreamingCleaner(
-                    effective,
-                    recorder=active,
-                    template_witnesses=template_witnesses,
-                )
-                cleaned = cleaner.run(log)
-                return PipelineResult(
-                    config=effective,
-                    original=log,
-                    cleaned=cleaned,
-                    streaming_stats=cleaner.stats,
-                    execution_mode="streaming",
-                    metrics=metrics,
-                    quarantine=cleaner.quarantine,
-                )
             if source is None:
                 source = InMemorySource(log)
                 owned = True

@@ -13,14 +13,14 @@ parallel *by user*.  The :class:`ParallelCleaner` exploits that:
    (:class:`~repro.store.columnar.StoreRow`) come straight from the
    chunk columns, statements still split into template text and
    constants, so the parent never rebuilds a statement or a record.
-2. **Fan out** — each shard is packed into one contiguous columnar
-   buffer (:func:`repro.store.columnar.encode_shard`; a store row
-   packs to the same bytes as its record, without re-running the
-   template regex) and handed to a worker as a single pickle-5 bytes
-   object.  The parent drops a shard's input once it is encoded; a
-   shard that fails for good is recovered from its buffer for the
-   error policy.  The worker decodes it straight into the batch
-   pipeline's own stage chain
+2. **Fan out** — each shard is packed into one buffer of pickled
+   columns, each distinct string shipped once
+   (:func:`repro.store.columnar.encode_shard`; a store row packs to the
+   same bytes as its record, without re-running the raw scan), and
+   handed to a worker as a single bytes object.  The parent drops a
+   shard's input once it is encoded; a shard that fails for good is
+   recovered from its buffer for the error policy.  The worker decodes
+   it straight into the batch pipeline's own stage chain
    (:func:`~repro.pipeline.framework.run_stages`: validate → dedup →
    parse → mine → detect → solve, without the global registry), with a
    process-persistent parse cache, and reads its
@@ -407,9 +407,9 @@ def _clean_shard_encoded(
     """Worker body: clean one encoded shard buffer (the pool path).
 
     ``payload`` is ``(shard, buffer, config, seed)``, where ``buffer``
-    is the contiguous :func:`~repro.store.columnar.encode_shard`
-    encoding of the shard's records and ``seed`` the run's exported
-    parse cache (or ``None``).  The worker's persistent parse cache
+    is the :func:`~repro.store.columnar.encode_shard` encoding of the
+    shard's records and ``seed`` the run's exported parse cache (or
+    ``None``).  The worker's persistent parse cache
     serves every shard it is handed.
     """
     shard, buffer, config, seed = payload

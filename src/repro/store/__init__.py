@@ -8,7 +8,9 @@ and run checkpoints.
 * :mod:`~repro.store.columnar` — the ``repro-columnar`` on-disk format:
   a template dictionary plus zlib-compressed per-record column chunks —
   and the in-memory shard codec (:func:`encode_shard` /
-  :func:`decode_shard`) the parallel executor ships to workers.
+  :func:`decode_shard`): a shard's columns, statements split by the
+  same template codec and each distinct string shared, pickled into
+  the one buffer the parallel executor ships to a worker.
 * :mod:`~repro.store.checkpoint` — :class:`RunCheckpoint` and the
   chunked streaming driver behind ``repro.clean(source,
   checkpoint_dir=...)`` / ``--resume``.
@@ -28,7 +30,6 @@ from .columnar import (
     encode_sql,
     is_columnar_store,
     read_manifest,
-    shard_record_count,
     store_size_bytes,
     write_columnar,
 )
@@ -63,7 +64,6 @@ __all__ = [
     "decode_sql",
     "encode_shard",
     "decode_shard",
-    "shard_record_count",
     "RunCheckpoint",
     "CheckpointError",
     "clean_streaming_source",

@@ -71,10 +71,8 @@ import json
 import os
 import pickle
 import re
-import struct
 import tempfile
 import zlib
-from array import array
 from pathlib import Path
 from typing import (
     Dict,
@@ -506,6 +504,26 @@ def _template_texts(
     ]
 
 
+def _spliced_statements(
+    templates: Sequence[Optional[str]], constants: Sequence[list]
+) -> List[object]:
+    """Each row's stored statement, from its template text (``None`` for
+    a verbatim row) and constant vector; each template is split on its
+    slots once, at its first row."""
+    split: Dict[str, List[str]] = {}
+    statements: List[object] = []
+    append = statements.append
+    for template, row_constants in zip(templates, constants):
+        if template is None:
+            append(row_constants[0])
+            continue
+        parts = split.get(template)
+        if parts is None:
+            parts = split[template] = _SLOT.split(template)
+        append(_splice(parts, row_constants))
+    return statements
+
+
 class StoreRow(NamedTuple):
     """One stored record as its chunk columns hold it.
 
@@ -566,29 +584,17 @@ def read_chunk(
 ) -> StoreChunk:
     """Materialise one chunk of the store as records in file order.
 
-    Each template is split on its slots once, at its first row.  The
-    returned :class:`StoreChunk` also carries the rows' stored splits,
+    The returned :class:`StoreChunk` also carries the rows' stored splits,
     for the parse cache to bind without a raw scan.
     """
     columns = load_chunk_columns(path, index)
-    split: Dict[int, List[str]] = {}
-    statements: List[object] = []
-    append = statements.append
-    for template_id, constants in zip(
-        columns["template"], columns["constants"]
-    ):
-        if template_id == VERBATIM_TEMPLATE:
-            append(constants[0])
-            continue
-        parts = split.get(template_id)
-        if parts is None:
-            parts = split[template_id] = _SLOT.split(templates[template_id])
-        append(_splice(parts, constants))
     records = tuple(
         map(
             LogRecord,
             columns["seq"],
-            statements,
+            _spliced_statements(
+                _template_texts(columns, templates), columns["constants"]
+            ),
             columns["timestamp"],
             columns["user"],
             columns["ip"],
@@ -617,329 +623,121 @@ def store_size_bytes(path: PathLike) -> int:
 # ----------------------------------------------------------------------
 # In-memory shard codec (the parallel executor's wire format)
 #
-# Same template-dictionary idea as the on-disk store, but tuned for IPC
-# rather than persistence: one shard becomes ONE contiguous ``bytes``
-# blob of packed numeric columns and concatenated UTF-8 string sections,
-# shipped to a worker as a single pickle-5 bytes object (no per-record
-# object overhead); ``decode_shard`` reconstructs the records lazily,
-# straight into the parse fast path.  A shard is a sequence of records
-# or of store rows, and both encode to the same bytes: a row already
-# carries the template/constants split the records path computes.
-#
-# The format is process-local by design — native endianness, no
-# versioned persistence contract beyond the magic/version check — and
-# unconditionally lossless for *canonical* records (the field types
-# ``LogRecord`` documents).  A record with any off-type field (sql=None,
-# an integer sql, a non-float timestamp, an out-of-int64-range seq…)
-# cannot ride the packed columns exactly, so it travels in a pickled
-# "oddball" side list keyed by its position; such rows exist precisely
-# so poisoned logs reach the workers' validate stage unmangled.
+# Same template-dictionary idea as the on-disk store, but for IPC rather
+# than persistence: one shard becomes eight parallel columns, pickled
+# once.  Every ``str`` value of the shard goes through one shared dict,
+# so pickle's memo ships each distinct template, user, ip, session and
+# constant once and every later use as a back-reference.  Pickle keeps
+# each field's type, so a record with an off-type field (``sql=None``,
+# an integer statement, an int or NaN timestamp, rows beyond int64)
+# rides the columns unchanged: such rows exist precisely so poisoned
+# logs reach the workers' validate stage unmangled.  The buffer is
+# process-local by design — it never leaves the run's own processes and
+# is never persisted.
 
-SHARD_MAGIC = b"RSH1"
-SHARD_FORMAT_VERSION = 1
-
-#: Section count of the shard blob (fixed layout, see ``encode_shard``).
-_SHARD_SECTIONS = 20
-
-_SHARD_HEADER = struct.Struct("<4sHqq")
-
-_INT64_MIN = -(2**63)
-_INT64_MAX = 2**63 - 1
-
-
-def _fits_columns(seq, timestamp, user, ip, session, rows) -> bool:
-    """True when the non-statement fields fit the packed columns *exactly*.
-
-    Deliberately ``type(...) is`` — not ``isinstance`` — so bools,
-    ints-as-timestamps and other lossy coercions all take the pickled
-    oddball path and round-trip bit for bit.
-    """
-    return (
-        type(seq) is int
-        and _INT64_MIN <= seq <= _INT64_MAX
-        and type(timestamp) is float
-        and (user is None or type(user) is str)
-        and (ip is None or type(ip) is str)
-        and (session is None or type(session) is str)
-        and (
-            rows is None
-            or (type(rows) is int and _INT64_MIN <= rows <= _INT64_MAX)
-        )
-    )
-
-
-class _StringDictColumn:
-    """Dictionary-encoded optional-string column (user / ip / session)."""
-
-    __slots__ = ("ids", "index", "parts")
-
-    def __init__(self) -> None:
-        self.ids = array("i")
-        self.index: Dict[str, int] = {}
-        self.parts: List[bytes] = []
-
-    def add(self, value: Optional[str]) -> None:
-        if value is None:
-            self.ids.append(-1)
-            return
-        assigned = self.index.get(value)
-        if assigned is None:
-            assigned = len(self.parts)
-            self.index[value] = assigned
-            self.parts.append(value.encode("utf-8"))
-        self.ids.append(assigned)
-
-    def sections(self) -> List[bytes]:
-        offsets = array("Q", [0])
-        total = 0
-        for part in self.parts:
-            total += len(part)
-            offsets.append(total)
-        return [self.ids.tobytes(), offsets.tobytes(), b"".join(self.parts)]
-
-
-def _decode_string_dict(
-    ids_bytes: bytes, offsets_bytes: bytes, blob: bytes
-) -> Tuple[array, List[Optional[str]]]:
-    ids = array("i")
-    ids.frombytes(ids_bytes)
-    offsets = array("Q")
-    offsets.frombytes(offsets_bytes)
-    values = [
-        blob[offsets[i]:offsets[i + 1]].decode("utf-8")
-        for i in range(len(offsets) - 1)
-    ]
-    return ids, values
+#: Column count of an encoded shard: seq, timestamp, user, ip, session,
+#: rows, template text (``None`` for a verbatim row) and constant list.
+_SHARD_COLUMNS = 8
 
 
 def encode_shard(shard: Sequence[Union[LogRecord, StoreRow]]) -> bytes:
     """Pack one shard of records or store rows into a single buffer.
 
-    Layout: a fixed header (magic, version, total record count,
-    canonical record count) followed by 20 length-prefixed sections —
-    ``seq``/``timestamp``/``template-id`` int64/float64 columns, the
-    per-record constant counts plus cumulative constant offsets and one
-    concatenated constants blob, the shard-local template dictionary
-    (offsets + blob, ids in first-seen order), three
-    dictionary-encoded string columns (user/ip/session), a rows
-    presence+value pair, and the pickled oddball side list.
-    ``decode_shard`` is the exact inverse.
-
-    A :class:`StoreRow` packs to the same bytes as the record it
-    stores: its template text and constants are what
-    :func:`encode_sql` makes of that record's statement, so only a
-    record's text is split here.
+    A :class:`StoreRow` gives its stored split; a record gives what
+    :func:`encode_sql` makes of its text (memoised per text), and a
+    statement that is not text or that the raw scan refuses is stored
+    verbatim, as ``None`` plus ``[sql]``.  So a store row packs to the
+    same bytes as the record it stores.  :func:`decode_shard` is the
+    exact inverse.
     """
-    seqs = array("q")
-    timestamps = array("d")
-    template_ids = array("q")
-    constant_counts = array("I")
-    constant_offsets = array("Q", [0])
-    constant_parts: List[bytes] = []
-    constant_total = 0
-    template_index: Dict[str, int] = {}
-    template_parts: List[bytes] = []
-    users = _StringDictColumn()
-    ips = _StringDictColumn()
-    sessions = _StringDictColumn()
-    rows_flags = bytearray()
-    rows_values = array("q")
-    oddballs: List[Tuple[int, LogRecord]] = []
+    seqs: list = []
+    timestamps: list = []
+    users: list = []
+    ips: list = []
+    sessions: list = []
+    rows_column: list = []
+    templates: List[Optional[str]] = []
+    constant_lists: List[list] = []
+    # One object per distinct text, whichever field it came from; exact
+    # ``str`` only, so ``1``, ``True`` and ``1.0`` never merge.
+    shared: Dict[str, str] = {}
+    share = shared.setdefault
     # Exact-text memo: logs repeat statement texts heavily, so most
     # records skip the raw scan entirely.
-    memo: Dict[str, Tuple[Optional[str], List[str]]] = {}
+    splits: Dict[str, Tuple[Optional[str], List[str]]] = {}
 
-    for position, item in enumerate(shard):
+    for item in shard:
         if type(item) is StoreRow:
             seq, timestamp, user, ip, session, rows, template, constants = item
-            # a verbatim row's statement may not be text at all
-            if not (
-                (template is not None or type(constants[0]) is str)
-                and _fits_columns(seq, timestamp, user, ip, session, rows)
-            ):
-                oddballs.append((position, item.record()))
-                continue
         else:
             sql = item.sql
             seq, timestamp = item.seq, item.timestamp
             user, ip, session, rows = item.user, item.ip, item.session, item.rows
-            if not (
-                type(item) is LogRecord
-                and type(sql) is str
-                and _fits_columns(seq, timestamp, user, ip, session, rows)
-            ):
-                oddballs.append((position, item))
-                continue
-            split = memo.get(sql)
+            split = splits.get(sql) if type(sql) is str else None
             if split is None:
                 try:
-                    split = encode_sql(sql)
+                    split = splits[sql] = encode_sql(sql)
                 except ValueError:
                     split = (None, [sql])
-                memo[sql] = split
             template, constants = split
-        if template is None:
-            template_id = VERBATIM_TEMPLATE
-        else:
-            template_id = template_index.get(template)
-            if template_id is None:
-                template_id = len(template_parts)
-                template_index[template] = template_id
-                template_parts.append(template.encode("utf-8"))
         seqs.append(seq)
         timestamps.append(timestamp)
-        template_ids.append(template_id)
-        constant_counts.append(len(constants))
-        for constant in constants:
-            part = constant.encode("utf-8")
-            constant_total += len(part)
-            constant_offsets.append(constant_total)
-            constant_parts.append(part)
-        users.add(user)
-        ips.add(ip)
-        sessions.add(session)
-        if rows is None:
-            rows_flags.append(0)
-            rows_values.append(0)
-        else:
-            rows_flags.append(1)
-            rows_values.append(rows)
+        users.append(share(user, user) if type(user) is str else user)
+        ips.append(share(ip, ip) if type(ip) is str else ip)
+        sessions.append(
+            share(session, session) if type(session) is str else session
+        )
+        rows_column.append(rows)
+        templates.append(
+            None if template is None else share(template, template)
+        )
+        constant_lists.append(
+            [share(c, c) if type(c) is str else c for c in constants]
+        )
 
-    template_offsets = array("Q", [0])
-    template_total = 0
-    for part in template_parts:
-        template_total += len(part)
-        template_offsets.append(template_total)
-
-    sections = [
-        seqs.tobytes(),
-        timestamps.tobytes(),
-        template_ids.tobytes(),
-        constant_counts.tobytes(),
-        constant_offsets.tobytes(),
-        b"".join(constant_parts),
-        template_offsets.tobytes(),
-        b"".join(template_parts),
-        *users.sections(),
-        *ips.sections(),
-        *sessions.sections(),
-        bytes(rows_flags),
-        rows_values.tobytes(),
-        pickle.dumps(oddballs, protocol=pickle.HIGHEST_PROTOCOL),
-    ]
-    assert len(sections) == _SHARD_SECTIONS
-    header = _SHARD_HEADER.pack(
-        SHARD_MAGIC, SHARD_FORMAT_VERSION, len(shard), len(seqs)
+    columns = (
+        seqs,
+        timestamps,
+        users,
+        ips,
+        sessions,
+        rows_column,
+        templates,
+        constant_lists,
     )
-    lengths = struct.pack(
-        "<%dq" % _SHARD_SECTIONS, *(len(section) for section in sections)
-    )
-    return b"".join([header, lengths, *sections])
-
-
-def shard_record_count(buffer) -> int:
-    """Total records in an encoded shard (header peek, no decode)."""
-    view = memoryview(buffer)
-    magic, version, total, _ = _SHARD_HEADER.unpack_from(view, 0)
-    view.release()
-    if magic != SHARD_MAGIC or version != SHARD_FORMAT_VERSION:
-        raise ValueError("not an encoded shard buffer")
-    return total
+    return pickle.dumps(columns, protocol=pickle.HIGHEST_PROTOCOL)
 
 
 def decode_shard(buffer) -> Iterator[LogRecord]:
-    """Decode an :func:`encode_shard` blob back into records, lazily.
+    """Decode an :func:`encode_shard` buffer back into records, lazily.
 
     Accepts any buffer object (``bytes``, ``memoryview``).  All reads
     from the buffer happen *before* the first record is yielded, so a
     caller may drop the buffer as soon as this function returns and
     iterate at leisure.  Store rows come back as the records they store.
+    Raises ``ValueError`` when ``buffer`` is not an encoded shard.  The
+    buffer is a pickle: decode only what :func:`encode_shard` wrote in
+    this run.
     """
-    view = memoryview(buffer)
     try:
-        magic, version, total, canonical = _SHARD_HEADER.unpack_from(view, 0)
-        if magic != SHARD_MAGIC or version != SHARD_FORMAT_VERSION:
-            raise ValueError("not an encoded shard buffer")
-        offset = _SHARD_HEADER.size
-        lengths = struct.unpack_from("<%dq" % _SHARD_SECTIONS, view, offset)
-        offset += 8 * _SHARD_SECTIONS
-        sections: List[bytes] = []
-        for length in lengths:
-            sections.append(bytes(view[offset:offset + length]))
-            offset += length
-    finally:
-        view.release()
-
-    seqs = array("q")
-    seqs.frombytes(sections[0])
-    timestamps = array("d")
-    timestamps.frombytes(sections[1])
-    template_ids = array("q")
-    template_ids.frombytes(sections[2])
-    constant_counts = array("I")
-    constant_counts.frombytes(sections[3])
-    constant_offsets = array("Q")
-    constant_offsets.frombytes(sections[4])
-    constant_blob = sections[5]
-    template_offsets = array("Q")
-    template_offsets.frombytes(sections[6])
-    template_blob = sections[7]
-    # Each shard-local template is split on its slots once.
-    template_parts = [
-        _SLOT.split(
-            template_blob[
-                template_offsets[i]:template_offsets[i + 1]
-            ].decode("utf-8")
-        )
-        for i in range(len(template_offsets) - 1)
-    ]
-    user_ids, user_dict = _decode_string_dict(*sections[8:11])
-    ip_ids, ip_dict = _decode_string_dict(*sections[11:14])
-    session_ids, session_dict = _decode_string_dict(*sections[14:17])
-    rows_flags = sections[17]
-    rows_values = array("q")
-    rows_values.frombytes(sections[18])
-    oddballs: List[Tuple[int, LogRecord]] = pickle.loads(sections[19])
-    if len(seqs) != canonical:
-        raise ValueError("corrupt shard buffer: column length mismatch")
-
-    def generate() -> Iterator[LogRecord]:
-        oddball_at = dict(oddballs)
-        column = 0
-        constant_base = 0
-        for position in range(total):
-            oddball = oddball_at.get(position)
-            if oddball is not None:
-                yield oddball
-                continue
-            template_id = template_ids[column]
-            count = constant_counts[column]
-            constants = [
-                constant_blob[
-                    constant_offsets[constant_base + j]:
-                    constant_offsets[constant_base + j + 1]
-                ].decode("utf-8")
-                for j in range(count)
-            ]
-            constant_base += count
-            if template_id == VERBATIM_TEMPLATE:
-                sql = constants[0]
-            else:
-                sql = _splice(template_parts[template_id], constants)
-            user_id = user_ids[column]
-            ip_id = ip_ids[column]
-            session_id = session_ids[column]
-            yield LogRecord(
-                seq=seqs[column],
-                sql=sql,
-                timestamp=timestamps[column],
-                user=None if user_id < 0 else user_dict[user_id],
-                ip=None if ip_id < 0 else ip_dict[ip_id],
-                session=(
-                    None if session_id < 0 else session_dict[session_id]
-                ),
-                rows=rows_values[column] if rows_flags[column] else None,
-            )
-            column += 1
-
-    return generate()
+        columns = pickle.loads(buffer)
+    except (pickle.UnpicklingError, EOFError) as error:
+        raise ValueError("not an encoded shard buffer") from error
+    if not (
+        type(columns) is tuple
+        and len(columns) == _SHARD_COLUMNS
+        and all(type(column) is list for column in columns)
+        and len({len(column) for column in columns}) == 1
+    ):
+        raise ValueError("not an encoded shard buffer")
+    seqs, timestamps, users, ips, sessions, rows, templates, constants = columns
+    return map(
+        LogRecord,
+        seqs,
+        _spliced_statements(templates, constants),
+        timestamps,
+        users,
+        ips,
+        sessions,
+        rows,
+    )

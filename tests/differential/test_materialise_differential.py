@@ -25,13 +25,10 @@ import __future__
 import ast as pyast
 import dataclasses
 import re
-import subprocess
 import sys
 import types
-from pathlib import Path
 
 import hypothesis.strategies as st
-import pytest
 from hypothesis import example, given, settings
 
 from repro.log.models import LogRecord
@@ -45,8 +42,7 @@ from repro.skeleton.cache import (
 )
 from repro.sqlparser import ast_nodes as ast
 from repro.sqlparser import SqlError, parse
-
-REPO_ROOT = Path(__file__).resolve().parents[2]
+from tests.frozen import frozen_source
 
 #: The last revision whose cache materialised through ``_substitute_value``
 #: and whose ``Node.walk`` read ``dataclasses.fields`` per node.
@@ -64,16 +60,12 @@ _frozen = {}
 
 
 def _frozen_source(path):
-    try:
-        return subprocess.run(
-            ["git", "show", f"{FROZEN_REV}:{path}"],
-            cwd=REPO_ROOT,
-            capture_output=True,
-            text=True,
-            check=True,
-        ).stdout
-    except (OSError, subprocess.CalledProcessError):
-        pytest.skip(f"git history for {FROZEN_REV} unavailable (shallow clone?)")
+    return frozen_source(
+        FROZEN_REV,
+        path,
+        "the live materialisation is still pinned by "
+        "test_lazy_parse_differential.py",
+    )
 
 
 def frozen_substitute():

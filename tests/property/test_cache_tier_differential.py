@@ -26,11 +26,7 @@ success, the same error type, message and reason for a failure.
 
 from __future__ import annotations
 
-import importlib.util
-import subprocess
-import sys
 import types
-from pathlib import Path
 from typing import List
 
 import pytest
@@ -38,8 +34,7 @@ import pytest
 from repro.log import LogRecord
 from repro.pipeline.framework import parse_record
 from repro.skeleton.cache import TemplateCache
-
-REPO_ROOT = Path(__file__).resolve().parents[2]
+from tests.frozen import e29_workloads, frozen_source
 
 #: The last commit whose cache probes the exact-text tier, the raw memo
 #: and the fingerprint key in ``fetch``.
@@ -51,39 +46,16 @@ _loaded = {}
 def frozen_cache_class():
     """``TemplateCache`` of :data:`FROZEN_REV`, exec'd from git history."""
     if "cache" not in _loaded:
-        try:
-            source = subprocess.run(
-                ["git", "show", f"{FROZEN_REV}:src/repro/skeleton/cache.py"],
-                cwd=REPO_ROOT,
-                capture_output=True,
-                text=True,
-                check=True,
-            ).stdout
-        except (OSError, subprocess.CalledProcessError):
-            pytest.skip(
-                f"git history for {FROZEN_REV} unavailable (shallow clone?); "
-                "the live cache is still pinned by test_template_cache.py"
-            )
+        source = frozen_source(
+            FROZEN_REV,
+            "src/repro/skeleton/cache.py",
+            "the live cache is still pinned by test_template_cache.py",
+        )
         module = types.ModuleType("repro.skeleton._frozen_cache")
         module.__package__ = "repro.skeleton"
         exec(compile(source, "frozen_cache.py", "exec"), module.__dict__)
         _loaded["cache"] = module.TemplateCache
     return _loaded["cache"]
-
-
-def e29_workloads():
-    """``e29_ledger/workloads.py``, the one definition of the bench inputs."""
-    if "workloads" not in _loaded:
-        path = REPO_ROOT / "e29_ledger" / "workloads.py"
-        if not path.exists():
-            pytest.skip("e29_ledger/workloads.py not in this checkout")
-        spec = importlib.util.spec_from_file_location("e29_workloads", path)
-        module = importlib.util.module_from_spec(spec)
-        # Registered before it runs: its dataclasses look their module up.
-        sys.modules[spec.name] = module
-        spec.loader.exec_module(module)
-        _loaded["workloads"] = module
-    return _loaded["workloads"]
 
 
 def run(cache, records: List[LogRecord]) -> list:

@@ -21,10 +21,7 @@ checked against the live scan
 
 from __future__ import annotations
 
-import importlib.util
 import re
-import subprocess
-import sys
 from pathlib import Path
 from typing import List, Optional, Tuple
 
@@ -34,8 +31,7 @@ from hypothesis import example, given, settings
 
 from repro.skeleton import cache
 from repro.store import columnar, write_columnar
-
-REPO_ROOT = Path(__file__).resolve().parents[2]
+from tests.frozen import e29_workloads, frozen_source
 
 #: The last commit whose ``_raw_scan`` opens its pattern with a
 #: lookbehind and walks ``finditer``.
@@ -49,19 +45,11 @@ def frozen_raw_scan():
     pattern; the placeholder bytes and the control-byte refusal are the
     scanner's, unchanged since."""
     if "scan" not in _frozen_cache:
-        try:
-            source = subprocess.run(
-                ["git", "show", f"{FROZEN_REV}:src/repro/skeleton/cache.py"],
-                cwd=REPO_ROOT,
-                capture_output=True,
-                text=True,
-                check=True,
-            ).stdout
-        except (OSError, subprocess.CalledProcessError):
-            pytest.skip(
-                f"git history for {FROZEN_REV} unavailable (shallow clone?); "
-                "the live raw scan is still pinned by test_template_cache.py"
-            )
+        source = frozen_source(
+            FROZEN_REV,
+            "src/repro/skeleton/cache.py",
+            "the live raw scan is still pinned by test_template_cache.py",
+        )
         start = source.index("_RAW_LITERAL = re.compile(")
         end = source.index("#: What the parse loop caches")
         namespace = {
@@ -76,21 +64,6 @@ def frozen_raw_scan():
         exec(compile(source[start:end], "frozen_raw_scan.py", "exec"), namespace)
         _frozen_cache["scan"] = namespace["_raw_scan"]
     return _frozen_cache["scan"]
-
-
-def e29_workloads():
-    """``e29_ledger/workloads.py``, the one definition of the bench inputs."""
-    if "workloads" not in _frozen_cache:
-        path = REPO_ROOT / "e29_ledger" / "workloads.py"
-        if not path.exists():
-            pytest.skip("e29_ledger/workloads.py not in this checkout")
-        spec = importlib.util.spec_from_file_location("e29_workloads", path)
-        module = importlib.util.module_from_spec(spec)
-        # Registered before it runs: its dataclasses look their module up.
-        sys.modules[spec.name] = module
-        spec.loader.exec_module(module)
-        _frozen_cache["workloads"] = module
-    return _frozen_cache["workloads"]
 
 
 def bench_texts(seed: int) -> List[str]:

@@ -25,9 +25,6 @@ edges (``1.e5``), quote escapes inside delimited identifiers
 (``[a''b]``), folded unary minus, trailing-dot numbers.
 """
 
-import subprocess
-from pathlib import Path
-
 import hypothesis.strategies as st
 import pytest
 from hypothesis import example, given, settings
@@ -35,8 +32,7 @@ from pinned_lexer import Lexer
 
 from repro.sqlparser.errors import LexerError
 from repro.sqlparser.scanner import fingerprint_statement, scan
-
-REPO_ROOT = Path(__file__).resolve().parents[2]
+from tests.frozen import frozen_source
 
 #: The last commit whose lexer.py still carries the pre-v3 master-regex
 #: fingerprint path.  Frozen here so the reference is immutable.
@@ -50,19 +46,9 @@ _legacy_module_cache = {}
 
 
 def _frozen_source(rev, path):
-    try:
-        return subprocess.run(
-            ["git", "show", f"{rev}:{path}"],
-            cwd=REPO_ROOT,
-            capture_output=True,
-            text=True,
-            check=True,
-        ).stdout
-    except (OSError, subprocess.CalledProcessError):
-        pytest.skip(
-            f"git history for {rev} unavailable (shallow clone?); "
-            "the in-tree pinned Lexer differential still ran"
-        )
+    return frozen_source(
+        rev, path, "the in-tree pinned Lexer differential still ran"
+    )
 
 
 def legacy_module():

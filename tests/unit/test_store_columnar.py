@@ -197,9 +197,8 @@ class TestOddTypedRecords:
         )
 
     def test_rows_pack_exactly_like_their_records(self, tmp_path):
-        """The row encoder sends odd-typed rows to the oddball side list
-        at the same positions, with the same records, as
-        ``encode_shard`` does for the records themselves."""
+        """Odd-typed rows pack to the same bytes, with the same field
+        types, as ``encode_shard`` packs the records themselves."""
         records = odd_typed_records() + sample_records()
         store = tmp_path / "odd.columnar"
         write_columnar(records, store, chunk_records=3)

@@ -29,7 +29,7 @@ from repro.pipeline.parallel import (
     shutdown_worker_pools,
 )
 from repro.skeleton.cache import TemplateCache
-from repro.store.columnar import decode_shard, encode_shard, shard_record_count
+from repro.store.columnar import decode_shard, encode_shard
 
 
 def record(seq, sql, user="u", **kwargs):
@@ -55,7 +55,6 @@ def sample_records(count=12, users=3):
 class TestShardCodec:
     def test_empty_shard_roundtrips(self):
         buffer = encode_shard([])
-        assert shard_record_count(buffer) == 0
         assert list(decode_shard(buffer)) == []
 
     def test_roundtrip_preserves_order_and_fields(self):
@@ -100,9 +99,20 @@ class TestShardCodec:
 
     def test_non_shard_buffer_is_rejected(self):
         with pytest.raises(ValueError):
-            shard_record_count(b"XXXX" + b"\x00" * 64)
-        with pytest.raises(ValueError):
             list(decode_shard(b"XXXX" + b"\x00" * 64))
+
+    @pytest.mark.parametrize(
+        "columns", [[1, 2], tuple([] for _ in range(7))], ids=["list", "7-tuple"]
+    )
+    def test_well_formed_pickle_that_is_not_a_shard_is_rejected(self, columns):
+        import pickle
+
+        with pytest.raises(ValueError):
+            decode_shard(pickle.dumps(columns))
+
+    def test_each_distinct_string_ships_once(self):
+        buffer = encode_shard(sample_records(count=400, users=3))
+        assert buffer.count(b"user0") == 1
 
 
 # ----------------------------------------------------------------------
