@@ -30,14 +30,13 @@ from pathlib import Path
 
 from conftest import print_table
 
-from repro.log import QueryLog
+import repro
 from repro.obs import NULL, Recorder
 from repro.pipeline import (
     CleaningPipeline,
     ExecutionConfig,
     ParallelCleaner,
     StageTimings,
-    StreamingCleaner,
 )
 from repro.workload import WorkloadConfig, generate
 
@@ -103,9 +102,14 @@ def test_parallel_scaling(benchmark, bench_config):
         }
         assert plain_batch.clean_log.records() == batch.clean_log.records()
 
-        streamer = StreamingCleaner(shared_config)
+        stream_recorder = Recorder()
         started = time.perf_counter()
-        streamed = QueryLog(streamer.process(log.records()))
+        streamed = repro.clean(
+            log,
+            shared_config,
+            execution=replace(shared_config.execution, mode="streaming"),
+            recorder=stream_recorder,
+        ).clean_log
         stream_seconds = time.perf_counter() - started
         report["runs"].append(
             {
@@ -114,11 +118,11 @@ def test_parallel_scaling(benchmark, bench_config):
                 "seconds": stream_seconds,
                 "throughput": len(log) / stream_seconds,
                 "stage_seconds": StageTimings.from_metrics(
-                    streamer.recorder.metrics
+                    stream_recorder.metrics
                 ).as_dict(),
                 "identical_to_batch": streamed.records()
                 == batch.clean_log.records(),
-                "metrics_match_batch": streamer.recorder.metrics.comparable()
+                "metrics_match_batch": stream_recorder.metrics.comparable()
                 == reference,
             }
         )

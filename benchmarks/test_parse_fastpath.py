@@ -38,6 +38,7 @@ from repro.pipeline import ExecutionConfig
 from repro.pipeline.framework import parse_log
 from repro.skeleton.cache import TemplateCache
 from repro.workload import WorkloadConfig, generate
+from tests.reference import cacheless_run
 
 #: ~17.2k queries per unit of scale with the default mixture.
 BENCH_SCALE = float(os.environ.get("REPRO_FASTPATH_BENCH_SCALE", "2.0"))
@@ -110,7 +111,7 @@ def test_parse_fastpath(bench_config):
     # ------------------------------------------------------------------
     # End-to-end differential: cached executors vs an uncached batch
     # reference — identical clean logs, equal comparable ledgers.
-    reference = repro.clean(log, shared_config, parse_cache=False)
+    reference = cacheless_run(log, shared_config)
     assert reference.metrics.conservation_violations() == []
     reference_records = reference.clean_log.records()
     reference_view = reference.metrics.comparable()

@@ -30,6 +30,7 @@ from repro.pipeline import ExecutionConfig
 from repro.pipeline.framework import parse_log
 from repro.skeleton.cache import TemplateCache
 from repro.workload import WorkloadConfig, generate
+from tests.reference import cacheless_run
 
 #: ~17.2k queries per unit of scale; 5.8 ≈ the 100k-query full scale.
 BENCH_SCALE = float(os.environ.get("REPRO_PARSEV2_BENCH_SCALE", "5.8"))
@@ -70,7 +71,7 @@ def test_parse_v2(bench_config):
     # ------------------------------------------------------------------
     # End-to-end differential: lazy executors vs a cacheless (eager)
     # batch reference — identical clean logs, equal comparable ledgers.
-    reference = repro.clean(log, shared_config, parse_cache=False)
+    reference = cacheless_run(log, shared_config)
     assert reference.metrics.conservation_violations() == []
     reference_records = reference.clean_log.records()
     reference_view = reference.metrics.comparable()

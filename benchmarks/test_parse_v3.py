@@ -55,6 +55,7 @@ from repro.sqlparser import SqlError, parse
 from repro.sqlparser.parser import Parser
 from repro.store import ColumnarSource, write_columnar
 from repro.workload import WorkloadConfig, generate
+from tests.reference import cacheless_run
 
 #: ~17.2k queries per unit of scale; 5.8 ≈ the 100k-query full scale.
 BENCH_SCALE = float(os.environ.get("REPRO_PARSEV3_BENCH_SCALE", "5.8"))
@@ -290,7 +291,7 @@ def test_parse_v3(bench_config, tmp_path):
     # ------------------------------------------------------------------
     # Executor matrix over the store vs a cacheless in-RAM batch
     # reference — the witnesses must be invisible in every output.
-    reference = repro.clean(log, shared_config, parse_cache=False)
+    reference = cacheless_run(log, shared_config)
     assert reference.metrics.conservation_violations() == []
     reference_records = reference.clean_log.records()
     reference_view = reference.metrics.comparable()

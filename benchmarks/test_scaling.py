@@ -11,10 +11,12 @@ cleaner on logs of increasing scale and checks
 """
 
 import time
+from dataclasses import replace
 
 from conftest import print_table
 
-from repro.pipeline import CleaningPipeline, StreamingCleaner
+import repro
+from repro.pipeline import CleaningPipeline
 from repro.workload import WorkloadConfig, generate
 
 SCALES = (0.1, 0.2, 0.4)
@@ -29,9 +31,13 @@ def test_scaling(benchmark, bench_config):
             batch = CleaningPipeline(bench_config).run(workload.log)
             batch_seconds = time.perf_counter() - started
             started = time.perf_counter()
-            cleaner = StreamingCleaner(bench_config)
-            streamed = cleaner.run(workload.log)
-            stats = cleaner.stats
+            streaming = repro.clean(
+                workload.log,
+                bench_config,
+                execution=replace(bench_config.execution, mode="streaming"),
+            )
+            streamed = streaming.clean_log
+            stats = streaming.streaming_stats
             stream_seconds = time.perf_counter() - started
             rows.append(
                 {

@@ -119,9 +119,7 @@ def cmd_clean(args: argparse.Namespace) -> int:
         return 2
     mode = "streaming" if args.streaming else "parallel" if args.parallel else "batch"
     try:
-        execution = ExecutionConfig(
-            mode=mode, workers=args.workers, parse_cache=not args.no_parse_cache
-        )
+        execution = ExecutionConfig(mode=mode, workers=args.workers)
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
         return 2
@@ -405,12 +403,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--trace",
         action="store_true",
         help="stream span-style stage trace events as JSON lines to stderr",
-    )
-    clean.add_argument(
-        "--no-parse-cache",
-        action="store_true",
-        help="disable the fingerprint-keyed parse fast path (every "
-        "statement takes the full parser; output is identical either way)",
     )
     clean.add_argument(
         "--checkpoint-dir",

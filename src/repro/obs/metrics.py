@@ -320,7 +320,7 @@ class PipelineMetrics:
         * parse:  ``records_in == records_out + syntax_errors +
           non_select + records_quarantined``
         * solve:  ``records_in == records_out + queries_removed``
-        * parse cache (when enabled): ``parse_cache_hits +
+        * parse cache (when it booked traffic): ``parse_cache_hits +
           parse_cache_misses == parse.records_in`` — every statement
           entering the parse stage consults the cache exactly once.
         * lazy parse (when the counters exist): ``parse_lazy_hits +
@@ -384,8 +384,8 @@ class PipelineMetrics:
         cache_hits = counter("parse", "parse_cache_hits") or 0
         cache_misses = counter("parse", "parse_cache_misses") or 0
         if cache_hits + cache_misses:
-            # Zero traffic means the cache was disabled (or a pre-cache
-            # ledger); the law only binds when the fast path ran.
+            # Zero traffic means the cacheless reference parse (or a
+            # pre-cache ledger); the law only binds when the cache ran.
             check(
                 "parse-cache: parse_cache_hits + parse_cache_misses"
                 " == parse.records_in",

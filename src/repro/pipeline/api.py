@@ -54,7 +54,6 @@ def clean(
     *,
     execution: Optional[Union[ExecutionConfig, str]] = None,
     recorder: Optional[Recorder] = None,
-    parse_cache: Optional[bool] = None,
     checkpoint_dir: Optional[Union[str, Path]] = None,
     resume: bool = False,
 ) -> PipelineResult:
@@ -64,22 +63,15 @@ def clean(
         an on-disk log (``.csv`` / ``.jsonl`` file or columnar store
         directory), or any :class:`~repro.store.sources.LogSource`.
         Paths and sources stream through the non-batch executors in
-        bounded memory.
+        bounded memory.  A columnar store's template witnesses warm the
+        run's parse caches; a stale dictionary can only cost speed,
+        never output.
     :param config: pipeline parameters; defaults to
         :class:`PipelineConfig()`.
     :param execution: overrides ``config.execution`` for this call.  An
         :class:`ExecutionConfig`, or just a mode string (``"batch"``,
         ``"streaming"``, ``"parallel"``) to switch modes with default
         knobs.
-    :param parse_cache: overrides the execution config's ``parse_cache``
-        flag for this call — ``False`` forces every statement down the
-        full parse path (the clean log is identical either way; only
-        speed and the ``parse_cache_*`` counters change).  When ``log``
-        is a columnar store, the store's own template witnesses warm
-        the run's parse caches (stores remember every template they
-        have interned); witnesses are re-parsed through the run's own
-        cold path, so a stale dictionary can only cost speed, never
-        output.
     :param recorder: observability recorder
         (:class:`repro.obs.Recorder`).  By default a fresh one is
         created, so ``result.metrics`` always carries the run's
@@ -123,11 +115,6 @@ def clean(
         if isinstance(execution, str):
             execution = ExecutionConfig(mode=execution)
         effective = replace(effective, execution=execution)
-    if parse_cache is not None:
-        effective = replace(
-            effective,
-            execution=replace(effective.execution, parse_cache=parse_cache),
-        )
     active = Recorder() if recorder is None else recorder
     metrics = active.metrics if active.enabled else None
     mode = effective.execution.mode
@@ -159,7 +146,7 @@ def clean(
     # caches (witnesses re-parse through the cold path, so this can
     # only ever change speed, not output).
     template_witnesses: Optional[Sequence[str]] = None
-    if effective.execution.parse_cache and isinstance(source, ColumnarSource):
+    if isinstance(source, ColumnarSource):
         template_witnesses = source.template_witnesses()
     # Store I/O is booked as this run's share of the source's lifetime
     # counters (a caller may clean one source several times).

@@ -22,8 +22,9 @@ class ExecutionConfig:
     """*How* the pipeline runs — orthogonal to *what* it computes.
 
     Every execution knob lives here, so the same :class:`PipelineConfig`
-    can be handed to any execution path unchanged.  What is not a knob
-    is a constant with one home: the parse-cache bound
+    can be handed to any execution path unchanged.  Every executor
+    parses through a :class:`~repro.skeleton.cache.TemplateCache`; what
+    is not a knob is a constant with one home: the parse-cache bound
     (``skeleton.cache.DEFAULT_PARSE_CACHE_SIZE``), the shard retry
     budget and backoff (``parallel.MAX_SHARD_RETRIES`` and
     ``RETRY_BACKOFF_S``), and the chunk size of a source that
@@ -49,24 +50,12 @@ class ExecutionConfig:
         parallel mode; ``None`` (the default) waits indefinitely.  A
         shard exceeding it is treated like a crashed worker: the pool is
         recycled and the shard re-queued.
-    :param parse_cache: enable the parse-stage fast path — a
-        fingerprint-keyed :class:`~repro.skeleton.cache.TemplateCache`
-        that instantiates repeated statement templates from interned
-        skeletons instead of re-parsing them.  Outputs are byte-identical
-        with the cache on or off (the cache falls back to the full
-        parser whenever a fingerprint is ambiguous).  A run over a
-        columnar store preloads the cache from the store's template
-        witnesses (its ``templates.bin``), and a resumed streaming run
-        from its checkpoint's; there is no other template dictionary —
-        to warm a re-run of a CSV or JSONL log, convert it to a store
-        first (``sqlog-clean convert``).
     """
 
     mode: str = "batch"
     workers: int = 0
     max_block_queries: int = 10_000
     task_timeout: Optional[float] = None
-    parse_cache: bool = True
 
     def __post_init__(self) -> None:
         if self.mode not in EXECUTION_MODES:

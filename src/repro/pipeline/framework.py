@@ -97,9 +97,9 @@ class StreamingStats:
     fields and the ledger's counters.
 
     The ``parse_cache_*`` trio mirrors the run's
-    :class:`~repro.skeleton.cache.TemplateCache` totals (all zero when
-    the fast path is disabled); streaming synchronises them from the
-    cache whenever it flushes counters to the recorder.
+    :class:`~repro.skeleton.cache.TemplateCache` totals (all zero on
+    the cacheless reference parse); streaming synchronises them from
+    the cache whenever it flushes counters to the recorder.
     """
 
     records_in: int = 0
@@ -123,7 +123,7 @@ class StreamingStats:
     #: (mirrored from the cache's counter at every flush).
     parse_materialised: int = 0
     #: statements that went through the full parser (the cold path) —
-    #: with the cache enabled this equals ``parse_cache_misses``.
+    #: with a parse cache this equals ``parse_cache_misses``.
     parse_cold: int = 0
     #: templates admitted from a template dictionary (a columnar store's
     #: or a checkpoint's witnesses) before the first record.
@@ -229,18 +229,15 @@ def open_parse_cache(
     config: PipelineConfig,
     witnesses: Optional[Iterable[str]] = None,
     cache: Optional[TemplateCache] = None,
-) -> Tuple[Optional[TemplateCache], int]:
+) -> Tuple[TemplateCache, int]:
     """A run's parse cache, preloaded: ``(cache, templates admitted)``.
 
-    ``(None, 0)`` when the execution config disables the cache.  A given
-    ``cache`` is preloaded in place (a restored streaming run warms the
-    cache it already has); otherwise a fresh one is built.  The preload
-    re-parses ``witnesses`` (see
+    A given ``cache`` is preloaded in place (a restored streaming run
+    warms the cache it already has); otherwise a fresh one is built.
+    The preload re-parses ``witnesses`` (see
     :meth:`~repro.skeleton.cache.TemplateCache.preload`); ``None`` or
     an empty sequence preloads nothing.
     """
-    if not config.execution.parse_cache:
-        return None, 0
     if cache is None:
         cache = TemplateCache()
     if not witnesses:
@@ -481,9 +478,10 @@ def parse_log(
     (streaming feeds one record at a time); a given cache must only
     ever serve one ``(fold_variables, strict_triple)`` combination,
     which holds because every caller derives both from a single config.
-    Without a cache the classic per-run dict keyed by exact text is
-    used.  Either way each record's verdict is :func:`parse_one`'s, the
-    same per-record kernel the streaming executor runs.
+    Without one — the cacheless reference parse every executor's
+    cached run is tested against — a per-run dict keyed by exact text
+    is used.  Either way each record's verdict is :func:`parse_one`'s,
+    the same per-record kernel the streaming executor runs.
 
     Parse failures are part of the paper's accounting, not exceptions:
     under ``strict`` and ``lenient`` they keep the classic
@@ -567,16 +565,13 @@ def parse_stage(
 ) -> ParseStageResult:
     """Stage 2: :func:`parse_log` with the config's parsing knobs.
 
-    When the execution config enables the parse cache and the caller did
-    not supply one, a fresh :class:`~repro.skeleton.cache.TemplateCache`
-    is created for this call.  Executors pass their own (see
-    :func:`open_parse_cache`): one per batch run, one per streaming
-    instance, and one persistent cache per parallel worker process
-    (``_process_parse_cache``).  The ``interner`` travels the same way
-    (created by :func:`parse_log` itself when absent).
+    Executors pass their own ``cache`` (see :func:`open_parse_cache`):
+    one per batch run, one per streaming instance, and one persistent
+    cache per parallel worker process (``_process_parse_cache``).
+    ``None`` runs the cacheless reference parse.  The ``interner``
+    travels the same way (created by :func:`parse_log` itself when
+    absent).
     """
-    if cache is None:
-        cache, _ = open_parse_cache(config, ())
     return parse_log(
         log,
         fold_variables=config.fold_variables,

@@ -340,8 +340,8 @@ _WORKER_CACHE_KEY: Optional[Tuple[bool, bool, Optional[bytes]]] = None
 
 def _process_parse_cache(
     config: PipelineConfig, seed: Optional[bytes]
-) -> Optional[TemplateCache]:
-    """This worker's persistent parse cache (or ``None`` if disabled).
+) -> TemplateCache:
+    """This worker's persistent parse cache.
 
     The cache is keyed by the parse knobs it may legally serve and by
     the run's ``seed`` (the parent's preloaded cache, exported; ``None``
@@ -350,8 +350,6 @@ def _process_parse_cache(
     :func:`~repro.pipeline.framework.parse_log`).  The parent built the
     seed under the run's own knobs, so a seeded cache starts warm.
     """
-    if not config.execution.parse_cache:
-        return None
     global _WORKER_CACHE, _WORKER_CACHE_KEY
     key = (config.fold_variables, config.strict_triple, seed)
     if _WORKER_CACHE is None or _WORKER_CACHE_KEY != key:
@@ -372,7 +370,7 @@ def _clean_shard_log(
     shard: int,
     shard_log: QueryLog,
     config: PipelineConfig,
-    cache: Optional[TemplateCache],
+    cache: TemplateCache,
 ) -> ShardReport:
     """Run the batch stage chain over one shard's records.
 
@@ -554,7 +552,7 @@ class ParallelCleaner:
         self,
         records: List[LogRecord],
         quarantine: QuarantineChannel,
-        cache: Optional[TemplateCache],
+        cache: TemplateCache,
     ) -> Tuple[List[ShardReport], int, List[int]]:
         """Run a single-shard plan in-process.
 

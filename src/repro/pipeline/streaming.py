@@ -45,7 +45,7 @@ from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from ..errors import QuarantineChannel
 from ..log.dedup import normalize_statement_text
-from ..log.models import LogRecord, QueryLog
+from ..log.models import LogRecord
 from ..obs import Recorder
 from ..patterns.models import Block, ParsedQuery
 from ..skeleton.interner import TemplateInterner
@@ -76,8 +76,8 @@ class StreamingCleaner:
         Dedup/parse wall times are measured per record and credited in
         bulk; mine/detect/solve are booked per closed block by
         :func:`~repro.pipeline.framework.clean_block`.  Counters are
-        flushed when :meth:`process` finishes — a partially consumed
-        stream leaves the ledger behind by design.
+        flushed by :meth:`finish` (and :meth:`export_state`) — a
+        partially consumed stream leaves the ledger behind by design.
     :param template_witnesses: witness statement texts to pre-warm the
         parse cache with (see
         :meth:`~repro.skeleton.cache.TemplateCache.preload`).
@@ -162,7 +162,7 @@ class StreamingCleaner:
         """Close every block idle at stream time ``now``; remember the
         oldest last-activity timestamp among the blocks that stay open.
 
-        ``_oldest_open`` lets :meth:`process` skip this scan entirely
+        ``_oldest_open`` lets :meth:`feed` skip this scan entirely
         until a record's timestamp could actually expire something.  It
         is a *lower bound* (appends to existing blocks don't raise it),
         so a stale value only causes a harmless extra scan — and the
@@ -184,33 +184,25 @@ class StreamingCleaner:
 
     def _emit(self, records: List[LogRecord]) -> Iterator[LogRecord]:
         # records_out is counted here, at the single emission point, so
-        # the stats are correct whether the caller drives process()
-        # directly or goes through run().
+        # the stats are correct whether a record left through feed() or
+        # finish().
         self.stats.records_out += len(records)
         return iter(records)
 
     # ------------------------------------------------------------------
     # Driver
 
-    def process(self, records: Iterable[LogRecord]) -> Iterator[LogRecord]:
-        """Consume a time-ordered record stream, yield clean records.
-
-        Emission order is block-close order; feed the output into a
-        :class:`QueryLog` to restore global time order.  Equivalent to
-        :meth:`feed` followed by :meth:`finish` — drive those directly
-        to process a stream in checkpointable slices.
-        """
-        yield from self.feed(records)
-        yield from self.finish()
-
     def feed(self, records: Iterable[LogRecord]) -> Iterator[LogRecord]:
-        """Consume a slice of the stream *without* ending it.
+        """Consume a slice of the stream *without* ending it; yield the
+        clean records of the blocks it closes.
 
         Open blocks stay open across calls — a chunk boundary is not a
         quiet period, so feeding a stream in arbitrary slices yields
-        exactly the records :meth:`process` would have yielded (modulo
-        the end-of-stream closes, which :meth:`finish` performs).  The
-        slices must jointly be time-ordered, like the stream itself.
+        the same records as feeding it whole; :meth:`finish` performs
+        the end-of-stream closes.  The slices must jointly be
+        time-ordered, like the stream itself.  Emission order is
+        block-close order; feed the output into a
+        :class:`~repro.log.models.QueryLog` to restore global time order.
         """
         recorder = self.recorder
         timed = recorder.enabled
@@ -230,11 +222,7 @@ class StreamingCleaner:
         max_block = self.max_block_queries
         # A store chunk hands its rows' stored splits to the parse
         # stage, which binds the rows they vouch for without a raw scan.
-        splits = (
-            records.take_splits()
-            if type(records) is StoreChunk and cache is not None
-            else None
-        )
+        splits = records.take_splits() if type(records) is StoreChunk else None
         for position, record in enumerate(records):
             stats.records_in += 1
             # Validation runs *before* the stream clock is consulted, so
@@ -319,17 +307,12 @@ class StreamingCleaner:
         :func:`~repro.pipeline.framework.clean_block`.
         """
         stats, base, cache = self.stats, self._base, self._parse_cache
-        if cache is not None:
-            # The cache keeps the authoritative totals; mirror them into
-            # the public stats so both views agree at every flush point.
-            stats.parse_cache_hits = base.parse_cache_hits + cache.hits
-            stats.parse_cache_misses = base.parse_cache_misses + cache.misses
-            stats.parse_cache_evictions = (
-                base.parse_cache_evictions + cache.evictions
-            )
-            stats.parse_materialised = (
-                base.parse_materialised + cache.materialised
-            )
+        # The cache keeps the authoritative totals; mirror them into the
+        # public stats so both views agree at every flush point.
+        stats.parse_cache_hits = base.parse_cache_hits + cache.hits
+        stats.parse_cache_misses = base.parse_cache_misses + cache.misses
+        stats.parse_cache_evictions = base.parse_cache_evictions + cache.evictions
+        stats.parse_materialised = base.parse_materialised + cache.materialised
         stats.parse_dict_preloaded = (
             base.parse_dict_preloaded + self._dict_preloaded
         )
@@ -340,10 +323,6 @@ class StreamingCleaner:
         self.recorder.ensure_counters()
         book_stats(self.recorder, stats, since=self._flushed)
         self._flushed = replace(stats)
-
-    def run(self, log: QueryLog) -> QueryLog:
-        """Convenience: stream a whole log, return the clean log."""
-        return QueryLog(self.process(log))
 
     # ------------------------------------------------------------------
     # Checkpointing (see :mod:`repro.store.checkpoint`)
@@ -384,11 +363,7 @@ class StreamingCleaner:
             ],
             # Witness texts of the interned templates, so a resume
             # starts with the warm cache the dead run had earned.
-            "template_dict_witnesses": (
-                self._parse_cache.dict_witnesses()
-                if self._parse_cache is not None
-                else []
-            ),
+            "template_dict_witnesses": self._parse_cache.dict_witnesses(),
             "quarantine": self.quarantine.to_state(),
         }
 

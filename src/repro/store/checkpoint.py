@@ -192,9 +192,10 @@ def clean_streaming_source(
 ) -> Tuple[QueryLog, StreamingCleaner]:
     """Stream-clean ``source`` chunk by chunk, optionally checkpointed.
 
-    Without ``checkpoint_dir`` this is the out-of-core equivalent of
-    ``StreamingCleaner.run`` — same clean log, same stats, bounded by
-    one chunk plus the open blocks instead of the whole log.  With it,
+    The one streaming driver: it feeds each chunk to a
+    :class:`~repro.pipeline.streaming.StreamingCleaner` and ends the
+    stream with ``finish``, holding one chunk plus the open blocks,
+    never the whole log.  With ``checkpoint_dir``,
     per-chunk progress is persisted as described in the module docs;
     with ``resume=True`` the run continues from the last completed
     chunk.  Returns the clean log and the driving cleaner (for its

@@ -302,7 +302,15 @@ def _dump_compressed(path: Path, payload: object) -> None:
 
 
 def _load_compressed(path: Path) -> object:
-    return json.loads(zlib.decompress(path.read_bytes()).decode("utf-8"))
+    """Read one zlib(JSON) store file; a damaged one raises
+    ``ValueError`` naming the file and the remedy."""
+    try:
+        return json.loads(zlib.decompress(path.read_bytes()).decode("utf-8"))
+    except (zlib.error, ValueError) as exc:
+        raise ValueError(
+            f"{path} is damaged ({exc}); rebuild the store from its "
+            "source log with `sqlog-clean convert LOG STORE`"
+        ) from exc
 
 
 def chunk_file_name(index: int) -> str:

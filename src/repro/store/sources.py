@@ -26,7 +26,6 @@ source, and is how ``repro.clean`` resolves its ``log`` argument.
 
 from __future__ import annotations
 
-import zlib
 from pathlib import Path
 from typing import Iterator, List, Optional, Sequence, Tuple, Union
 
@@ -281,10 +280,11 @@ class ColumnarSource(LogSource):
         ``templates.bin`` is damaged or its witness list malformed."""
         try:
             return self._dictionary()[1]
-        except (OSError, ValueError, KeyError, TypeError, zlib.error):
-            # A store with a damaged dictionary still *reads* (chunks
-            # carrying verbatim statements don't touch it); witnesses
-            # are an acceleration layer, so degrade to a cold start.
+        except (OSError, ValueError, KeyError, TypeError):
+            # Witnesses are an acceleration layer, so they degrade to a
+            # cold start; reading the chunks needs the dictionary's
+            # texts, so the read itself raises the damage, naming the
+            # file.
             return []
 
 

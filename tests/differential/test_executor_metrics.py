@@ -28,6 +28,7 @@ from repro.log import LogRecord, QueryLog
 from repro.obs import NULL, Recorder
 from repro.pipeline import CleaningPipeline, ExecutionConfig, PipelineConfig
 from repro.workload import WorkloadConfig, generate, skyserver_catalog
+from tests.reference import cacheless_run
 
 KEYS = frozenset(skyserver_catalog().key_column_names())
 
@@ -263,11 +264,11 @@ class TestStatsDifferential:
 class TestParseCacheDifferential:
     """The parse fast path must be invisible in every output: same clean
     records, same comparable ledger, zero conservation violations —
-    with the cache on (default) and off, on every executor."""
+    every executor's cached run against the cacheless reference."""
 
     def test_cache_off_matches_cache_on(self):
         log = workload_log("seed2018")
-        reference = repro.clean(log, config(), parse_cache=False)
+        reference = cacheless_run(log, config())
         assert reference.metrics.conservation_violations() == []
         ref_counters = reference.metrics.comparable()["parse"]["counters"]
         # The executor-dependent cache counters are excluded from the
@@ -287,7 +288,7 @@ class TestParseCacheDifferential:
 
     def test_cache_disabled_books_zero_traffic(self):
         log = workload_log("seed7")
-        result = repro.clean(log, config(), parse_cache=False)
+        result = cacheless_run(log, config())
         raw = result.metrics.stages["parse"].counters
         assert raw["parse_cache_hits"] == 0
         assert raw["parse_cache_misses"] == 0

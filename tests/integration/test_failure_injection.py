@@ -10,9 +10,10 @@ import math
 
 import pytest
 
+import repro
 from repro.antipatterns import DetectionContext
 from repro.log import LogRecord, QueryLog
-from repro.pipeline import CleaningPipeline, PipelineConfig, StreamingCleaner
+from repro.pipeline import CleaningPipeline, PipelineConfig
 
 
 def run(records):
@@ -137,10 +138,9 @@ class TestDegenerateLogs:
             LogRecord(seq=0, sql="SELECT '", timestamp=0.0, user="u"),
             LogRecord(seq=1, sql="SELECT a FROM t WHERE id = 1", timestamp=1.0, user="u"),
         ]
-        cleaner = StreamingCleaner()
-        cleaned = cleaner.run(QueryLog(records))
-        assert cleaner.stats.syntax_errors == 1
-        assert len(cleaned) == 1
+        result = repro.clean(QueryLog(records), execution="streaming")
+        assert result.streaming_stats.syntax_errors == 1
+        assert len(result.clean_log) == 1
 
     def test_thousand_users_one_query_each(self):
         records = [

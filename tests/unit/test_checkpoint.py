@@ -97,7 +97,7 @@ class TestStreamingStateRoundTrip:
         half = len(records) // 2
 
         reference = StreamingCleaner(config, recorder=NULL)
-        expected = list(reference.process(records))
+        expected = list(reference.feed(records)) + list(reference.finish())
 
         first = StreamingCleaner(config, recorder=NULL)
         head = list(first.feed(records[:half]))

@@ -121,6 +121,10 @@ class TestRemovedDataPlaneKnobs:
         with pytest.raises(TypeError):
             repro.clean(stifle_log(), config(), transfer=transfer)
 
+    def test_clean_rejects_parse_cache_override(self):
+        with pytest.raises(TypeError):
+            repro.clean(stifle_log(), config(), parse_cache=False)
+
     @pytest.mark.parametrize(
         "module, name",
         [

@@ -433,9 +433,14 @@ class TestParser:
             main(["clean", str(generated_csv), "--parallel", *flags])
         assert excinfo.value.code == 2
 
-    def test_removed_parse_cache_size_flag_exits_2(self, generated_csv):
+    @pytest.mark.parametrize(
+        "flags",
+        [["--parse-cache-size", "10"], ["--no-parse-cache"]],
+        ids=["parse-cache-size", "no-parse-cache"],
+    )
+    def test_removed_parse_cache_size_flag_exits_2(self, generated_csv, flags):
         with pytest.raises(SystemExit) as excinfo:
-            main(["clean", str(generated_csv), "--parse-cache-size", "10"])
+            main(["clean", str(generated_csv), *flags])
         assert excinfo.value.code == 2
 
     def test_missing_command_exits(self):

@@ -19,6 +19,7 @@ from repro.errors import ShardFailure
 from repro.pipeline import ExecutionConfig, PipelineConfig, framework
 from repro.skeleton.cache import TemplateCache, collector_paused
 from repro.workload import WorkloadConfig, generate, skyserver_catalog
+from tests.reference import cacheless_run
 
 #: The executors whose stage chain runs under the pause.
 PAUSED = (
@@ -26,7 +27,8 @@ PAUSED = (
     ("parallel-1", ExecutionConfig(mode="parallel", workers=1)),
 )
 
-#: Every executor, and batch down the full parse path.
+#: Every executor, and the batch chain down the full parse path
+#: (:func:`tests.reference.cacheless_run`).
 RUNS = PAUSED + (
     ("batch-no-cache", "batch"),
     ("streaming", "streaming"),
@@ -117,12 +119,12 @@ def test_preload_restores_collector(monkeypatch, collector, raises):
 def test_paused_run_leaves_no_cyclic_garbage(seed2018_log, name, execution):
     """A run with the collector off throughout must leave nothing for it
     to free: what the pause skips, reference counting already freed."""
-    parse_cache = False if name == "batch-no-cache" else None
     gc.collect()
     with collector_paused():
-        result = repro.clean(
-            seed2018_log, config(), execution=execution, parse_cache=parse_cache
-        )
+        if name == "batch-no-cache":
+            result = cacheless_run(seed2018_log, config())
+        else:
+            result = repro.clean(seed2018_log, config(), execution=execution)
     parse = result.metrics.stages["parse"].counters
     assert parse["syntax_errors"] > 0 and parse["non_select"] > 0
     assert gc.collect() == 0

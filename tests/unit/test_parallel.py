@@ -12,7 +12,6 @@ from repro.pipeline import (
     ExecutionConfig,
     ParallelCleaner,
     PipelineConfig,
-    StreamingCleaner,
     parse_log,
     shard_index,
     shard_records,
@@ -92,8 +91,9 @@ class TestParallelCleaner:
         config = PipelineConfig(detection=DetectionContext(key_columns=sky_keys))
         batch = CleaningPipeline(config).run(small_workload.log)
 
-        streaming = StreamingCleaner(config)
-        streamed = streaming.run(small_workload.log)
+        streamed = repro.clean(
+            small_workload.log, config, execution="streaming"
+        ).clean_log
 
         parallel = ParallelCleaner(
             PipelineConfig(

@@ -110,7 +110,7 @@ class TestFailures:
 
 class TestCachelessPath:
     def test_never_touches_a_cache(self, monkeypatch):
-        """``cache=None`` (checkpoint restore, ``parse_cache=False``) must
+        """``cache=None`` (checkpoint restore, the cacheless reference) must
         stay counter-free: no cache method may run."""
 
         def forbidden(*args, **kwargs):

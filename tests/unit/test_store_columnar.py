@@ -357,13 +357,3 @@ class TestNativeBind:
         # One scan per chunk for the template's first row (a cold
         # cache has no verified raw key to bind to yet), none after.
         assert len(scans) <= 2
-
-    def test_a_cacheless_run_leaves_the_splits_alone(self, tmp_path):
-        import repro
-
-        records, store = self.store(tmp_path)
-        reference = repro.clean(QueryLog(records), parse_cache=False)
-        result = repro.clean(
-            ColumnarSource(store), execution="streaming", parse_cache=False
-        )
-        assert result.clean_log.records() == reference.clean_log.records()

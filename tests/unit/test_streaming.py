@@ -1,9 +1,10 @@
 """Unit tests for the streaming cleaner."""
 
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import pytest
 
+import repro
 from repro.antipatterns import DetectionContext
 from repro.log import LogRecord, QueryLog
 from repro.obs import Recorder
@@ -35,9 +36,10 @@ def config(**execution):
 
 
 def stream(log, pipeline_config=None):
-    cleaner = StreamingCleaner(pipeline_config or config())
-    cleaned = cleaner.run(log)
-    return cleaned, cleaner.stats
+    pipeline_config = pipeline_config or config()
+    execution = replace(pipeline_config.execution, mode="streaming")
+    result = repro.clean(log, pipeline_config, execution=execution)
+    return result.clean_log, result.streaming_stats
 
 
 class TestStreamingBasics:
@@ -83,8 +85,9 @@ class TestStreamingBasics:
              ("SELECT x FROM t WHERE k > 0", 10_000.0, "u2")]
         )
         cleaner = StreamingCleaner(config())
-        emitted = list(cleaner.process(log))
-        # u1's stifle was already solved when u2's record arrived
+        emitted = list(cleaner.feed(log))
+        # u1's stifle was already solved when u2's record arrived,
+        # before the stream ended
         assert any("IN (1, 2)" in record.sql for record in emitted)
 
     def test_records_out_counted_when_process_consumed_directly(self):
@@ -92,18 +95,17 @@ class TestStreamingBasics:
             [(f"SELECT name FROM e WHERE id = {i}", i * 0.1, "u") for i in range(4)]
         )
         cleaner = StreamingCleaner(config())
-        emitted = list(cleaner.process(log))
-        # the counter moves at emission, not only in run()
+        emitted = list(cleaner.feed(log)) + list(cleaner.finish())
+        # the counter moves at emission
         assert cleaner.stats.records_out == len(emitted) == 1
 
     def test_force_close_bound_from_execution_config(self):
         log = make_log(
             [(f"SELECT name FROM e WHERE id = {i}", i * 0.1, "u") for i in range(10)]
         )
-        cleaner = StreamingCleaner(config(max_block_queries=4))
-        cleaned = cleaner.run(log)
-        assert cleaner.stats.blocks_force_closed >= 2
-        assert cleaner.stats.max_open_queries <= 4
+        cleaned, stats = stream(log, config(max_block_queries=4))
+        assert stats.blocks_force_closed >= 2
+        assert stats.max_open_queries <= 4
         # still cleans: several partial IN-merges instead of one big one
         assert len(cleaned) < 10
 

@@ -26,6 +26,7 @@ from repro.skeleton import build_template
 from repro.skeleton.cache import DEFAULT_PARSE_CACHE_SIZE, TemplateCache
 from repro.sqlparser import SqlError, parse
 from repro.sqlparser.scanner import fingerprint_statement
+from tests.reference import cacheless_run
 
 
 def record(sql, seq=0, user="u"):
@@ -302,11 +303,9 @@ class TestSignedTopCount:
             ]
         )
         config = PipelineConfig(error_policy="quarantine")
+        reference = cacheless_run(log, config)
         for execution in ("batch", "streaming", "parallel"):
-            runs = [
-                repro.clean(log, config, execution=execution, parse_cache=cache)
-                for cache in (True, False)
-            ]
+            runs = [repro.clean(log, config, execution=execution), reference]
             for result in runs:
                 assert [r.seq for r in result.clean_log.records()] == [1], execution
                 assert result.quarantine.by_reason() == {"parse_error": 1}, execution
@@ -541,18 +540,15 @@ class TestCachedParseLogDifferential:
 
 class TestExecutionConfigKnobs:
     def test_defaults(self):
-        execution = ExecutionConfig()
-        assert execution.parse_cache is True
         assert DEFAULT_PARSE_CACHE_SIZE == 4096
         assert TemplateCache().max_entries == DEFAULT_PARSE_CACHE_SIZE
 
-    def test_five_knobs(self):
+    def test_four_knobs(self):
         assert [field.name for field in dataclasses.fields(ExecutionConfig)] == [
             "mode",
             "workers",
             "max_block_queries",
             "task_timeout",
-            "parse_cache",
         ]
 
     @pytest.mark.parametrize(
@@ -562,6 +558,7 @@ class TestExecutionConfigKnobs:
             {"retry_backoff": 0.0},
             {"source_chunk_records": 100},
             {"parse_cache_size": 65536},
+            {"parse_cache": False},
         ],
         ids=lambda knob: next(iter(knob)),
     )

@@ -6,8 +6,11 @@ columnar store's ``templates.bin`` (one first-seen statement per stored
 template) and the witness list a streaming checkpoint carries.  The
 safety contract is that a dictionary can only ever change *speed*:
 every witness re-parses through the run's own cold path on load, and a
-damaged or malformed witness list falls back to a cold start — never
-an exception, never a different clean log.
+malformed witness list falls back to a cold start — never an exception,
+never a different clean log.  A store file that no longer decompresses
+is another matter: ``templates.bin`` also holds the template texts the
+chunks refer to, so reading the store raises a ``ValueError`` that
+names the damaged file.
 """
 
 import zlib
@@ -37,6 +40,8 @@ EXECUTIONS = [
     ExecutionConfig(mode="parallel", workers=2),
 ]
 EXECUTION_IDS = ["batch", "streaming", "parallel-inline", "parallel-pool"]
+#: The executors a damaged store file must fail loudly on.
+DAMAGE_EXECUTIONS = [EXECUTIONS[0], EXECUTIONS[1], EXECUTIONS[3]]
 
 
 def record(sql, seq=0):
@@ -104,6 +109,16 @@ class TestStoreAutoWarm:
         _, store = write_store(tmp_path)
         (store / "templates.bin").write_bytes(b"damaged")
         assert ColumnarSource(store).template_witnesses() == []
+        for execution in DAMAGE_EXECUTIONS:
+            with pytest.raises(ValueError, match=r"templates\.bin.*convert"):
+                repro.clean(str(store), execution=execution)
+
+    def test_damaged_store_chunk_names_the_file(self, tmp_path):
+        _, store = write_store(tmp_path)
+        (store / "chunk-00000.bin").write_bytes(b"damaged")
+        for execution in DAMAGE_EXECUTIONS:
+            with pytest.raises(ValueError, match=r"chunk-00000\.bin.*convert"):
+                repro.clean(str(store), execution=execution)
 
 
 def rewrite_witnesses(store, witnesses):
