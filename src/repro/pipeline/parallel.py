@@ -61,6 +61,14 @@ than leaving queued shards running behind the caller's back.  A log that
 plans to a single shard (one worker, one user, or nothing at all) never
 leaves the parent.
 
+**Collector pause.**  A run is bounded by its input, so the parent's
+whole :meth:`ParallelCleaner.run` and each worker's shard body run under
+:func:`~repro.skeleton.cache.collector_paused`, and neither pays a
+cyclic-collector pass.  A pool forked inside the parent's pause would
+inherit a disabled collector, so every executor starts its workers with
+:func:`~repro.skeleton.cache.enable_collector`: under every start
+method a warm worker collects between shards as usual.
+
 **Fault tolerance.**  The fan-out runs on
 :class:`concurrent.futures.ProcessPoolExecutor` rather than
 ``multiprocessing.Pool`` because a killed worker surfaces promptly as
@@ -106,7 +114,7 @@ from ..errors import (
 )
 from ..log.models import LogRecord, QueryLog
 from ..obs import PipelineMetrics, Recorder
-from ..skeleton.cache import TemplateCache
+from ..skeleton.cache import TemplateCache, collector_paused, enable_collector
 from ..skeleton.interner import TemplateInterner
 from ..store.columnar import StoreRow, decode_shard, encode_shard
 from .config import PipelineConfig
@@ -408,12 +416,15 @@ def _clean_shard_encoded(
     is the :func:`~repro.store.columnar.encode_shard` encoding of the
     shard's records and ``seed`` the run's exported parse cache (or
     ``None``).  The worker's persistent parse cache
-    serves every shard it is handed.
+    serves every shard it is handed.  The body is bounded by its shard,
+    so it runs under :func:`~repro.skeleton.cache.collector_paused`,
+    like the parent's run.
     """
     shard, buffer, config, seed = payload
-    cache = _process_parse_cache(config, seed)
-    records = decode_shard(buffer)
-    return _clean_shard_log(shard, QueryLog(records), config, cache)
+    with collector_paused():
+        cache = _process_parse_cache(config, seed)
+        records = decode_shard(buffer)
+        return _clean_shard_log(shard, QueryLog(records), config, cache)
 
 
 # ----------------------------------------------------------------------
@@ -433,6 +444,11 @@ class WorkerPool:
     and provisions a fresh one in place; :attr:`generation` counts how
     many executors this pool has provisioned, so tests can assert a
     rebuild actually happened.
+
+    Every executor is provisioned with
+    :func:`~repro.skeleton.cache.enable_collector` as its workers'
+    initializer: a pool forked inside a paused parent run would
+    otherwise inherit a disabled collector and never collect again.
     """
 
     def __init__(self, workers: int) -> None:
@@ -447,7 +463,9 @@ class WorkerPool:
     def executor(self) -> futures.ProcessPoolExecutor:
         """The live executor, provisioning one if needed."""
         if self._executor is None:
-            self._executor = futures.ProcessPoolExecutor(max_workers=self.workers)
+            self._executor = futures.ProcessPoolExecutor(
+                max_workers=self.workers, initializer=enable_collector
+            )
             self.generation += 1
         return self._executor
 
@@ -729,6 +747,7 @@ class ParallelCleaner:
             record for chunk in source.open_chunks() for record in chunk
         )
 
+    @collector_paused()
     def run(self, log: Iterable[ShardItem]) -> QueryLog:
         """Shard, fan out, clean, and re-merge into global time order.
 
@@ -737,6 +756,12 @@ class ParallelCleaner:
         single-shard run cleans with it inline, pool runs ship its
         exported seed in every shard payload, so the workers' persistent
         caches start warm.
+
+        The whole run is bounded by ``log``, which the parent holds
+        whole once it is sharded, so it runs under
+        :func:`~repro.skeleton.cache.collector_paused`: the plan, the
+        row reads, the encode, the pool wait (the executor's thread
+        unpickles the reports meanwhile) and the fold.
         """
         execution = self.config.execution
         workers = execution.resolved_workers()

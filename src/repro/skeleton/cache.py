@@ -104,13 +104,17 @@ def collector_paused() -> Iterator[None]:
     without making garbage cycles, yet every 25% of growth triggers a
     full-heap collection pass that frees nothing.  Reference counting
     still frees all acyclic garbage while paused; any cycle the body
-    does make is collected once the collector runs again.  So use it
+    does make waits for the collector's next full pass, not its next
+    young one (see :func:`enable_collector`).  So use it
     only around bounded work: an unbounded run (streaming) keeps the
-    collector on.
+    collector on.  Nested pauses are free: only the outermost one
+    switches the collector back on.
 
     On exit, exceptions included, the caller's state is restored: a
-    collector the caller had disabled stays disabled.  This is the one
-    place the package switches the collector off.
+    collector the caller had disabled stays disabled.  One that was on
+    comes back through :func:`enable_collector`, which hands the body's
+    heap to the oldest generation, so no young pass re-scans it.  This
+    module is the one place the package changes the collector's state.
     """
     was_enabled = gc.isenabled()
     gc.disable()
@@ -118,7 +122,29 @@ def collector_paused() -> Iterator[None]:
         yield
     finally:
         if was_enabled:
-            gc.enable()
+            enable_collector()
+
+
+def enable_collector() -> None:
+    """Switch the cyclic collector on with an empty young generation.
+
+    Everything allocated while the collector was off is still in the
+    young generation, so the first allocation after a plain
+    ``gc.enable()`` would run a young pass over all of it.  Instead,
+    ``gc.freeze(); gc.unfreeze()`` moves every tracked object into the
+    oldest generation in O(1) and resets the young count.  A caller that
+    froze objects on purpose (a pre-fork server, say) keeps them frozen:
+    with a non-empty permanent generation the hand-off is skipped, since
+    ``gc.unfreeze()`` would thaw them too.
+
+    Also the worker pools' initializer: a pool forked inside a pause
+    inherits a disabled collector, and this gives its workers the same
+    state under every start method.
+    """
+    if gc.get_freeze_count() == 0:
+        gc.freeze()
+        gc.unfreeze()
+    gc.enable()
 
 
 # ----------------------------------------------------------------------

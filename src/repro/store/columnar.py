@@ -301,16 +301,22 @@ def _dump_compressed(path: Path, payload: object) -> None:
     _write_bytes_atomic(path, zlib.compress(raw, 6))
 
 
+def _damaged(path: Path, detail: object) -> ValueError:
+    """The error for a store file that cannot be read back: it names
+    the file and the remedy."""
+    return ValueError(
+        f"{path} is damaged ({detail}); rebuild the store from its "
+        "source log with `sqlog-clean convert LOG STORE`"
+    )
+
+
 def _load_compressed(path: Path) -> object:
     """Read one zlib(JSON) store file; a damaged one raises
     ``ValueError`` naming the file and the remedy."""
     try:
         return json.loads(zlib.decompress(path.read_bytes()).decode("utf-8"))
     except (zlib.error, ValueError) as exc:
-        raise ValueError(
-            f"{path} is damaged ({exc}); rebuild the store from its "
-            "source log with `sqlog-clean convert LOG STORE`"
-        ) from exc
+        raise _damaged(path, exc) from exc
 
 
 def chunk_file_name(index: int) -> str:
@@ -482,10 +488,17 @@ def load_templates(path: PathLike) -> Tuple[List[str], List[str]]:
     :meth:`repro.skeleton.cache.TemplateCache.preload` to warm-start a
     re-run over the store.  Witnesses only ever change speed, so a
     witness list that is not a list of texts loads as empty — a cold
-    start, never a failed run.
+    start, never a failed run.  The chunks cannot be read without the
+    texts, so a file without a list of them raises the ``ValueError``
+    of an undecodable one.
     """
-    payload = _load_compressed(Path(path) / "templates.bin")
-    texts = payload["texts"]  # type: ignore[index]
+    file = Path(path) / "templates.bin"
+    payload = _load_compressed(file)
+    texts = payload.get("texts") if isinstance(payload, dict) else None
+    if not isinstance(texts, list) or not all(
+        isinstance(text, str) for text in texts
+    ):
+        raise _damaged(file, "no list of template texts")
     witnesses = payload.get("witnesses")  # type: ignore[union-attr]
     if not isinstance(witnesses, list) or not all(
         isinstance(sql, str) for sql in witnesses

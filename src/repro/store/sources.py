@@ -280,7 +280,7 @@ class ColumnarSource(LogSource):
         ``templates.bin`` is damaged or its witness list malformed."""
         try:
             return self._dictionary()[1]
-        except (OSError, ValueError, KeyError, TypeError):
+        except (OSError, ValueError):
             # Witnesses are an acceleration layer, so they degrade to a
             # cold start; reading the chunks needs the dictionary's
             # texts, so the read itself raises the damage, naming the

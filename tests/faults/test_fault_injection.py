@@ -173,11 +173,8 @@ class TestQuarantinePolicy:
         for name, view in views.items():
             assert view == baseline, f"{name} ledger diverges from batch"
 
-    @pytest.mark.parametrize("parse_cache", [True, False], ids=["cache", "nocache"])
-    @pytest.mark.parametrize("mode", ["batch", "streaming"])
-    def test_quarantine_reasons_cover_all_classes(
-        self, mode, parse_cache, poisoned_log
-    ):
+    @pytest.mark.parametrize("mode", ["batch", "streaming", "cacheless"])
+    def test_quarantine_reasons_cover_all_classes(self, mode, poisoned_log):
         """Every failure class gets the same ``(reason, record)``
         verdict from every executor and from the cacheless reference.
         The parse failures — plus an unsupported statement, counted as
@@ -192,10 +189,10 @@ class TestQuarantinePolicy:
         ]
         config = PipelineConfig(error_policy="quarantine")
         log = QueryLog(poisoned_log.records() + repeats)
-        if parse_cache:
-            result = repro.clean(log, config, execution=mode)
-        else:
+        if mode == "cacheless":
             result = cacheless_run(log, config)
+        else:
+            result = repro.clean(log, config, execution=mode)
         assert result.quarantine.by_reason() == {
             INVALID_TIMESTAMP: 2,
             INVALID_STATEMENT: 2,

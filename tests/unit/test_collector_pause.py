@@ -1,14 +1,19 @@
 """The cyclic-collector pause around bounded bulk work.
 
-The batch stage chain (:func:`repro.pipeline.framework.run_stages`) and
+The batch stage chain (:func:`repro.pipeline.framework.run_stages`), a
+parallel run's parent (:meth:`ParallelCleaner.run`) and its shards, and
 :meth:`TemplateCache.preload` run under
 :func:`repro.skeleton.cache.collector_paused`.  These tests pin its
 contract: the caller's collector state comes back on exit, exceptions
-included; a paused run leaves no cyclic garbage behind, so pausing
-cannot grow memory; and the pause keeps one home in the package.
+included; the paused heap is handed to the oldest generation, so no
+young pass re-scans it, unless the caller froze objects of its own; a
+paused run leaves no cyclic garbage behind, so pausing cannot grow
+memory; pool workers forked inside the pause collect again; and every
+switch of the collector keeps one home in the package.
 """
 
 import gc
+import re
 from pathlib import Path
 
 import pytest
@@ -16,16 +21,28 @@ import pytest
 import repro
 from repro.antipatterns import DetectionContext
 from repro.errors import ShardFailure
-from repro.pipeline import ExecutionConfig, PipelineConfig, framework
+from repro.pipeline import ExecutionConfig, PipelineConfig, framework, parallel
 from repro.skeleton.cache import TemplateCache, collector_paused
 from repro.workload import WorkloadConfig, generate, skyserver_catalog
 from tests.reference import cacheless_run
 
-#: The executors whose stage chain runs under the pause.
+PARALLEL_2 = ExecutionConfig(mode="parallel", workers=2)
+
+#: The executors whose run goes under the pause.
 PAUSED = (
     ("batch", "batch"),
     ("parallel-1", ExecutionConfig(mode="parallel", workers=1)),
+    ("parallel-2", PARALLEL_2),
 )
+
+#: Where each paused run is watched: the stage chain, which a one-shard
+#: plan runs in the parent, or, when the chain runs in pool workers,
+#: the parent's shard plan.
+SPIED = {
+    "batch": (framework, "mine_stage"),
+    "parallel-1": (framework, "mine_stage"),
+    "parallel-2": (parallel, "shard_records"),
+}
 
 #: Every executor, and the batch chain down the full parse path
 #: (:func:`tests.reference.cacheless_run`).
@@ -54,18 +71,20 @@ def collector(request):
     (gc.enable if was_enabled else gc.disable)()
 
 
-def spy_mine_stage(monkeypatch, raises):
-    """Patch the mine stage to record the collector state it ran under."""
+def spy(monkeypatch, name, raises):
+    """Patch the step that watches run ``name`` to record the collector
+    state it ran under."""
+    module, attr = SPIED[name]
     seen = []
-    real = framework.mine_stage
+    real = getattr(module, attr)
 
-    def mine_stage(*args, **kwargs):
+    def watched(*args, **kwargs):
         seen.append(gc.isenabled())
         if raises:
-            raise RuntimeError("mine failed")
+            raise RuntimeError(f"{attr} failed")
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(framework, "mine_stage", mine_stage)
+    monkeypatch.setattr(module, attr, watched)
     return seen
 
 
@@ -73,7 +92,7 @@ def spy_mine_stage(monkeypatch, raises):
 def test_run_stages_restores_collector(
     monkeypatch, seed2018_log, collector, name, execution
 ):
-    seen = spy_mine_stage(monkeypatch, raises=False)
+    seen = spy(monkeypatch, name, raises=False)
     result = repro.clean(seed2018_log, config(), execution=execution)
     assert result.metrics.conservation_violations() == []
     assert seen and not any(seen)
@@ -84,7 +103,7 @@ def test_run_stages_restores_collector(
 def test_run_stages_restores_collector_when_a_stage_raises(
     monkeypatch, seed2018_log, collector, name, execution
 ):
-    seen = spy_mine_stage(monkeypatch, raises=True)
+    seen = spy(monkeypatch, name, raises=True)
     with pytest.raises((RuntimeError, ShardFailure)):
         repro.clean(seed2018_log, config(), execution=execution)
     assert seen and not any(seen)
@@ -130,11 +149,69 @@ def test_paused_run_leaves_no_cyclic_garbage(seed2018_log, name, execution):
     assert gc.collect() == 0
 
 
+def test_pause_hands_its_heap_to_the_oldest_generation():
+    """What a paused body allocated is not left in the young generation,
+    so the allocations after the pause trigger no young pass over it."""
+    assert gc.isenabled() and gc.get_freeze_count() == 0
+    passes = []
+
+    def record_pass(phase, info):
+        if phase == "start":
+            passes.append(info["generation"])
+
+    try:
+        with collector_paused():
+            heap = [[] for _ in range(100_000)]
+            gc.callbacks.append(record_pass)
+        assert gc.get_count()[0] < gc.get_threshold()[0]
+        for _ in range(1_000):
+            [[]]
+    finally:
+        gc.callbacks.remove(record_pass)
+    assert passes == []
+    assert gc.get_freeze_count() == 0
+    del heap
+
+
+def test_a_callers_frozen_objects_stay_frozen(seed2018_log):
+    """A caller that froze its heap on purpose (a pre-fork server) gets
+    it back frozen: the hand-off would thaw it, so it is skipped."""
+    assert gc.isenabled()
+    gc.freeze()
+    try:
+        frozen = gc.get_freeze_count()
+        assert frozen > 0
+        repro.clean(seed2018_log, config())
+        assert gc.get_freeze_count() == frozen
+        assert gc.isenabled()
+    finally:
+        gc.unfreeze()
+
+
+def test_pool_forked_inside_the_pause_collects(seed2018_log):
+    """A pool forked inside the parent's pause inherits a disabled
+    collector; its initializer switches it back on in every worker."""
+    parallel.discard_worker_pool(2)
+    result = repro.clean(seed2018_log, config(), execution=PARALLEL_2)
+    assert result.parallel_stats.shard_count > 1
+    pool = parallel.get_worker_pool(2)
+    assert pool.alive
+    assert all(
+        future.result(timeout=60) is True
+        for future in [pool.submit(gc.isenabled) for _ in range(4)]
+    )
+
+
+#: Every call that changes the collector's state, a bare ``gc.enable``
+#: handed over as a callback (a pool initializer, say) included.
+COLLECTOR_SWITCH = re.compile(r"\bgc\.(?:disable|enable|freeze|unfreeze)\b")
+
+
 def test_collector_is_disabled_in_one_module():
     src = Path(repro.__file__).parent
     homes = sorted(
         path.relative_to(src).as_posix()
         for path in src.rglob("*.py")
-        if "gc.disable(" in path.read_text(encoding="utf-8")
+        if COLLECTOR_SWITCH.search(path.read_text(encoding="utf-8"))
     )
     assert homes == ["skeleton/cache.py"]

@@ -7,12 +7,14 @@ template) and the witness list a streaming checkpoint carries.  The
 safety contract is that a dictionary can only ever change *speed*:
 every witness re-parses through the run's own cold path on load, and a
 malformed witness list falls back to a cold start — never an exception,
-never a different clean log.  A store file that no longer decompresses
-is another matter: ``templates.bin`` also holds the template texts the
-chunks refer to, so reading the store raises a ``ValueError`` that
-names the damaged file.
+never a different clean log.  A store file that no longer decompresses,
+or a ``templates.bin`` without its list of texts, is another matter:
+``templates.bin`` also holds the template texts the chunks refer to,
+so reading the store raises a ``ValueError`` that names the damaged
+file.
 """
 
+import json
 import zlib
 
 import pytest
@@ -120,11 +122,27 @@ class TestStoreAutoWarm:
             with pytest.raises(ValueError, match=r"chunk-00000\.bin.*convert"):
                 repro.clean(str(store), execution=execution)
 
+    @pytest.mark.parametrize(
+        "payload",
+        [{"witnesses": []}, {"texts": 3}, {"texts": ["SELECT a", 7]}, []],
+        ids=["no-texts", "non-list", "non-text", "non-object"],
+    )
+    def test_store_dictionary_without_texts_names_the_file(
+        self, tmp_path, payload
+    ):
+        """``templates.bin`` decompresses, but holds no list of texts."""
+        _, store = write_store(tmp_path)
+        (store / "templates.bin").write_bytes(
+            zlib.compress(json.dumps(payload).encode("utf-8"))
+        )
+        assert ColumnarSource(store).template_witnesses() == []
+        for execution in DAMAGE_EXECUTIONS:
+            with pytest.raises(ValueError, match=r"templates\.bin.*convert"):
+                repro.clean(str(store), execution=execution)
+
 
 def rewrite_witnesses(store, witnesses):
     """Hand-edit ``templates.bin`` to carry ``witnesses`` instead."""
-    import json
-
     path = store / "templates.bin"
     payload = json.loads(zlib.decompress(path.read_bytes()))
     payload["witnesses"] = witnesses
