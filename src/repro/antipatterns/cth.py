@@ -29,8 +29,8 @@ from .types import CTH_CANDIDATE, AntipatternInstance
 
 def _followup_matches(first: ParsedQuery, follow: ParsedQuery) -> bool:
     """Does ``follow`` look like it consumes ``first``'s result?"""
-    predicate = follow.equality_filter
-    if predicate is None or predicate.column is None:
+    column = follow.filter_column()
+    if column is None:
         return False
     # SQ1 ≠ SQ2 (Definition 15's first axiom).  Template identity is an
     # int compare when both queries carry run-scoped interned ids (the
@@ -43,7 +43,6 @@ def _followup_matches(first: ParsedQuery, follow: ParsedQuery) -> bool:
             return False
     elif follow.template_id == first.template_id:
         return False
-    column = predicate.column.name.lower()
     return column in first.outputs or "*" in first.outputs
 
 

@@ -27,7 +27,7 @@ from __future__ import annotations
 from typing import List, Optional, Sequence
 
 from ..patterns.models import Block, ParsedQuery
-from ..skeleton.features import is_key_filter
+from ..skeleton.features import _lowered_key_set
 from .base import DetectionContext
 from .types import (
     DF_STIFLE,
@@ -38,11 +38,18 @@ from .types import (
 
 
 def has_stifle_shape(query: ParsedQuery, context: DetectionContext) -> bool:
-    """CP = 1, θ = equality, filter column is a key attribute."""
-    predicate = query.equality_filter
-    if predicate is None:
+    """CP = 1, θ = equality, filter column is a key attribute.
+
+    Reads :meth:`~repro.patterns.models.ParsedQuery.filter_column`, which
+    a lazy query answers from its interned entry without binding a
+    predicate, against the context's key set lower-cased once
+    (as :func:`~repro.skeleton.features.is_key_filter` does).
+    """
+    column = query.filter_column()
+    if column is None:
         return False
-    return is_key_filter(predicate, context.key_columns)
+    keys = _lowered_key_set(context.key_columns)
+    return keys is None or column in keys
 
 
 def classify_pair(first: ParsedQuery, second: ParsedQuery) -> Optional[str]:
@@ -50,11 +57,12 @@ def classify_pair(first: ParsedQuery, second: ParsedQuery) -> Optional[str]:
 
     The clause comparisons follow Definitions 12–14 exactly, using the
     canonical clause renderings (identifiers case-folded, constants
-    preserved) so that formatting noise never separates clauses.
+    preserved) so that formatting noise never separates clauses.  Two
+    lazy binds of one parse-cache entry compare them by constants
+    instead of rendering them
+    (:meth:`~repro.patterns.models.ParsedQuery.same_clauses`).
     """
-    same_sc = first.clauses.sc == second.clauses.sc
-    same_fc = first.clauses.fc == second.clauses.fc
-    same_wc = first.clauses.wc == second.clauses.wc
+    same_sc, same_fc, same_wc = first.same_clauses(second)
     same_swc = first.template.swc == second.template.swc
 
     if same_sc and same_fc and same_swc and not same_wc:

@@ -85,6 +85,44 @@ class ParsedQuery:
             self.__dict__["_null_predicates"] = count
         return count
 
+    # The facts below are what the post-parse hot loops (SWS, Stifle,
+    # CTH, the DW rewrite) read.  Each eager default derives its answer
+    # from the AST or the bound predicate; the lazy subclass answers
+    # from its interned entry and its constant vector instead.
+
+    def where_constants(self) -> Tuple[str, ...]:
+        """Every literal (number, string and NULL) of the leading
+        SELECT's WHERE clause as a ``kind:value`` string, in
+        :meth:`~repro.sqlparser.ast_nodes.Node.walk` (pre-)order — the
+        SWS shape check's constant tuple."""
+        where = self.select.where
+        if where is None:
+            return ()
+        return tuple(
+            f"{node.kind}:{node.value}"
+            for node in where.walk()
+            if isinstance(node, ast.Literal)
+        )
+
+    def filter_column(self) -> Optional[str]:
+        """Lower-cased column of :attr:`equality_filter`, or ``None``
+        when the query has no single equality filter."""
+        predicate = self.equality_filter
+        if predicate is None or predicate.column is None:
+            return None
+        return predicate.column.name.lower()
+
+    def filter_value(self) -> Optional[ast.Literal]:
+        """The constant side of :attr:`equality_filter`, or ``None``."""
+        predicate = self.equality_filter
+        return None if predicate is None else predicate.value
+
+    def same_clauses(self, other: "ParsedQuery") -> Tuple[bool, bool, bool]:
+        """Whether this query and ``other`` agree on their SC, FC and WC
+        texts (constants included), in that order."""
+        mine, theirs = self.clauses, other.clauses
+        return (mine.sc == theirs.sc, mine.fc == theirs.fc, mine.wc == theirs.wc)
+
     @classmethod
     def from_statement(
         cls,

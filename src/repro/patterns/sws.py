@@ -22,8 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Sequence, Set, Tuple
 
-from ..sqlparser import ast_nodes as ast
-from .models import ParsedQuery, PatternInstance
+from .models import PatternInstance
 from .registry import PatternRegistry, PatternStats
 
 SWS_LABEL = "SWS"
@@ -31,15 +30,15 @@ SWS_LABEL = "SWS"
 
 def _instance_constants(instance: PatternInstance) -> Tuple[str, ...]:
     """All literals (number, string and NULL) of an instance's WHERE
-    clauses as ``kind:value`` strings, in walk order."""
+    clauses as ``kind:value`` strings, in walk order.
+
+    Read through :meth:`~.models.ParsedQuery.where_constants`: a lazy query
+    formats its entry's WHERE plan from its constant vector, so the
+    check builds no AST for the parse cache's members.
+    """
     constants: List[str] = []
     for query in instance.queries:
-        where = query.select.where
-        if where is None:
-            continue
-        for node in where.walk():
-            if isinstance(node, ast.Literal):
-                constants.append(f"{node.kind}:{node.value}")
+        constants.extend(query.where_constants())
     return tuple(constants)
 
 

@@ -77,22 +77,30 @@ def _selects_column(
 
 
 def rewrite_dw_stifle(queries: Sequence[ParsedQuery]) -> ast.SelectStatement:
-    """Merge a DW run into one IN-list query (Example 9 → Example 10)."""
+    """Merge a DW run into one IN-list query (Example 9 → Example 10).
+
+    Only the first query's AST and predicate are needed; every other
+    query contributes its filter column and constant, which a lazy query
+    reads straight from its interned entry and constant vector.
+    """
     if len(queries) < 2:
         raise RewriteNotApplicable("a stifle run needs at least two queries")
     first = _single_select(queries[0])
     column = _filter_predicate(queries[0]).column
+    name = column.name.lower()
 
     values: List[ast.Expression] = []
     seen = set()
     for query in queries:
-        predicate = _filter_predicate(query)
-        if predicate.column.name.lower() != column.name.lower():
+        filtered, value = query.filter_column(), query.filter_value()
+        if filtered is None or value is None:
+            raise RewriteNotApplicable("query lost its single-equality shape")
+        if filtered != name:
             raise RewriteNotApplicable("DW run filters differing columns")
-        key = (predicate.value.kind, predicate.value.value)
+        key = (value.kind, value.value)
         if key not in seen:
             seen.add(key)
-            values.append(predicate.value)
+            values.append(value)
 
     items = first.items
     if not _selects_column(items, column):

@@ -505,6 +505,19 @@ class LazyParsedQuery(ParsedQuery):
       entry's substitution plan and bump the cache's ``materialised``
       counter.
 
+    The post-parse facts the detectors and the SWS check read answer
+    from the entry and the constant vector, with no AST and no bound
+    :class:`~repro.skeleton.features.Predicate`:
+    :meth:`null_predicate_count`, :meth:`filter_column` (memoised on
+    the entry), :meth:`filter_value` (one ``Literal`` at most),
+    :meth:`where_constants` (the entry's WHERE plan formatted from the
+    constants) and :meth:`same_clauses` (two binds of one entry compare
+    their splice slots' constants).  Each falls back to the eager
+    :class:`ParsedQuery` path where the entry could not be precomputed
+    (a WHERE constant or equality filter not located by node identity)
+    or, for :meth:`same_clauses`, when the other query is not a bind of
+    the same entry.
+
     Instances compare equal (both directions) and hash identically to
     the eager :class:`ParsedQuery` they stand in for; comparing forces
     materialisation.  They are built by :meth:`_Entry.bind` via
@@ -583,14 +596,11 @@ class LazyParsedQuery(ParsedQuery):
         elif binding[0] == _EQ_SHARED:
             result = proto_pred
         elif binding[0] == _EQ_INDEXED:
-            index, on_left = binding[1], binding[2]
-            constants = d["_constants"]
-            kind, text = constants[index]
-            if constants[index] == entry.constants[index]:
+            literal = self.filter_value()
+            if literal is proto_pred.value:
                 result = proto_pred
             else:
-                literal = ast.Literal(text, kind)
-                if on_left:
+                if binding[2]:
                     node = dataclasses.replace(proto_pred.node, left=literal)
                 else:
                     node = dataclasses.replace(proto_pred.node, right=literal)
@@ -606,10 +616,76 @@ class LazyParsedQuery(ParsedQuery):
         d["equality_filter"] = result
         return result
 
+    # ------------------------------------------------------------------
+    # Post-parse facts answered from the entry (see ParsedQuery): none
+    # of them builds an AST or binds a Predicate unless the entry's
+    # precompute had to give up.
+
     def null_predicate_count(self) -> int:
         # Constant-independent (NULL is a keyword literal, never a
         # number/string constant), so the entry's precompute is exact.
         return self.__dict__["_entry"].nulls
+
+    def where_constants(self) -> Tuple[str, ...]:
+        d = self.__dict__
+        entry: _Entry = d["_entry"]
+        plan = entry.where
+        if plan is None:
+            plan = entry.where = _where_plan(entry.proto, len(entry.constants))
+        if plan is _UNSAFE:
+            return ParsedQuery.where_constants(self)
+        constants = d["_constants"]
+        return tuple(
+            [item if type(item) is str else "%s:%s" % constants[item] for item in plan]
+        )
+
+    def filter_column(self) -> Optional[str]:
+        # The filter's column is fixed by the fingerprint key; only an
+        # entry whose filter could not be located needs the AST.
+        entry: _Entry = self.__dict__["_entry"]
+        binding = entry.eq
+        if binding is None:
+            return None
+        if binding[0] == _EQ_MATERIALISE:
+            return ParsedQuery.filter_column(self)
+        column = entry.column
+        if column is None:
+            column = entry.column = entry.proto.equality_filter.column.name.lower()
+        return column
+
+    def filter_value(self) -> Optional[ast.Literal]:
+        d = self.__dict__
+        entry: _Entry = d["_entry"]
+        binding = entry.eq
+        if binding is None:
+            return None
+        if binding[0] == _EQ_SHARED:
+            return entry.proto.equality_filter.value
+        if binding[0] == _EQ_MATERIALISE:
+            return ParsedQuery.filter_value(self)
+        index = binding[1]
+        constant = d["_constants"][index]
+        if constant == entry.constants[index]:
+            return entry.proto.equality_filter.value
+        return ast.Literal(constant[1], constant[0])
+
+    def same_clauses(self, other: ParsedQuery) -> Tuple[bool, bool, bool]:
+        # Two binds of one entry share the splice statics, and
+        # _render_constant is injective, so a clause text agrees exactly
+        # when the constants in its splice slots do.
+        d = self.__dict__
+        entry: _Entry = d["_entry"]
+        if other.__dict__.get("_entry") is not entry:
+            return ParsedQuery.same_clauses(self, other)
+        mine = d["_constants"]
+        theirs = other.__dict__["_constants"]
+        if mine == theirs:
+            return (True, True, True)
+        sc, fc, wc = (
+            all(mine[slot] == theirs[slot] for slot in slots)
+            for _, slots in entry.splices
+        )
+        return (sc, fc, wc)
 
     # ------------------------------------------------------------------
     # Equality across the lazy/eager divide.  The generated dataclass
@@ -672,10 +748,22 @@ class _Entry:
     bind needs without touching the AST: the shared eager-field dict
     (:attr:`shared`), the equality-filter binding descriptor
     (:attr:`eq`) and the NULL-comparison predicate count
-    (:attr:`nulls`).
+    (:attr:`nulls`).  The memo slots (:attr:`plan`, :attr:`where`,
+    :attr:`column`) are filled on first use, so a cold build pays for
+    none of them, and are never pickled.
     """
 
-    __slots__ = ("proto", "constants", "splices", "eq", "nulls", "shared", "plan")
+    __slots__ = (
+        "proto",
+        "constants",
+        "splices",
+        "eq",
+        "nulls",
+        "shared",
+        "plan",
+        "where",
+        "column",
+    )
 
     def __init__(
         self,
@@ -700,6 +788,12 @@ class _Entry:
         #: The prototype's substitution plan (see :func:`_literal_plan`):
         #: built on the first materialisation, never pickled.
         self.plan: Optional[_Step] = None
+        #: The WHERE plan of :meth:`LazyParsedQuery.where_constants`
+        #: (see :func:`_where_plan`), or ``_UNSAFE`` to walk the AST.
+        self.where: object = None
+        #: The lower-cased equality-filter column, for ``_EQ_SHARED`` /
+        #: ``_EQ_INDEXED`` bindings.
+        self.column: Optional[str] = None
 
     def bind(self, record, constants, stats: _LazyStats) -> LazyParsedQuery:
         """One lazy bind: a dict copy, no AST, no splice render."""
@@ -768,6 +862,36 @@ def _equality_binding(proto: ParsedQuery) -> Optional[tuple]:
         if node is value:
             return (_EQ_INDEXED, index, pred.node.left is value)
     return (_EQ_MATERIALISE,)
+
+
+def _where_plan(proto: ParsedQuery, count: int) -> object:
+    """How a member's :meth:`~ParsedQuery.where_constants` derives from
+    its constant vector: one item per literal of the prototype's WHERE,
+    in walk order — the fixed ``kind:value`` string of a NULL, or the
+    source-order index of a number/string constant, found by node
+    identity.  ``_UNSAFE`` (walk the AST instead) when the statement's
+    constant nodes do not line up one-to-one with its ``count``
+    constants, or a WHERE constant is not among them.
+    """
+    where = proto.select.where
+    if where is None:
+        return ()
+    nodes: List[ast.Literal] = []
+    _collect_literal_nodes(proto.statement, nodes)
+    index_of = {id(node): index for index, node in enumerate(nodes)}
+    if len(nodes) != count or len(index_of) != count:
+        return _UNSAFE
+    plan: List[object] = []
+    for node in where.walk():
+        if isinstance(node, ast.Literal):
+            if node.kind == "number" or node.kind == "string":
+                index = index_of.get(id(node))
+                if index is None:
+                    return _UNSAFE
+                plan.append(index)
+            else:
+                plan.append(f"{node.kind}:{node.value}")
+    return tuple(plan)
 
 
 def _entry_from_markers(

@@ -18,7 +18,8 @@ schema and therefore takes a ``key_columns`` set provided by the caller
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Sequence, Set, Tuple
+from functools import lru_cache
+from typing import FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple
 
 from ..sqlparser import ast_nodes as ast
 
@@ -237,6 +238,27 @@ def is_key_filter(
     """
     if predicate.column is None:
         return False
+    keys = _lowered_key_set(key_columns)
+    return keys is None or predicate.column.name.lower() in keys
+
+
+def _lowered_key_set(
+    key_columns: Optional[Sequence[str]],
+) -> Optional[FrozenSet[str]]:
+    """``key_columns`` lower-cased (``None`` stays ``None``).
+
+    A detection run asks once per query, so each hashable key set is
+    lower-cased once and remembered; a list or set is lower-cased on
+    every call.
+    """
     if key_columns is None:
-        return True
-    return predicate.column.name.lower() in {k.lower() for k in key_columns}
+        return None
+    try:
+        return _lowered(key_columns)
+    except TypeError:  # unhashable: a list or a set
+        return frozenset(k.lower() for k in key_columns)
+
+
+@lru_cache(maxsize=16)
+def _lowered(key_columns: Sequence[str]) -> FrozenSet[str]:
+    return frozenset(k.lower() for k in key_columns)

@@ -18,7 +18,10 @@ prototype's statement itself when bound to the prototype's constants.
 
 A second property pins :meth:`Node.walk` on the field-name table to the
 frozen ``af4d27c`` walk: the SWS shape check reads WHERE constants in
-walk order, so the pre-order sequence is part of its verdict.
+walk order, so the pre-order sequence is part of its verdict.  A third
+pins the lazy :meth:`~repro.skeleton.cache.LazyParsedQuery.where_constants`,
+which formats its entry's WHERE plan from the constant vector, to that
+walk over the eagerly parsed member, building no AST.
 """
 
 import __future__
@@ -36,6 +39,7 @@ from repro.patterns.models import ParsedQuery
 from repro.skeleton.cache import (
     LazyParsedQuery,
     TemplateCache,
+    _UNSAFE,
     _LazyStats,
     _literal_plan,
     _rebuild,
@@ -351,3 +355,47 @@ def test_walk_order_matches_frozen_walk(pair):
     frozen_order = [repr(node) for node in to_frozen(statement).walk()]
     live_order = [repr(node) for node in statement.walk()]
     assert live_order == frozen_order
+
+
+#: The WHERE shapes the plan has to place: folded negatives, BETWEEN,
+#: IN lists, ``= NULL`` among constants and strings with ``''``.
+WHERE_PAIRS = [
+    (
+        "SELECT a FROM t WHERE a = -5 AND b BETWEEN -1 AND 2",
+        "SELECT a FROM t WHERE a = -7 AND b BETWEEN -3 AND 4",
+    ),
+    (
+        "SELECT a FROM t WHERE a = NULL AND b = 1 OR c IN (1, 'x''y', 3)",
+        "SELECT a FROM t WHERE a = NULL AND b = 2 OR c IN (4, 'it''s', 3)",
+    ),
+    (
+        "SELECT TOP 5 a FROM t WHERE b <> 'o''k' AND NOT a IS NULL",
+        "SELECT TOP 6 a FROM t WHERE b <> '''' AND NOT a IS NULL",
+    ),
+    (
+        "SELECT f(1) FROM (SELECT b FROM u WHERE c = 2) AS d WHERE d.b = 3",
+        "SELECT f(9) FROM (SELECT b FROM u WHERE c = 8) AS d WHERE d.b = 7",
+    ),
+]
+
+
+@settings(max_examples=150, deadline=None)
+@given(statement_pairs())
+@example(WHERE_PAIRS[0])
+@example(WHERE_PAIRS[1])
+@example(WHERE_PAIRS[2])
+@example(WHERE_PAIRS[3])
+def test_where_constants_match_the_ast_walk(pair):
+    first, second = (record(seq, sql) for seq, sql in enumerate(pair))
+    if parse_or_none(first.sql) is None or parse_or_none(second.sql) is None:
+        return
+    cache = TemplateCache()
+    if cache.fetch(first) is None:
+        cache.build(first)
+    query = cache.fetch(second)
+    if type(query) is not LazyParsedQuery:
+        return  # unsafe key: served eagerly
+    eager = ParsedQuery.from_statement(second, parse(second.sql))
+    assert query.where_constants() == eager.where_constants()
+    assert query.__dict__["_entry"].where is not _UNSAFE
+    assert cache.materialised == 0

@@ -28,6 +28,7 @@ FROZEN_REVS = (
     "484718b",  # raw scan opening with a lookbehind, walking finditer
     "df9df8f",  # three-tier parse cache
     "c546b36",  # hand-packed shard codec
+    "73fc238",  # post-parse consumers reading the AST and bound predicate
 )
 
 

@@ -9,6 +9,7 @@ from repro.skeleton.features import (
     THETA_IS_NULL,
     THETA_LIKE,
     THETA_RANGE,
+    _lowered_key_set,
     filter_columns,
     is_key_filter,
     null_comparison_predicates,
@@ -205,3 +206,13 @@ class TestKeyFilter:
             parse_select("SELECT a FROM t WHERE ObjID = 5")
         )
         assert is_key_filter(predicate, ["OBJID"])
+
+    def test_key_set_is_lowered_once_per_set(self):
+        keys = frozenset({"ObjID", "SpecObjID"})
+        lowered = _lowered_key_set(keys)
+        assert lowered == {"objid", "specobjid"}
+        assert _lowered_key_set(frozenset(keys)) is lowered
+        # Unhashable key collections are lowered on every call.
+        assert _lowered_key_set(["ObjID"]) == {"objid"}
+        assert _lowered_key_set({"ObjID"}) == {"objid"}
+        assert _lowered_key_set(None) is None

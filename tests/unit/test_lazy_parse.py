@@ -200,3 +200,138 @@ class TestCacheLifecycle:
         clone = pickle.loads(pickle.dumps(query))
         assert type(clone) is LazyParsedQuery
         assert_materialises_from_derived_plan(clone, rec)
+
+
+def lazy_pair(warm_sql: str, sql: str):
+    """A cache warmed with ``warm_sql`` and the lazy bind of ``sql``."""
+    cache = TemplateCache()
+    warm(cache, record(0, warm_sql))
+    rec = record(1, sql)
+    query = cache.fetch(rec)
+    assert type(query) is LazyParsedQuery
+    return cache, rec, query
+
+
+class TestPostParseFacts:
+    """Facts the post-parse stages read, answered from the entry."""
+
+    def test_where_constants_and_filter_need_no_ast(self, lazy_hit):
+        cache, rec, query = lazy_hit
+        direct = fresh_parse(rec)
+        assert query.where_constants() == direct.where_constants()
+        assert query.where_constants() == ("number:2", "number:9.25")
+        assert query.filter_column() is None
+        assert query.filter_value() is None
+        assert cache.materialised == 0
+        assert "equality_filter" not in query.__dict__
+
+    def test_filter_column_and_value_from_the_bound_constant(self):
+        cache, rec, query = lazy_pair(
+            "SELECT name FROM SpecObj WHERE ObjID = 'a'",
+            "SELECT name FROM SpecObj WHERE ObjID = 'b''c'",
+        )
+        direct = fresh_parse(rec)
+        assert query.filter_column() == direct.filter_column() == "objid"
+        assert query.filter_value() == direct.filter_value()
+        assert query.filter_value().value == "b'c"
+        assert cache.materialised == 0
+        assert "equality_filter" not in query.__dict__
+        # A member bound to the prototype's constant shares its literal.
+        same = cache.fetch(record(2, "SELECT name FROM SpecObj WHERE ObjID = 'a'"))
+        entry = same.__dict__["_entry"]
+        assert same.filter_value() is entry.proto.equality_filter.value
+
+    def test_where_null_is_a_fixed_plan_item(self):
+        cache, rec, query = lazy_pair(
+            "SELECT a FROM t WHERE a = NULL AND b IN (1, 'x')",
+            "SELECT a FROM t WHERE a = NULL AND b IN (2, 'y''z')",
+        )
+        assert query.where_constants() == fresh_parse(rec).where_constants()
+        assert query.where_constants() == ("null:NULL", "number:2", "string:y'z")
+        assert query.__dict__["_entry"].where == ("null:NULL", 0, 1)
+        assert cache.materialised == 0
+
+    def test_fallbacks_build_the_ast(self):
+        from repro.skeleton.cache import _EQ_MATERIALISE, _UNSAFE
+
+        cache, rec, query = lazy_pair(
+            "SELECT a FROM t WHERE objid = 5", "SELECT a FROM t WHERE objid = 6"
+        )
+        entry = query.__dict__["_entry"]
+        entry.where = _UNSAFE
+        entry.eq = (_EQ_MATERIALISE,)
+        direct = fresh_parse(rec)
+        assert query.where_constants() == direct.where_constants()
+        assert query.filter_column() == "objid"
+        assert query.filter_value() == direct.filter_value()
+        assert cache.materialised == 1
+
+    def test_same_entry_clauses_compare_by_constants(self):
+        cache = TemplateCache()
+        warm(cache, record(0, "SELECT a, 1 FROM t WHERE objid = 5"))
+        texts = [
+            "SELECT a, 1 FROM t WHERE objid = 6",
+            "SELECT a, 1 FROM t WHERE objid = 7",
+            "SELECT a, 2 FROM t WHERE objid = 7",
+        ]
+        queries = [cache.fetch(record(seq, sql)) for seq, sql in enumerate(texts, 1)]
+        assert all(type(q) is LazyParsedQuery for q in queries)
+        eager = [fresh_parse(q.record) for q in queries]
+        for first, first_eager in zip(queries, eager):
+            for second, second_eager in zip(queries, eager):
+                assert first.same_clauses(second) == first_eager.same_clauses(
+                    second_eager
+                )
+        assert queries[0].same_clauses(queries[1]) == (True, True, False)
+        assert queries[1].same_clauses(queries[2]) == (False, True, True)
+        assert all("clauses" not in q.__dict__ for q in queries)
+        # Another entry, or an eager query: the rendered texts decide.
+        assert queries[0].same_clauses(eager[0]) == (True, True, True)
+        assert cache.materialised == 0
+
+    def test_memo_slots_are_not_pickled(self):
+        cache, _, query = lazy_pair(
+            "SELECT a FROM t WHERE objid = 5", "SELECT a FROM t WHERE objid = 6"
+        )
+        query.where_constants()
+        query.filter_column()
+        entry = query.__dict__["_entry"]
+        assert entry.where == (0,) and entry.column == "objid"
+        clone = pickle.loads(pickle.dumps(entry))
+        assert clone.where is None and clone.column is None
+
+    def test_detectors_and_sws_build_no_ast(self):
+        from repro.antipatterns import DetectionContext, run_detectors
+        from repro.patterns import detect_sws
+        from repro.patterns.miner import mine
+        from repro.patterns.registry import PatternRegistry
+        from repro.patterns.sws import SwsConfig
+
+        cache = TemplateCache()
+        texts = []
+        for user, first in (("u1", 0), ("u2", 100)):
+            for i in range(first, first + 6):
+                texts.append((user, f"SELECT ra, dec FROM PhotoObj WHERE objid = {i}"))
+                texts.append((user, f"SELECT z FROM SpecObj WHERE bestobjid = {i}"))
+                texts.append((user, "SELECT a FROM t WHERE b = NULL AND c = 1"))
+        queries = []
+        for seq, (user, sql) in enumerate(texts):
+            rec = LogRecord(seq=seq, timestamp=float(seq), user=user, sql=sql)
+            query = cache.fetch(rec)
+            if query is None:
+                query = cache.build(rec)
+            queries.append(query)
+        assert sum(type(q) is LazyParsedQuery for q in queries) > 30
+        mining = mine(queries)
+        context = DetectionContext(key_columns=frozenset({"ObjID", "BestObjID"}))
+        instances = run_detectors(mining.blocks, context)
+        assert instances
+        registry = PatternRegistry.from_runs(mining.runs)
+        report = detect_sws(
+            registry,
+            mining.instances,
+            SwsConfig(min_frequency_share=0.0, max_popularity=10),
+            mark=False,
+        )
+        assert report.patterns
+        assert cache.materialised == 0

@@ -56,6 +56,11 @@ class TestStifleShape:
         query = self._query("SELECT name FROM e WHERE empId > 8")
         assert not has_stifle_shape(query, DetectionContext(key_columns=KEYS))
 
+    def test_key_columns_match_case_insensitively(self):
+        query = self._query("SELECT name FROM e WHERE EMPID = 8")
+        keys = frozenset(key.upper() for key in KEYS)
+        assert has_stifle_shape(query, DetectionContext(key_columns=keys))
+
 
 class TestClassifyPair:
     def _pair(self, sql1, sql2):
