@@ -120,7 +120,7 @@ class StifleDetector:
                         queries=run,
                         solvable=True,
                         details={
-                            "filter_column": run[0].equality_filter.column.name,  # type: ignore[union-attr]
+                            "filter_column": run[0].filter_column_name(),
                             "run_length": length,
                         },
                     )

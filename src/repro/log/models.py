@@ -14,6 +14,9 @@ import math
 from dataclasses import dataclass, replace
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
+#: The user key of a record without user information (Section 4.1.1).
+ANONYMOUS_USER = "<anonymous>"
+
 
 @dataclass(frozen=True)
 class LogRecord:
@@ -46,7 +49,7 @@ class LogRecord:
         user issued all queries (Section 4.1.1); we encode that as the
         single key ``"<anonymous>"``.
         """
-        return self.user if self.user is not None else "<anonymous>"
+        return self.user if self.user is not None else ANONYMOUS_USER
 
     def with_sql(self, sql: str) -> "LogRecord":
         """Copy of this record with the statement text replaced (used by

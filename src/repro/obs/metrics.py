@@ -136,7 +136,8 @@ MERGE_COUNTERS = (
 
 #: Counters ``repro.clean`` books on a ``store`` stage when its input is
 #: a columnar store, under every executor: the chunk files read and
-#: their compressed size on disk.  Like the merge stage, ``store`` is
+#: their compressed size on disk (the stage's wall time is the time
+#: spent loading and decoding them).  Like the merge stage, ``store`` is
 #: outside :meth:`PipelineMetrics.comparable` — a resumed checkpointed
 #: run reads only the chunks its predecessor had not finished — and
 #: in-memory inputs book no ``store`` stage at all.

@@ -105,12 +105,17 @@ class ParsedQuery:
         )
 
     def filter_column(self) -> Optional[str]:
-        """Lower-cased column of :attr:`equality_filter`, or ``None``
+        """Lower-cased :meth:`filter_column_name`."""
+        name = self.filter_column_name()
+        return None if name is None else name.lower()
+
+    def filter_column_name(self) -> Optional[str]:
+        """The column of :attr:`equality_filter` as written, or ``None``
         when the query has no single equality filter."""
         predicate = self.equality_filter
         if predicate is None or predicate.column is None:
             return None
-        return predicate.column.name.lower()
+        return predicate.column.name
 
     def filter_value(self) -> Optional[ast.Literal]:
         """The constant side of :attr:`equality_filter`, or ``None``."""

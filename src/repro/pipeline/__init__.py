@@ -46,6 +46,7 @@ from .parallel import (
     get_worker_pool,
     shard_index,
     shard_records,
+    shard_store,
     shutdown_worker_pools,
 )
 from .report import export_report
@@ -91,6 +92,7 @@ __all__ = [
     "get_worker_pool",
     "shard_index",
     "shard_records",
+    "shard_store",
     "shutdown_worker_pools",
     # statistics / report
     "export_report",

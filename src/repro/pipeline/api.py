@@ -151,7 +151,7 @@ def clean(
     # Store I/O is booked as this run's share of the source's lifetime
     # counters (a caller may clean one source several times).
     store_io = (
-        (source.chunks_read, source.bytes_read)
+        (source.chunks_read, source.bytes_read, source.read_seconds)
         if isinstance(source, ColumnarSource)
         else None
     )
@@ -232,8 +232,10 @@ def clean(
         if store_io is not None:
             # The result's ledger is the recorder's, so booking after
             # the executor returned still lands in it.
-            chunks, nbytes = store_io
-            active.count("store", "chunks_read", source.chunks_read - chunks)
+            chunks, nbytes, seconds = store_io
+            chunks = source.chunks_read - chunks
+            active.count("store", "chunks_read", chunks)
             active.count("store", "bytes_read", source.bytes_read - nbytes)
+            active.add_seconds("store", source.read_seconds - seconds, chunks)
         if owned and source is not None:
             source.close()

@@ -62,6 +62,7 @@ from .config import PipelineConfig
 from .statistics import Overview, census_by_label
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from ..store.columnar import StoredSplits
     from .parallel import ParallelStats
 
 
@@ -463,6 +464,7 @@ def parse_log(
     channel: Optional[QuarantineChannel] = None,
     cache: Optional[TemplateCache] = None,
     interner: Optional[TemplateInterner] = None,
+    splits: Optional["StoredSplits"] = None,
 ) -> ParseStageResult:
     """Parse every statement; classify failures (Fig. 1's parse stage).
 
@@ -508,6 +510,12 @@ def parse_log(
     Every statement that reaches the full parser is booked as
     ``parse_cold``, so with a cache in play ``parse_cold ==
     parse_cache_misses`` is another ledger law.
+
+    ``splits``, when given, are the stored splits of the records ``log``
+    was cut from (a decoded shard's,
+    :class:`~repro.store.columnar.StoredSplits`): each record's split is
+    looked up by identity, and the cache binds the record by it where
+    the store's shape rule vouches for it.
     """
     recorder = recorder or NULL
     result = ParseStageResult()
@@ -524,21 +532,41 @@ def parse_log(
         #: (only consulted when no TemplateCache was provided).
         memo = {} if cache is None else None
         append_query = result.queries.append
-        for record in log:
-            query = parse_one(
-                record,
-                cache,
-                memo,
-                interner,
-                fold_variables,
-                strict_triple,
-                policy,
-                channel,
-                tally,
-                result,
-            )
-            if query is not None:
-                append_query(query)
+        # Two loops, so that a run without splits pays nothing for them.
+        if splits is None:
+            for record in log:
+                query = parse_one(
+                    record,
+                    cache,
+                    memo,
+                    interner,
+                    fold_variables,
+                    strict_triple,
+                    policy,
+                    channel,
+                    tally,
+                    result,
+                )
+                if query is not None:
+                    append_query(query)
+        else:
+            split_of = splits.split_of
+            for record in log:
+                query = parse_one(
+                    record,
+                    cache,
+                    memo,
+                    interner,
+                    fold_variables,
+                    strict_triple,
+                    policy,
+                    channel,
+                    tally,
+                    result,
+                    split_of(record),
+                )
+                if query is not None:
+                    append_query(query)
     # The tally starts at this stage: its input is the parse input.
     tally.records_in = (
         len(result.queries)
@@ -562,6 +590,7 @@ def parse_stage(
     channel: Optional[QuarantineChannel] = None,
     cache: Optional[TemplateCache] = None,
     interner: Optional[TemplateInterner] = None,
+    splits: Optional["StoredSplits"] = None,
 ) -> ParseStageResult:
     """Stage 2: :func:`parse_log` with the config's parsing knobs.
 
@@ -570,7 +599,7 @@ def parse_stage(
     cache per parallel worker process (``_process_parse_cache``).
     ``None`` runs the cacheless reference parse.  The ``interner``
     travels the same way (created by :func:`parse_log` itself when
-    absent).
+    absent), and so do a parallel shard's stored ``splits``.
     """
     return parse_log(
         log,
@@ -581,6 +610,7 @@ def parse_stage(
         channel=channel,
         cache=cache,
         interner=interner,
+        splits=splits,
     )
 
 
@@ -828,6 +858,7 @@ def run_stages(
     cache: Optional[TemplateCache],
     *,
     registry: bool,
+    splits: Optional["StoredSplits"] = None,
 ) -> PipelineResult:
     """Fig. 1's stage chain over ``log``: validate → dedup → parse → mine
     → detect → (registry) → solve.
@@ -837,7 +868,10 @@ def run_stages(
     without.  ``cache`` is the run's parse cache, which may have served
     earlier runs: the ``parse_materialised`` it books is what this run's
     stages forced, counted once they have all run (SWS and the solver
-    materialise lazy queries too).
+    materialise lazy queries too).  ``splits`` are a decoded shard's
+    stored splits (:func:`parse_log`): validate and dedup pass its
+    record objects through, and the chain lets go of them once the parse
+    stage has bound the records.
 
     Both callers hand it a bounded log, so the chain runs under
     :func:`~repro.skeleton.cache.collector_paused`: it builds a heap of
@@ -851,8 +885,15 @@ def run_stages(
         validated = validate_stage(log, config, recorder, channel)
         dedup = dedup_stage(validated, config, recorder)
         parse_result = parse_stage(
-            dedup.log, config, recorder, channel, cache=cache, interner=interner
+            dedup.log,
+            config,
+            recorder,
+            channel,
+            cache=cache,
+            interner=interner,
+            splits=splits,
         )
+        splits = None
         mining = mine_stage(parse_result.queries, config, recorder)
         antipatterns = detect_stage(mining.blocks, config, recorder)
         pattern_registry = sws_report = None

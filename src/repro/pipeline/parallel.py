@@ -9,24 +9,32 @@ parallel *by user*.  The :class:`ParallelCleaner` exploits that:
    into per-task lists; a user's whole timeline always lands in
    exactly one task.  The shard count adapts to the fan-out: about
    ``2 × workers`` tasks, rebalanced by record counts.  A columnar
-   store is sharded *store-native*: its rows
-   (:class:`~repro.store.columnar.StoreRow`) come straight from the
-   chunk columns, statements still split into template text and
-   constants, so the parent never rebuilds a statement or a record.
+   store is cut *store-native* (:func:`shard_store`): each chunk is
+   read once, its ``user`` column hashed once per distinct user into
+   the same buckets, and each bucket's rows gathered column by column
+   (:class:`~repro.store.columnar.StoreShard`) before the chunk is
+   dropped; the buckets pack into the same shards.  The parent never
+   builds a record or a statement text from a store.
 2. **Fan out** — each shard is packed into one buffer of pickled
-   columns, each distinct string shipped once
-   (:func:`repro.store.columnar.encode_shard`; a store row packs to the
-   same bytes as its record, without re-running the raw scan), and
-   handed to a worker as a single bytes object.  The parent drops a
-   shard's input once it is encoded; a shard that fails for good is
-   recovered from its buffer for the error policy.  The worker decodes
-   it straight into the batch pipeline's own stage chain
+   columns: record fields, a per-shard template table with each
+   record's template id, and the constant vectors, each distinct string
+   shipped once (:func:`repro.store.columnar.encode_shard`; a store's
+   rows pack to the same bytes as the records they store, without
+   re-running the raw scan), and handed to a worker as a single bytes
+   object.  The parent drops a shard's input once it is encoded; a
+   shard that fails for good is recovered from its buffer for the error
+   policy.  The worker decodes it into records carrying their stored
+   splits (:class:`~repro.store.columnar.StoreChunk`) and runs the
+   batch pipeline's own stage chain over them
    (:func:`~repro.pipeline.framework.run_stages`: validate → dedup →
    parse → mine → detect → solve, without the global registry), with a
-   process-persistent parse cache, and reads its
-   :class:`~repro.pipeline.framework.StreamingStats` back off the
-   shard's ledger (:func:`~repro.pipeline.framework.stats_from_ledger`,
-   the same field ↔ counter table streaming books through).
+   process-persistent parse cache that binds each record by its split
+   where the store's shape rule vouches for it, as the streaming
+   executor does (:meth:`~repro.skeleton.cache.TemplateCache.fetch_raw`),
+   and reads its :class:`~repro.pipeline.framework.StreamingStats` back
+   off the shard's ledger
+   (:func:`~repro.pipeline.framework.stats_from_ledger`, the same field
+   ↔ counter table streaming books through).
 3. **Merge** — clean records from all shards are re-merged into global
    (timestamp, seq) order; per-worker counters and stage timings are
    folded into one :class:`ParallelStats` report.
@@ -57,9 +65,12 @@ Outputs stay byte-identical because the cache is correctness-checked
 per hit; only the ``parse_cache_*`` counters (executor-dependent by
 contract) change.  All registry pools are shut down atexit, or earlier
 by :func:`shutdown_worker_pools`; a raising run discards its pool rather
-than leaving queued shards running behind the caller's back.  A log that
-plans to a single shard (one worker, one user, or nothing at all) never
-leaves the parent.
+than leaving queued shards running behind the caller's back.  A run
+with more than one worker starts its pool's workers before it plans
+(:meth:`WorkerPool.start`), so a cold pool forks from a heap that does
+not hold the plan yet: the workers inherit none of it (a worker's peak
+RSS is the run's peak).  A log that plans to a single shard (one
+worker, one user, or nothing at all) never leaves the parent.
 
 **Collector pause.**  A run is bounded by its input, so the parent's
 whole :meth:`ParallelCleaner.run` and each worker's shard body run under
@@ -95,14 +106,18 @@ import zlib
 from concurrent import futures
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import (
     TYPE_CHECKING,
+    Callable,
     Dict,
     Iterable,
     List,
     Optional,
     Sequence,
+    Sized,
     Tuple,
+    TypeVar,
     Union,
 )
 
@@ -112,11 +127,17 @@ from ..errors import (
     RecordFailure,
     ShardFailure,
 )
-from ..log.models import LogRecord, QueryLog
+from ..log.models import ANONYMOUS_USER, LogRecord, QueryLog
 from ..obs import PipelineMetrics, Recorder
 from ..skeleton.cache import TemplateCache, collector_paused, enable_collector
 from ..skeleton.interner import TemplateInterner
-from ..store.columnar import StoreRow, decode_shard, encode_shard
+from ..store.columnar import (
+    StoreChunk,
+    StoreShard,
+    decode_shard,
+    encode_shard,
+    group_rows,
+)
 from .config import PipelineConfig
 from .framework import (
     StreamingStats,
@@ -126,13 +147,13 @@ from .framework import (
 )
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from ..store.sources import LogSource
+    from ..store.sources import ColumnarSource, LogSource
 
 #: Stage names in execution order (the keys of a timings report).
 STAGES = ("dedup", "parse", "mine", "detect", "solve", "merge")
 
-#: What a shard holds: in-RAM records, or a columnar store's rows.
-ShardItem = Union[LogRecord, StoreRow]
+#: What a shard plan holds per task: records, or a store's rows.
+_Shard = Union[List[LogRecord], StoreShard]
 
 #: How many times a failed shard is re-submitted (worker crash, timeout,
 #: transient stage exception) before the error policy gets it.
@@ -281,9 +302,46 @@ def shard_index(user_key: str, shard_count: int) -> int:
     return zlib.crc32(user_key.encode("utf-8")) % shard_count
 
 
+def _bucket_count(workers: int) -> int:
+    """How many hash buckets a plan for ``workers`` packs into tasks."""
+    return max(64, workers * 16)
+
+
+_Bucket = TypeVar("_Bucket", bound=Sized)
+
+
+def _pack_buckets(
+    buckets: Dict[int, _Bucket], workers: int
+) -> List[List[_Bucket]]:
+    """Group ``buckets`` into tasks, in bucket-index order, about
+    ``2 × workers`` of them balanced by size (see
+    :func:`shard_records`)."""
+    sizes = {index: len(bucket) for index, bucket in buckets.items()}
+    if not sizes:
+        return []
+    # One shard per worker would stall the run on its slowest shard; 2×
+    # gives the pool a second wave to rebalance into.  A single worker
+    # gets a single shard (it runs inline anyway).
+    target = 2 * workers if workers > 1 else 1
+    budget = -(-sum(sizes.values()) // min(target, len(sizes)))
+
+    groups: List[List[_Bucket]] = []
+    current: List[_Bucket] = []
+    size = 0
+    for index in sorted(sizes):
+        if current and size + sizes[index] > budget:
+            groups.append(current)
+            current, size = [], 0
+        current.append(buckets[index])
+        size += sizes[index]
+    if current:
+        groups.append(current)
+    return groups
+
+
 def shard_records(
-    log: Iterable[ShardItem], workers: int
-) -> List[List[ShardItem]]:
+    log: Iterable[LogRecord], workers: int
+) -> List[List[LogRecord]]:
     """Split ``log`` into per-task lists, never splitting a user.
 
     Records are first hashed into fine-grained buckets (several per
@@ -295,43 +353,63 @@ def shard_records(
     stays amortised.  A single bucket larger than the budget stays one
     task, because a user's timeline is indivisible.
 
-    ``log`` only needs to be iterable, of records or of store rows (both
-    answer ``user_key()``) — :meth:`ParallelCleaner.run_source` feeds a
-    store's rows or a chunk-flattening record generator through here,
-    and the sharding is insensitive to how the records were chunked on
-    the way in: bucket membership is per user, task packing depends only
-    on bucket sizes, and each worker sorts its shard into time order.
-    A store's rows therefore plan exactly the shards its records would.
+    ``log`` only needs to be iterable — :meth:`ParallelCleaner.run_source`
+    feeds a chunk-flattening record generator through here, and the
+    sharding is insensitive to how the records were chunked on the way
+    in: bucket membership is per user, task packing depends only on
+    bucket sizes, and each worker sorts its shard into time order.
     Bucket membership is, by the CRC invariant, deterministic per user —
     changing the worker count only repacks buckets, it never splits a
-    user's records across tasks.
+    user's records across tasks.  A columnar store is cut into the same
+    tasks by :func:`shard_store`.
     """
-    bucket_count = max(64, workers * 16)
-    buckets: Dict[int, List[ShardItem]] = {}
-    total = 0
+    bucket_count = _bucket_count(workers)
+    buckets: Dict[int, List[LogRecord]] = {}
     for record in log:
         index = shard_index(record.user_key(), bucket_count)
         buckets.setdefault(index, []).append(record)
-        total += 1
-    if not buckets:
-        return []
+    return [
+        list(chain.from_iterable(group))
+        for group in _pack_buckets(buckets, workers)
+    ]
 
-    # One shard per worker would stall the run on its slowest shard; 2×
-    # gives the pool a second wave to rebalance into.  A single worker
-    # gets a single shard (it runs inline anyway).
-    target = 2 * workers if workers > 1 else 1
-    budget = -(-total // min(target, len(buckets)))
 
-    shards: List[List[ShardItem]] = []
-    current: List[ShardItem] = []
-    for index in sorted(buckets):
-        records = buckets[index]
-        if current and len(current) + len(records) > budget:
-            shards.append(current)
-            current = []
-        current.extend(records)
-    if current:
-        shards.append(current)
+def shard_store(source: "ColumnarSource", workers: int) -> List[StoreShard]:
+    """:func:`shard_records` of a columnar store, cut from its chunk
+    columns: the same tasks, each holding the same rows in the same
+    order, as :class:`~repro.store.columnar.StoreShard` columns.
+
+    Each chunk is read once.  Its ``user`` column is hashed once per
+    distinct user (:meth:`~repro.log.models.LogRecord.user_key`'s key),
+    and each bucket's rows are gathered into the bucket's columns
+    (:func:`~repro.store.columnar.group_rows`) before the chunk is
+    dropped; then the buckets pack into tasks exactly as
+    :func:`shard_records` packs them.  No record, row object or
+    statement text is built, so a store's shard packs
+    (:func:`~repro.store.columnar.encode_shard`) without a raw scan.
+    """
+    bucket_count = _bucket_count(workers)
+    templates = source.template_texts()
+    buckets: Dict[int, StoreShard] = {}
+    for columns in source.chunk_columns():
+        users = columns["user"]
+        bucket_of = {
+            user: shard_index(
+                user if user is not None else ANONYMOUS_USER, bucket_count
+            )
+            for user in set(users)
+        }
+        for index, rows in group_rows(columns, list(map(bucket_of.get, users))):
+            bucket = buckets.get(index)
+            if bucket is None:
+                bucket = buckets[index] = StoreShard(templates)
+            bucket.extend(rows)
+    shards: List[StoreShard] = []
+    for group in _pack_buckets(buckets, workers):
+        shard = group[0]
+        for bucket in group[1:]:
+            shard.extend(bucket.columns)
+        shards.append(shard)
     return shards
 
 
@@ -376,18 +454,28 @@ def _process_parse_cache(
 
 def _clean_shard_log(
     shard: int,
-    shard_log: QueryLog,
+    records: Sequence[LogRecord],
     config: PipelineConfig,
     cache: TemplateCache,
 ) -> ShardReport:
     """Run the batch stage chain over one shard's records.
 
     ``cache`` is the worker's persistent parse cache, or the run's
-    dictionary-warmed one for an inline shard.
+    dictionary-warmed one for an inline shard.  A
+    :class:`~repro.store.columnar.StoreChunk` hands its stored splits to
+    the parse stage, once: the chain lets go of them after parsing.
     """
     started = time.perf_counter()
     recorder = Recorder()
-    result = run_stages(shard_log, config, recorder, cache, registry=False)
+    shard_log = QueryLog(records)
+    result = run_stages(
+        shard_log,
+        config,
+        recorder,
+        cache,
+        registry=False,
+        splits=records.take_splits() if type(records) is StoreChunk else None,
+    )
     clean_records = result.solve_result.log.records()
     stats = stats_from_ledger(recorder.metrics)
     # Workers hold whole blocks (no size bound, nothing force-closed),
@@ -415,16 +503,16 @@ def _clean_shard_encoded(
     ``payload`` is ``(shard, buffer, config, seed)``, where ``buffer``
     is the :func:`~repro.store.columnar.encode_shard` encoding of the
     shard's records and ``seed`` the run's exported parse cache (or
-    ``None``).  The worker's persistent parse cache
-    serves every shard it is handed.  The body is bounded by its shard,
-    so it runs under :func:`~repro.skeleton.cache.collector_paused`,
-    like the parent's run.
+    ``None``).  The worker's persistent parse cache serves every shard
+    it is handed, binding each record by the split the buffer shipped.
+    The body is bounded by its shard, so it runs under
+    :func:`~repro.skeleton.cache.collector_paused`, like the parent's
+    run.
     """
     shard, buffer, config, seed = payload
     with collector_paused():
         cache = _process_parse_cache(config, seed)
-        records = decode_shard(buffer)
-        return _clean_shard_log(shard, QueryLog(records), config, cache)
+        return _clean_shard_log(shard, decode_shard(buffer), config, cache)
 
 
 # ----------------------------------------------------------------------
@@ -476,6 +564,12 @@ class WorkerPool:
 
     def submit(self, fn, /, *args, **kwargs) -> "futures.Future":
         return self.executor.submit(fn, *args, **kwargs)
+
+    def start(self) -> None:
+        """Start the workers now, unless they are running: the executor
+        forks them on its first task, so it is handed a no-op one."""
+        if self._executor is None:
+            self.submit(enable_collector)
 
     def rebuild(self) -> futures.ProcessPoolExecutor:
         """Retire the current executor (if any) and provision a new one."""
@@ -568,7 +662,7 @@ class ParallelCleaner:
 
     def _run_inline(
         self,
-        records: List[LogRecord],
+        records: Sequence[LogRecord],
         quarantine: QuarantineChannel,
         cache: TemplateCache,
     ) -> Tuple[List[ShardReport], int, List[int]]:
@@ -578,12 +672,14 @@ class ParallelCleaner:
         timeout (there is no separate process to abandon) and minus the
         codec — the records never leave the parent, so encoding them
         would be pure overhead.  ``cache`` is the run's parse cache.
+        A store's records bind by their stored splits on the first
+        attempt; a retry parses them by their texts.
         """
         attempt = 0
         while True:
             attempt += 1
             try:
-                report = _clean_shard_log(0, QueryLog(records), self.config, cache)
+                report = _clean_shard_log(0, records, self.config, cache)
             except RecordFailure:
                 raise  # strict-policy verdict, not a fault — no retry
             except Exception as exc:
@@ -599,7 +695,7 @@ class ParallelCleaner:
 
     def _run_pool(
         self,
-        shards: List[List[ShardItem]],
+        shards: List[_Shard],
         workers: int,
         quarantine: QuarantineChannel,
         seed: Optional[bytes],
@@ -734,21 +830,21 @@ class ParallelCleaner:
         The source is drained chunk by chunk straight into the sharder,
         so the input is never materialised as one list in the parent —
         peak parent-side memory is the bucketed shard payloads.  A
-        columnar store is sharded from its rows, which the parent never
-        turns into statements or records (unless the plan is a single
-        shard, which runs inline).  The clean log is identical to
+        columnar store is cut from its chunk columns
+        (:func:`shard_store`), which the parent never turns into
+        statements or records (unless the plan is a single shard, which
+        runs inline).  The clean log is identical to
         ``run(source.read())``.
         """
         from ..store.sources import ColumnarSource
 
         if isinstance(source, ColumnarSource):
-            return self.run(source.rows())
+            return self._run(lambda workers: shard_store(source, workers))
         return self.run(
             record for chunk in source.open_chunks() for record in chunk
         )
 
-    @collector_paused()
-    def run(self, log: Iterable[ShardItem]) -> QueryLog:
+    def run(self, log: Iterable[LogRecord]) -> QueryLog:
         """Shard, fan out, clean, and re-merge into global time order.
 
         With template witnesses (a columnar store's own) the run
@@ -756,21 +852,30 @@ class ParallelCleaner:
         single-shard run cleans with it inline, pool runs ship its
         exported seed in every shard payload, so the workers' persistent
         caches start warm.
+        """
+        return self._run(lambda workers: shard_records(log, workers))
 
-        The whole run is bounded by ``log``, which the parent holds
+    @collector_paused()
+    def _run(self, plan: Callable[[int], List[_Shard]]) -> QueryLog:
+        """:meth:`run` over the shards ``plan(workers)`` cuts.
+
+        The whole run is bounded by its input, which the parent holds
         whole once it is sharded, so it runs under
-        :func:`~repro.skeleton.cache.collector_paused`: the plan, the
-        row reads, the encode, the pool wait (the executor's thread
-        unpickles the reports meanwhile) and the fold.
+        :func:`~repro.skeleton.cache.collector_paused`: the pool start,
+        the plan, the chunk reads, the encode, the pool wait (the
+        executor's thread unpickles the reports meanwhile) and the fold.
         """
         execution = self.config.execution
         workers = execution.resolved_workers()
         started = time.perf_counter()
 
+        if workers > 1:
+            # Fork before the plan fills the heap (see the module notes).
+            get_worker_pool(workers).start()
         cache, dict_preloaded = open_parse_cache(
             self.config, self._template_witnesses
         )
-        shards = shard_records(log, workers)
+        shards = plan(workers)
         shard_count = len(shards)
         quarantine = QuarantineChannel()
 
@@ -784,12 +889,11 @@ class ParallelCleaner:
                 shards, workers, quarantine, seed
             )
         elif shards:
-            records = [
-                item.record() if type(item) is StoreRow else item
-                for item in shards.pop()
-            ]
+            shard = shards.pop()
             reports, retried, failed = self._run_inline(
-                records, quarantine, cache
+                shard.chunk() if type(shard) is StoreShard else shard,
+                quarantine,
+                cache,
             )
         else:
             reports, retried, failed = [], 0, []

@@ -508,8 +508,9 @@ class LazyParsedQuery(ParsedQuery):
     The post-parse facts the detectors and the SWS check read answer
     from the entry and the constant vector, with no AST and no bound
     :class:`~repro.skeleton.features.Predicate`:
-    :meth:`null_predicate_count`, :meth:`filter_column` (memoised on
-    the entry), :meth:`filter_value` (one ``Literal`` at most),
+    :meth:`null_predicate_count`, :meth:`filter_column` and
+    :meth:`filter_column_name` (memoised on the entry),
+    :meth:`filter_value` (one ``Literal`` at most),
     :meth:`where_constants` (the entry's WHERE plan formatted from the
     constants) and :meth:`same_clauses` (two binds of one entry compare
     their splice slots' constants).  Each falls back to the eager
@@ -653,6 +654,19 @@ class LazyParsedQuery(ParsedQuery):
             column = entry.column = entry.proto.equality_filter.column.name.lower()
         return column
 
+    def filter_column_name(self) -> Optional[str]:
+        # As filter_column, in the column's own case.
+        entry: _Entry = self.__dict__["_entry"]
+        binding = entry.eq
+        if binding is None:
+            return None
+        if binding[0] == _EQ_MATERIALISE:
+            return ParsedQuery.filter_column_name(self)
+        name = entry.column_name
+        if name is None:
+            name = entry.column_name = entry.proto.equality_filter.column.name
+        return name
+
     def filter_value(self) -> Optional[ast.Literal]:
         d = self.__dict__
         entry: _Entry = d["_entry"]
@@ -749,8 +763,8 @@ class _Entry:
     (:attr:`shared`), the equality-filter binding descriptor
     (:attr:`eq`) and the NULL-comparison predicate count
     (:attr:`nulls`).  The memo slots (:attr:`plan`, :attr:`where`,
-    :attr:`column`) are filled on first use, so a cold build pays for
-    none of them, and are never pickled.
+    :attr:`column`, :attr:`column_name`) are filled on first use, so a
+    cold build pays for none of them, and are never pickled.
     """
 
     __slots__ = (
@@ -763,6 +777,7 @@ class _Entry:
         "plan",
         "where",
         "column",
+        "column_name",
     )
 
     def __init__(
@@ -794,6 +809,8 @@ class _Entry:
         #: The lower-cased equality-filter column, for ``_EQ_SHARED`` /
         #: ``_EQ_INDEXED`` bindings.
         self.column: Optional[str] = None
+        #: The same column as written (Stifle's instance details).
+        self.column_name: Optional[str] = None
 
     def bind(self, record, constants, stats: _LazyStats) -> LazyParsedQuery:
         """One lazy bind: a dict copy, no AST, no splice render."""

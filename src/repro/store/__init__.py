@@ -9,8 +9,13 @@ and run checkpoints.
   a template dictionary plus zlib-compressed per-record column chunks —
   and the in-memory shard codec (:func:`encode_shard` /
   :func:`decode_shard`): a shard's columns, statements split by the
-  same template codec and each distinct string shared, pickled into
-  the one buffer the parallel executor ships to a worker.
+  same template codec into a per-shard template table, template ids
+  and constant vectors, each distinct string shared, pickled into the
+  one buffer the parallel executor ships to a worker.  A store's shards
+  are cut from its chunk columns (:class:`StoreShard`) and pack to the
+  bytes of the records they store; a worker decodes its buffer into
+  records carrying their stored splits, and binds them by those splits
+  without re-scanning a statement.
 * :mod:`~repro.store.checkpoint` — :class:`RunCheckpoint` and the
   chunked streaming driver behind ``repro.clean(source,
   checkpoint_dir=...)`` / ``--resume``.
@@ -24,6 +29,7 @@ from .checkpoint import (
 )
 from .columnar import (
     ColumnarWriter,
+    StoreShard,
     decode_shard,
     decode_sql,
     encode_shard,
@@ -56,6 +62,7 @@ __all__ = [
     "sniff_format",
     "DEFAULT_CHUNK_RECORDS",
     "ColumnarWriter",
+    "StoreShard",
     "write_columnar",
     "is_columnar_store",
     "read_manifest",

@@ -34,20 +34,21 @@ statements that are not text at all (``sql=None``, an integer) are
 stored whole under the reserved template id ``-1``.  So
 ``read(write(log)) == log`` holds for any input whose field values JSON
 can hold, however unparsable.  The parallel executor's shard buffers
-(:func:`encode_shard`) use the same codec.
+(:func:`encode_shard`) use the same codec and the same template ids.
 
-A chunk is read back either as records (:func:`read_chunk`) or as
-:class:`StoreRow` tuples that keep each statement split into its
-template text and constant vector (:func:`chunk_rows`); the parallel
-executor cuts its shard buffers straight from the rows, because
-:func:`encode_shard` wants exactly that split.
+A chunk is read back as records (:func:`read_chunk`), or as raw columns
+(:func:`load_chunk_columns`) that the parallel executor cuts straight
+into shards (:func:`group_rows`, :class:`StoreShard`), statements still
+split, because the shard codec (:func:`encode_shard`) ships exactly
+that split.
 
-**Native bind.**  :func:`read_chunk` returns a :class:`StoreChunk`:
-the chunk's records, whose texts are still spliced (the record, the
-parse cache's text-memo probe, dedup and the output all need them), carrying
-the rows' stored splits (:class:`StoredSplits`).  The streaming executor
-takes them per chunk and the parse cache binds a row to its raw key's
-verified entry without re-scanning its text
+**Native bind.**  :func:`read_chunk` and :func:`decode_shard` return a
+:class:`StoreChunk`: the records, whose texts are still spliced (the
+record, the parse cache's text-memo probe, dedup and the output all need
+them), carrying the rows' stored splits (:class:`StoredSplits`).  The
+streaming executor takes them per chunk, a parallel worker per shard,
+and the parse cache binds a row to its raw key's verified entry without
+re-scanning its text
 (:meth:`~repro.skeleton.cache.TemplateCache.fetch_raw`) — but only when
 the *shape rule* below vouches for its split, because a store is
 outside input and its template alone cannot vouch for its rows.
@@ -73,13 +74,17 @@ import pickle
 import re
 import tempfile
 import zlib
+from collections import Counter
+from itertools import accumulate, chain, count
+from operator import itemgetter
 from pathlib import Path
 from typing import (
+    Callable,
     Dict,
     Iterable,
     Iterator,
     List,
-    NamedTuple,
+    Mapping,
     Optional,
     Sequence,
     Tuple,
@@ -104,7 +109,18 @@ VERBATIM_TEMPLATE = -1
 #: placeholders, which it never lets into a text it accepts.
 _SLOT = re.compile("[\x03\x04]")
 
-_CHUNK_COLUMNS = ("seq", "timestamp", "user", "ip", "session", "rows")
+#: Every per-row column of a chunk: the record's own fields, then its
+#: statement as a template id and a constant vector.
+ROW_COLUMNS = (
+    "seq",
+    "timestamp",
+    "user",
+    "ip",
+    "session",
+    "rows",
+    "template",
+    "constants",
+)
 
 
 # ----------------------------------------------------------------------
@@ -188,11 +204,18 @@ class StoredSplits:
 
     Holds the chunk's records as read and its own template-id and
     constant-vector columns (no per-row copies): the splits of one chunk
-    live only while the streaming executor feeds it (see
-    :meth:`StoreChunk.take_splits`).
+    live only while the streaming executor feeds it, or a parallel
+    worker parses its shard (see :meth:`StoreChunk.take_splits`).
     """
 
-    __slots__ = ("_records", "_templates", "_ids", "_constants", "_verdicts")
+    __slots__ = (
+        "_records",
+        "_templates",
+        "_ids",
+        "_constants",
+        "_verdicts",
+        "_positions",
+    )
 
     def __init__(
         self,
@@ -208,6 +231,25 @@ class StoredSplits:
         #: ``(template id, shape vector)`` -> whether a real raw scan of
         #: a row with that pair reproduced the row's split.
         self._verdicts: Dict[Tuple[int, Tuple[int, ...]], bool] = {}
+        #: ``id(record)`` -> position, built by the first :meth:`split_of`.
+        self._positions: Optional[Dict[int, int]] = None
+
+    def split_of(
+        self, record: LogRecord
+    ) -> Optional[Tuple[str, List[Tuple[str, str]]]]:
+        """:meth:`raw_split` of ``record``, found by identity among the
+        rows: for a holder that re-orders and filters the records (a
+        worker's validate, dedup and time order), ``None`` for a record
+        that is not one of them."""
+        positions = self._positions
+        if positions is None:
+            positions = self._positions = dict(
+                zip(map(id, self._records), count())
+            )
+        position = positions.get(id(record))
+        if position is None:
+            return None
+        return self.raw_split(position, record)
 
     def raw_split(
         self, position: int, record: LogRecord
@@ -255,9 +297,9 @@ class StoredSplits:
 
 
 class StoreChunk(list):
-    """One chunk's records, as :func:`read_chunk` returns them, carrying
-    the rows' :class:`StoredSplits` for the streaming executor to hand
-    to the parse cache
+    """One chunk's or shard's records, as :func:`read_chunk` and
+    :func:`decode_shard` return them, carrying the rows'
+    :class:`StoredSplits` for the parse stage to hand to the parse cache
     (:meth:`~repro.skeleton.cache.TemplateCache.fetch_raw`)."""
 
     __slots__ = ("_splits",)
@@ -347,11 +389,7 @@ class ColumnarWriter:
         self._templates = TemplateInterner()
         #: first-seen statement text per template id (the witness).
         self._witnesses: List[str] = []
-        self._buffer: Dict[str, list] = {
-            name: [] for name in _CHUNK_COLUMNS
-        }
-        self._buffer["template"] = []
-        self._buffer["constants"] = []
+        self._buffer: Dict[str, list] = {name: [] for name in ROW_COLUMNS}
         self._chunk_lengths: List[int] = []
         self._record_count = 0
         self._closed = False
@@ -507,97 +545,54 @@ def load_templates(path: PathLike) -> Tuple[List[str], List[str]]:
     return texts, witnesses
 
 
-def _stored_statement(template: Optional[str], constants: list) -> object:
-    """The statement a row stores: its verbatim text, or its constants
-    spliced back into its template text."""
-    if template is None:
-        return constants[0]
-    return decode_sql(template, constants)
-
-
-def _template_texts(
-    columns: Dict[str, list], templates: Sequence[str]
-) -> List[Optional[str]]:
-    """Each row's template text, ``None`` for a verbatim row."""
-    return [
-        None if template_id == VERBATIM_TEMPLATE else templates[template_id]
-        for template_id in columns["template"]
-    ]
-
-
 def _spliced_statements(
-    templates: Sequence[Optional[str]], constants: Sequence[list]
+    templates: Sequence[str], ids: Sequence[int], constants: Sequence[list]
 ) -> List[object]:
-    """Each row's stored statement, from its template text (``None`` for
-    a verbatim row) and constant vector; each template is split on its
-    slots once, at its first row."""
-    split: Dict[str, List[str]] = {}
+    """Each row's stored statement, from its template id into
+    ``templates`` and its constant vector (a verbatim row's statement is
+    its one constant); each template is split on its slots once, at its
+    first row."""
+    split: Dict[int, List[str]] = {}
     statements: List[object] = []
     append = statements.append
-    for template, row_constants in zip(templates, constants):
-        if template is None:
+    for template_id, row_constants in zip(ids, constants):
+        if template_id == VERBATIM_TEMPLATE:
             append(row_constants[0])
             continue
-        parts = split.get(template)
+        parts = split.get(template_id)
         if parts is None:
-            parts = split[template] = _SLOT.split(template)
+            parts = split[template_id] = _SLOT.split(templates[template_id])
         append(_splice(parts, row_constants))
     return statements
 
 
-class StoreRow(NamedTuple):
-    """One stored record as its chunk columns hold it.
-
-    The statement stays split: ``template`` is the store's template text
-    (``None`` for a row stored verbatim, whose whole statement is
-    ``constants[0]``) and ``constants`` its constant vector — exactly
-    what :func:`encode_sql` made of the record's text, so
-    :func:`encode_shard` packs a row without re-running the raw scan.  The
-    other fields are the record's own, whatever their type.
-    """
-
-    seq: int
-    timestamp: float
-    user: Optional[str]
-    ip: Optional[str]
-    session: Optional[str]
-    rows: Optional[int]
-    template: Optional[str]
-    constants: List[str]
-
-    #: the shard planner groups rows by the same key as records.
-    user_key = LogRecord.user_key
-
-    def record(self) -> LogRecord:
-        """The row materialised as the record the writer was given."""
-        seq, timestamp, user, ip, session, rows, template, constants = self
-        sql = _stored_statement(template, constants)
-        return LogRecord(seq, sql, timestamp, user, ip, session, rows)  # type: ignore[arg-type]
-
-
-def load_chunk_columns(path: PathLike, index: int) -> Dict[str, list]:
-    """One chunk's columns exactly as the writer stored them."""
-    columns = _load_compressed(Path(path) / chunk_file_name(index))
-    return columns  # type: ignore[return-value]
-
-
-def chunk_rows(
-    columns: Dict[str, list], templates: Sequence[str]
-) -> List[StoreRow]:
-    """A loaded chunk as :class:`StoreRow` tuples in file order."""
-    return list(
+def _store_chunk(
+    columns: Mapping[str, Sequence], templates: Sequence[str]
+) -> StoreChunk:
+    """Rows given as their :data:`ROW_COLUMNS`, as records in column
+    order carrying their stored splits; the ``template`` column indexes
+    ``templates``."""
+    ids, constants = columns["template"], columns["constants"]
+    records = tuple(
         map(
-            StoreRow,
+            LogRecord,
             columns["seq"],
+            _spliced_statements(templates, ids, constants),
             columns["timestamp"],
             columns["user"],
             columns["ip"],
             columns["session"],
             columns["rows"],
-            _template_texts(columns, templates),
-            columns["constants"],
         )
     )
+    return StoreChunk(records, StoredSplits(records, templates, ids, constants))
+
+
+def load_chunk_columns(path: PathLike, index: int) -> Dict[str, list]:
+    """One chunk's columns exactly as the writer stored them (see
+    :data:`ROW_COLUMNS`)."""
+    columns = _load_compressed(Path(path) / chunk_file_name(index))
+    return columns  # type: ignore[return-value]
 
 
 def read_chunk(
@@ -608,25 +603,66 @@ def read_chunk(
     The returned :class:`StoreChunk` also carries the rows' stored splits,
     for the parse cache to bind without a raw scan.
     """
-    columns = load_chunk_columns(path, index)
-    records = tuple(
-        map(
-            LogRecord,
-            columns["seq"],
-            _spliced_statements(
-                _template_texts(columns, templates), columns["constants"]
-            ),
-            columns["timestamp"],
-            columns["user"],
-            columns["ip"],
-            columns["session"],
-            columns["rows"],
-        )
-    )
-    return StoreChunk(
-        records,
-        StoredSplits(records, templates, columns["template"], columns["constants"]),
-    )
+    return _store_chunk(load_chunk_columns(path, index), templates)
+
+
+def group_rows(
+    columns: Mapping[str, Sequence], keys: Sequence[int]
+) -> Iterator[Tuple[int, Dict[str, tuple]]]:
+    """The rows of one chunk grouped by ``keys`` (one key per row), in
+    ascending key order: ``(key, columns of its rows)``, each group's
+    rows in file order.
+
+    One stable sort of the row positions, then one C-level gather
+    (:func:`operator.itemgetter`) per column; each group is a slice of
+    the gathered columns.  No row is ever built.
+    """
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    if not order:
+        return
+    if len(order) == 1:
+        (position,) = order
+        gather: Callable[[Sequence], tuple] = lambda column: (column[position],)
+    else:
+        gather = itemgetter(*order)
+    gathered = [(name, gather(columns[name])) for name in ROW_COLUMNS]
+    start = 0
+    for key, size in sorted(Counter(keys).items()):
+        end = start + size
+        yield key, {name: column[start:end] for name, column in gathered}
+        start = end
+
+
+class StoreShard:
+    """Rows of a store cut for one parallel shard, as columns.
+
+    ``columns`` holds the :data:`ROW_COLUMNS` of the rows exactly as the
+    chunks store them, template ids into ``templates`` (the store's
+    dictionary) included: the parallel executor gathers them chunk by
+    chunk (:func:`group_rows`), :func:`encode_shard` packs them without
+    a raw scan, and :meth:`chunk` is what a worker decodes from that
+    buffer.  It never holds a record or a statement text.
+    """
+
+    __slots__ = ("columns", "templates")
+
+    def __init__(self, templates: Sequence[str]) -> None:
+        self.templates = templates
+        self.columns: Dict[str, list] = {name: [] for name in ROW_COLUMNS}
+
+    def __len__(self) -> int:
+        return len(self.columns["seq"])
+
+    def extend(self, columns: Mapping[str, Sequence]) -> None:
+        """Append rows given as columns (another shard's, or a group of
+        :func:`group_rows`)."""
+        for name, column in self.columns.items():
+            column.extend(columns[name])
+
+    def chunk(self) -> StoreChunk:
+        """The rows as records carrying their stored splits (the decoded
+        buffer, without the round trip)."""
+        return _store_chunk(self.columns, self.templates)
 
 
 def store_size_bytes(path: PathLike) -> int:
@@ -645,100 +681,121 @@ def store_size_bytes(path: PathLike) -> int:
 # In-memory shard codec (the parallel executor's wire format)
 #
 # Same template-dictionary idea as the on-disk store, but for IPC rather
-# than persistence: one shard becomes eight parallel columns, pickled
-# once.  Every ``str`` value of the shard goes through one shared dict,
-# so pickle's memo ships each distinct template, user, ip, session and
-# constant once and every later use as a back-reference.  Pickle keeps
-# each field's type, so a record with an off-type field (``sql=None``,
-# an integer statement, an int or NaN timestamp, rows beyond int64)
-# rides the columns unchanged: such rows exist precisely so poisoned
-# logs reach the workers' validate stage unmangled.  The buffer is
-# process-local by design — it never leaves the run's own processes and
-# is never persisted.
+# than persistence: one shard, from a store or from records, becomes one
+# pickled tuple of columns (:data:`_SHARD_COLUMNS`).  Every ``str`` value
+# of the shard goes through one shared dict, so pickle's memo ships each
+# distinct template, user, ip, session and constant once and every later
+# use as a back-reference; since only equal texts share an object, the
+# bytes depend on the values alone, so a store's rows pack to the bytes
+# of the records they store.  Pickle keeps each field's type, so a
+# record with an off-type field (``sql=None``, an integer statement, an
+# int or NaN timestamp, rows beyond int64) rides the columns unchanged:
+# such rows exist precisely so poisoned logs reach the workers' validate
+# stage unmangled.  The buffer is process-local by design — it never
+# leaves the run's own processes and is never persisted.
 
-#: Column count of an encoded shard: seq, timestamp, user, ip, session,
-#: rows, template text (``None`` for a verbatim row) and constant list.
-_SHARD_COLUMNS = 8
+#: Column count of an encoded shard: seq, timestamp, user, ip, session
+#: and rows per record; the shard's template table (each template its
+#: rows use, in first-use order); per record its template id into the
+#: table (:data:`VERBATIM_TEMPLATE` for a verbatim row) and its constant
+#: count; and every record's constants, concatenated.
+_SHARD_COLUMNS = 10
+
+#: Column types whose values are shared by text (``None`` shares with
+#: itself); any other type keeps its own objects, so ``1``, ``True`` and
+#: ``1.0`` never merge.
+_SHARED_TYPES = frozenset((str, type(None)))
 
 
-def encode_shard(shard: Sequence[Union[LogRecord, StoreRow]]) -> bytes:
-    """Pack one shard of records or store rows into a single buffer.
+def _shared(values: list, share: Callable[[object, object], object]) -> list:
+    """``values`` with each text replaced by the shard's one object for
+    it (``share`` is the shard's ``dict.setdefault``)."""
+    if _SHARED_TYPES.issuperset(map(type, values)):
+        return list(map(share, values, values))
+    return [share(value, value) if type(value) is str else value for value in values]
 
-    A :class:`StoreRow` gives its stored split; a record gives what
+
+def _pack(columns: Mapping[str, Sequence], templates: Sequence[str]) -> bytes:
+    """Pickle one shard given as its :data:`ROW_COLUMNS`; the
+    ``template`` column indexes ``templates``."""
+    shared: Dict[object, object] = {}
+    share = shared.setdefault
+    ids, constants = columns["template"], columns["constants"]
+    used = [i for i in dict.fromkeys(ids) if i != VERBATIM_TEMPLATE]
+    local = dict(zip(used, count()))
+    local[VERBATIM_TEMPLATE] = VERBATIM_TEMPLATE
+    packed = (
+        columns["seq"],
+        columns["timestamp"],
+        _shared(columns["user"], share),
+        _shared(columns["ip"], share),
+        _shared(columns["session"], share),
+        columns["rows"],
+        _shared([templates[i] for i in used], share),
+        list(map(local.__getitem__, ids)),
+        list(map(len, constants)),
+        _shared(list(chain.from_iterable(constants)), share),
+    )
+    return pickle.dumps(packed, protocol=pickle.HIGHEST_PROTOCOL)
+
+
+def encode_shard(shard: Union[Sequence[LogRecord], StoreShard]) -> bytes:
+    """Pack one shard of records, or a :class:`StoreShard`, into a
+    single buffer.
+
+    A store shard gives its stored splits; a record gives what
     :func:`encode_sql` makes of its text (memoised per text), and a
     statement that is not text or that the raw scan refuses is stored
-    verbatim, as ``None`` plus ``[sql]``.  So a store row packs to the
-    same bytes as the record it stores.  :func:`decode_shard` is the
-    exact inverse.
+    verbatim.  So a store's rows pack to the same bytes as the records
+    they store.  :func:`decode_shard` is the exact inverse.
     """
-    seqs: list = []
-    timestamps: list = []
-    users: list = []
-    ips: list = []
-    sessions: list = []
-    rows_column: list = []
-    templates: List[Optional[str]] = []
-    constant_lists: List[list] = []
-    # One object per distinct text, whichever field it came from; exact
-    # ``str`` only, so ``1``, ``True`` and ``1.0`` never merge.
-    shared: Dict[str, str] = {}
-    share = shared.setdefault
+    if type(shard) is StoreShard:
+        return _pack(shard.columns, shard.templates)
+    columns: Dict[str, list] = {name: [] for name in ROW_COLUMNS}
+    seqs, timestamps, users, ips, sessions, rows, ids, constants = (
+        columns[name] for name in ROW_COLUMNS
+    )
+    templates: List[str] = []
+    template_ids: Dict[str, int] = {}
     # Exact-text memo: logs repeat statement texts heavily, so most
     # records skip the raw scan entirely.
-    splits: Dict[str, Tuple[Optional[str], List[str]]] = {}
+    splits: Dict[str, Tuple[int, List[str]]] = {}
 
-    for item in shard:
-        if type(item) is StoreRow:
-            seq, timestamp, user, ip, session, rows, template, constants = item
-        else:
-            sql = item.sql
-            seq, timestamp = item.seq, item.timestamp
-            user, ip, session, rows = item.user, item.ip, item.session, item.rows
-            split = splits.get(sql) if type(sql) is str else None
-            if split is None:
-                try:
-                    split = splits[sql] = encode_sql(sql)
-                except ValueError:
-                    split = (None, [sql])
-            template, constants = split
-        seqs.append(seq)
-        timestamps.append(timestamp)
-        users.append(share(user, user) if type(user) is str else user)
-        ips.append(share(ip, ip) if type(ip) is str else ip)
-        sessions.append(
-            share(session, session) if type(session) is str else session
-        )
-        rows_column.append(rows)
-        templates.append(
-            None if template is None else share(template, template)
-        )
-        constant_lists.append(
-            [share(c, c) if type(c) is str else c for c in constants]
-        )
-
-    columns = (
-        seqs,
-        timestamps,
-        users,
-        ips,
-        sessions,
-        rows_column,
-        templates,
-        constant_lists,
-    )
-    return pickle.dumps(columns, protocol=pickle.HIGHEST_PROTOCOL)
+    for record in shard:
+        sql = record.sql
+        split = splits.get(sql) if type(sql) is str else None
+        if split is None:
+            try:
+                template, vector = encode_sql(sql)
+            except ValueError:
+                split = (VERBATIM_TEMPLATE, [sql])
+            else:
+                template_id = template_ids.get(template)
+                if template_id is None:
+                    template_id = template_ids[template] = len(templates)
+                    templates.append(template)
+                split = splits[sql] = (template_id, vector)
+        seqs.append(record.seq)
+        timestamps.append(record.timestamp)
+        users.append(record.user)
+        ips.append(record.ip)
+        sessions.append(record.session)
+        rows.append(record.rows)
+        ids.append(split[0])
+        constants.append(split[1])
+    return _pack(columns, templates)
 
 
-def decode_shard(buffer) -> Iterator[LogRecord]:
-    """Decode an :func:`encode_shard` buffer back into records, lazily.
+def decode_shard(buffer) -> StoreChunk:
+    """Decode an :func:`encode_shard` buffer back into its records.
 
-    Accepts any buffer object (``bytes``, ``memoryview``).  All reads
-    from the buffer happen *before* the first record is yielded, so a
-    caller may drop the buffer as soon as this function returns and
-    iterate at leisure.  Store rows come back as the records they store.
-    Raises ``ValueError`` when ``buffer`` is not an encoded shard.  The
-    buffer is a pickle: decode only what :func:`encode_shard` wrote in
-    this run.
+    Accepts any buffer object (``bytes``, ``memoryview``); the caller
+    may drop the buffer as soon as this function returns.  The
+    :class:`StoreChunk` carries the records' stored splits, for the
+    worker's parse stage to bind without a raw scan.  Raises
+    ``ValueError`` when ``buffer`` is not an encoded shard.  The buffer
+    is a pickle: decode only what :func:`encode_shard` wrote in this
+    run.
     """
     try:
         columns = pickle.loads(buffer)
@@ -748,17 +805,15 @@ def decode_shard(buffer) -> Iterator[LogRecord]:
         type(columns) is tuple
         and len(columns) == _SHARD_COLUMNS
         and all(type(column) is list for column in columns)
-        and len({len(column) for column in columns}) == 1
     ):
         raise ValueError("not an encoded shard buffer")
-    seqs, timestamps, users, ips, sessions, rows, templates, constants = columns
-    return map(
-        LogRecord,
-        seqs,
-        _spliced_statements(templates, constants),
-        timestamps,
-        users,
-        ips,
-        sessions,
-        rows,
+    *fields, templates, ids, lengths, flat = columns
+    ends = list(accumulate(lengths))
+    if len({len(column) for column in (*fields, ids, lengths)}) != 1 or (
+        ends[-1] if ends else 0
+    ) != len(flat):
+        raise ValueError("not an encoded shard buffer")
+    constants = list(map(flat.__getitem__, map(slice, [0] + ends, ends)))
+    return _store_chunk(
+        dict(zip(ROW_COLUMNS, (*fields, ids, constants))), templates
     )

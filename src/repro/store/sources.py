@@ -26,8 +26,9 @@ source, and is how ``repro.clean`` resolves its ``log`` argument.
 
 from __future__ import annotations
 
+import time
 from pathlib import Path
-from typing import Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from . import columnar
 
@@ -35,9 +36,7 @@ from ..errors import QuarantineChannel, validate_error_policy
 from ..log.io import iter_csv_records, iter_jsonl_records
 from ..log.models import LogRecord, QueryLog
 from .columnar import (
-    StoreRow,
     chunk_file_name,
-    chunk_rows,
     is_columnar_store,
     load_chunk_columns,
     load_templates,
@@ -210,16 +209,18 @@ class ColumnarSource(LogSource):
     of records (:meth:`open_chunks`) is a
     :class:`~repro.store.columnar.StoreChunk` that also carries its rows'
     stored splits, which the streaming executor binds in the parse
-    cache without re-scanning their text.  The source also serves the
-    stored rows with their statements still split (:meth:`rows`), which
-    the parallel executor packs into shard buffers without rebuilding
-    any text.
+    cache without re-scanning their text.  The source also serves each
+    chunk's raw columns (:meth:`chunk_columns`), which the parallel
+    executor cuts into shards without building a record or a statement
+    text.
 
-    :attr:`chunks_read` and :attr:`bytes_read` count the chunk files
-    this source has read (compressed bytes on disk) over its lifetime;
-    ``repro.clean`` books each run's share in its ledger.  The template
-    dictionary (``templates.bin``) is read once per source: a store
-    never changes once its manifest is written.
+    :attr:`chunks_read`, :attr:`bytes_read` and :attr:`read_seconds`
+    count the chunk files this source has read (compressed bytes on
+    disk) and the time spent loading and decoding them, over its
+    lifetime; ``repro.clean`` books each run's share in its ledger's
+    ``store`` stage.  The template dictionary (``templates.bin``) is
+    read once per source: a store never changes once its manifest is
+    written.
     """
 
     format_name = "columnar"
@@ -230,6 +231,7 @@ class ColumnarSource(LogSource):
         self._templates: Optional[Tuple[List[str], List[str]]] = None
         self.chunks_read = 0
         self.bytes_read = 0
+        self.read_seconds = 0.0
 
     def _dictionary(self) -> Tuple[List[str], List[str]]:
         """The store's ``(texts, witnesses)`` (see
@@ -238,29 +240,36 @@ class ColumnarSource(LogSource):
             self._templates = load_templates(self.path)
         return self._templates
 
-    def _count_read(self, index: int) -> None:
+    def _count_read(self, index: int, started: float) -> None:
+        self.read_seconds += time.perf_counter() - started
         self.chunks_read += 1
         self.bytes_read += (self.path / chunk_file_name(index)).stat().st_size
+
+    def template_texts(self) -> List[str]:
+        """The store's id-ordered template texts, which the chunks'
+        ``template`` columns index."""
+        return self._dictionary()[0]
 
     def open_chunks(
         self, *, start_chunk: int = 0
     ) -> Iterator[Sequence[LogRecord]]:
         texts = self._dictionary()[0]
         for index in range(start_chunk, self.chunk_count()):
+            started = time.perf_counter()
             # Looked up on the module per call, so a wrapper installed
             # on ``columnar.read_chunk`` (the E29 tracer's) sees it.
             chunk = columnar.read_chunk(self.path, index, texts)
-            self._count_read(index)
+            self._count_read(index, started)
             yield chunk
 
-    def rows(self) -> Iterator[StoreRow]:
-        """Every stored row in file order, straight from the chunk
-        columns (see :class:`~repro.store.columnar.StoreRow`)."""
-        templates = self._dictionary()[0]
+    def chunk_columns(self) -> Iterator[Dict[str, list]]:
+        """Every chunk's columns in file order, exactly as stored (see
+        :func:`~repro.store.columnar.load_chunk_columns`)."""
         for index in range(self.chunk_count()):
+            started = time.perf_counter()
             columns = load_chunk_columns(self.path, index)
-            self._count_read(index)
-            yield from chunk_rows(columns, templates)
+            self._count_read(index, started)
+            yield columns
 
     def count_hint(self) -> Optional[int]:
         return int(self._manifest["record_count"])  # type: ignore[arg-type]

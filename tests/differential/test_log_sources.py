@@ -19,6 +19,7 @@ import repro
 from repro.log import write_csv, write_jsonl
 from repro.obs.metrics import STORE_COUNTERS
 from repro.pipeline import ExecutionConfig, shard_records
+from repro.pipeline.parallel import shard_store
 from repro.store import (
     ColumnarSource,
     CsvSource,
@@ -178,10 +179,7 @@ class TestStoreCutShards:
         log = workload_log(name)
         source = ColumnarSource(source_fixtures[name] / "log.columnar")
         in_ram = [encode_shard(shard) for shard in shard_records(log, workers)]
-        stored = [
-            encode_shard(shard)
-            for shard in shard_records(source.rows(), workers)
-        ]
+        stored = [encode_shard(shard) for shard in shard_store(source, workers)]
         assert len(in_ram) >= 2
         assert stored == in_ram
 
@@ -344,3 +342,42 @@ class TestTamperedStore:
             assert result.metrics.comparable() == reference.metrics.comparable(), exec_name
             write_csv(result.clean_log, tmp_path / f"{exec_name}.csv")
             assert (tmp_path / f"{exec_name}.csv").read_bytes() == expected, exec_name
+
+    def test_parallel_workers_bind_only_the_splits_the_rule_vouches_for(
+        self, tmp_path
+    ):
+        """The shards parallel-2 ships carry the lies; each worker's
+        shape rule refuses them (by shape, or by a verifying scan that
+        disagrees), and the run cleans to batch's answer."""
+        store = write_tampered_store(tmp_path / "tampered.columnar")
+        source = ColumnarSource(store)
+        plan = shard_store(source, 2)
+        assert len(plan) >= 2
+        bound = set()
+        for shard in plan:
+            chunk = columnar.decode_shard(encode_shard(shard))
+            splits = chunk.take_splits()
+            for record in reversed(chunk):
+                split = splits.split_of(record)
+                if split is not None:
+                    bound.add(record.seq)
+                    assert split == _raw_split_pairs(record.sql), record
+        assert bound == {0, 3, 4, 6, 11, 15, 16, 18, 19, 20, 23, 24}
+
+        reference = repro.clean(source.read(), config())
+        result = repro.clean(
+            ColumnarSource(store),
+            config(),
+            execution=ExecutionConfig(mode="parallel", workers=2),
+        )
+        assert result.parallel_stats.shard_count == len(plan)
+        assert result.clean_log.records() == reference.clean_log.records()
+        assert result.metrics.comparable() == reference.metrics.comparable()
+
+
+def _raw_split_pairs(sql):
+    """The raw scan's ``(raw key, constants)`` of ``sql``."""
+    from repro.skeleton.cache import _raw_scan
+
+    raw = _raw_scan(sql)
+    return raw[0], raw[2]

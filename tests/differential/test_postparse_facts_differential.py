@@ -16,14 +16,15 @@ On every E29 bench input (``e29_ledger/workloads.py``), and on small
 generated logs under a Hypothesis property over generator seeds, both
 sides must give
 
-* equal detector instances: label, queries and details;
+* equal detector instances: label, queries and details (Stifle's
+  ``filter_column`` among them, in the column's own case);
 * equal SWS verdicts and coverage, under the pipeline's SWS config and
   under one that makes every pattern a candidate, with equal constant
   tuples for every mined instance (so equal fresh shares);
 * equal DW/DS/DF rewrites: the same statement, or the same refusal;
 
 and the live detectors and SWS check must not materialise any lazy
-query.
+query, and the live detectors must not bind any equality filter.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from repro.patterns.sws import _instance_constants
 from repro.pipeline import PipelineConfig
 from repro.pipeline.framework import dedup_stage, mine_stage, parse_stage
 from repro.rewrite import stifle_rewrites
-from repro.skeleton.cache import TemplateCache
+from repro.skeleton.cache import LazyParsedQuery, TemplateCache
 from repro.workload import WorkloadConfig, generate, skyserver_catalog
 from tests.frozen import e29_workloads, frozen_source
 
@@ -133,7 +134,19 @@ def assert_same_facts(log, config: PipelineConfig) -> int:
     context = config.detection
 
     before = cache.materialised
-    live = run_detectors(mining.blocks, context)
+    binds = []
+    bind = LazyParsedQuery._bind_equality_filter
+
+    def counted_bind(query):
+        binds.append(query)
+        return bind(query)
+
+    LazyParsedQuery._bind_equality_filter = counted_bind
+    try:
+        live = run_detectors(mining.blocks, context)
+    finally:
+        LazyParsedQuery._bind_equality_filter = bind
+    assert binds == [], "live detection bound an equality filter"
     registry = PatternRegistry.from_runs(mining.runs)
     for instance in live:
         registry.mark_antipattern(instance.unit_ids or instance.unit, instance.label)
@@ -153,6 +166,7 @@ def assert_same_facts(log, config: PipelineConfig) -> int:
     ]
     old = run_detectors(mining.blocks, context, frozen_detectors)
     assert [instance_view(i) for i in live] == [instance_view(i) for i in old]
+    assert [i.details for i in live] == [i.details for i in old]
     assert live_sws == [
         sws_view(old_sws.detect_sws(registry, instances, sws, mark=False))
         for sws in (config.sws, EVERY_PATTERN)

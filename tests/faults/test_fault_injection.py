@@ -37,9 +37,11 @@ from repro.pipeline import (
     PipelineConfig,
     parallel,
     shard_records,
+    shard_store,
 )
 from repro.store import ColumnarSource, columnar, write_columnar
-from repro.store.columnar import StoreRow, encode_shard
+from repro.store.columnar import _store_chunk as store_chunk
+from repro.store.columnar import encode_shard
 from tests.reference import cacheless_run
 
 from .faultlib import (
@@ -525,7 +527,7 @@ class TestPoisonedStore:
         assert pstats.shards_failed == 0
         # every shard is cut from the store once; retries re-ship it
         assert pstats.bytes_shipped == sum(
-            len(encode_shard(shard)) for shard in shard_records(source.rows(), 2)
+            len(encode_shard(shard)) for shard in shard_store(source, 2)
         )
         assert result.clean_log == reference.clean_log
         assert result.quarantine.seqs() == [
@@ -538,20 +540,24 @@ class TestPoisonedStore:
     ):
         _retry_policy(monkeypatch, 0, 0.05)
         source = ColumnarSource(valid_store)
-        plan = shard_records(source.rows(), 2)
-        (failing,) = [
-            shard for shard in plan
-            if any(row.user == "user3" for row in shard)
-        ]
-        expected = {row.seq: row.record() for row in failing}
+        plan = shard_store(source, 2)
+        (failing,) = [shard for shard in plan if "user3" in shard.columns["user"]]
+        expected = {record.seq: record for record in failing.chunk()}
 
         def never(*args, **kwargs):
-            raise AssertionError("the parent built records from the store")
+            raise AssertionError("the parent read records from the store")
 
-        # The parent cuts shards from rows; only the failed shard's
-        # buffer is ever decoded back into records.
-        monkeypatch.setattr(StoreRow, "record", never)
+        built = []
+
+        def counted(columns, templates):
+            chunk = store_chunk(columns, templates)
+            built.append(len(chunk))
+            return chunk
+
+        # The parent cuts shards from chunk columns; only the failed
+        # shard's buffer is ever decoded back into records.
         monkeypatch.setattr(columnar, "read_chunk", never)
+        monkeypatch.setattr(columnar, "_store_chunk", counted)
         config = PipelineConfig(
             error_policy="quarantine",
             detectors=[FailUserDetector("user3")] + default_detectors(),
@@ -559,6 +565,7 @@ class TestPoisonedStore:
         result = repro.clean(
             source, config, execution=_parallel(2)
         )
+        assert built == [len(failing)]
         pstats = result.parallel_stats
         assert pstats.shard_count == len(plan) >= 2
         assert pstats.shards_failed == 1

@@ -11,9 +11,11 @@ The reference is the whole ``store/columnar.py`` of rev ``c546b36``,
 exec'd out of git history as a module of ``repro.store`` so it cannot
 drift along with the code under test.  Both codecs round-trip
 
-* the store rows of the smoke-scale ``store-parallel2`` store, sharded
-  for two workers, and the same log as in-RAM records — where the new
-  buffers must also be no larger than the old ones — and
+* the store shards of the smoke-scale ``store-parallel2`` store, cut
+  for two workers (:func:`~repro.pipeline.parallel.shard_store`; the
+  frozen codec packs the same rows as its own ``StoreRow`` tuples),
+  and the same log as in-RAM records — where the new buffers must also
+  be no larger than the old ones — and
 * Hypothesis records, canonical and malformed, as records and as the
   rows of a store they were written to.
 """
@@ -29,8 +31,9 @@ import pytest
 from hypothesis import given, settings
 
 from repro.log import LogRecord
-from repro.pipeline.parallel import shard_records
+from repro.pipeline.parallel import shard_records, shard_store
 from repro.store import ColumnarSource, columnar, write_columnar
+from repro.store.columnar import ROW_COLUMNS, VERBATIM_TEMPLATE, StoreShard
 from tests.frozen import e29_workloads, frozen_source
 
 #: The last commit whose shard codec hand-packs the RSH1 layout.
@@ -56,15 +59,29 @@ def frozen_codec():
 
 
 def frozen_buffer(shard) -> bytes:
-    """``shard`` packed by the frozen codec, whose encoder recognises
-    only its own ``StoreRow`` class."""
+    """``shard`` packed by the frozen codec: records as they are, a
+    :class:`~repro.store.columnar.StoreShard` as the frozen codec's own
+    ``StoreRow`` tuples (template text, ``None`` for a verbatim row)."""
     frozen = frozen_codec()
-    return frozen.encode_shard(
-        [
-            frozen.StoreRow(*item) if type(item) is columnar.StoreRow else item
-            for item in shard
-        ]
-    )
+    if type(shard) is not StoreShard:
+        return frozen.encode_shard(shard)
+    templates = shard.templates
+    rows = []
+    for *fields, template, constants in zip(
+        *[shard.columns[name] for name in ROW_COLUMNS]
+    ):
+        text = None if template == VERBATIM_TEMPLATE else templates[template]
+        rows.append(frozen.StoreRow(*fields, text, constants))
+    return frozen.encode_shard(rows)
+
+
+def store_shard(directory) -> StoreShard:
+    """Every row of the store at ``directory`` as one shard."""
+    source = ColumnarSource(directory)
+    shard = StoreShard(source.template_texts())
+    for columns in source.chunk_columns():
+        shard.extend(columns)
+    return shard
 
 
 def same_record(a, b) -> bool:
@@ -97,15 +114,15 @@ def assert_same_decoding(shard, old: bytes, new: bytes) -> None:
 @pytest.fixture(scope="module")
 def smoke_plans():
     """Two-worker shard plans of the smoke ``store-parallel2`` log: its
-    store rows and its in-RAM records."""
+    store's shards and its in-RAM records."""
     workloads = e29_workloads()
     workload = workloads.WORKLOADS["store-parallel2"]
     log = workloads.build_log(workload, 2018, workload.size("smoke"))
     with tempfile.TemporaryDirectory() as directory:
         write_columnar(log, directory, chunk_records=8192)
-        rows = list(ColumnarSource(directory).rows())
+        rows = shard_store(ColumnarSource(directory), 2)
     return {
-        "rows": shard_records(rows, 2),
+        "rows": rows,
         "records": shard_records(log.records(), 2),
     }
 
@@ -216,7 +233,7 @@ def test_records_decode_as_before(records):
 def test_store_rows_decode_as_before(records, chunk_records):
     with tempfile.TemporaryDirectory() as directory:
         write_columnar(records, directory, chunk_records=chunk_records)
-        rows = list(ColumnarSource(directory).rows())
+        rows = store_shard(directory)
     assert_same_decoding(
         rows, frozen_buffer(rows), columnar.encode_shard(rows)
     )

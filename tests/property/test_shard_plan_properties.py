@@ -15,9 +15,9 @@ The parallel data plane rests on two contracts this suite fuzzes:
   SQL, ``NaN`` timestamps) that must reach a worker's validate stage
   unmangled to be quarantined there;
 * a columnar store's rows are **cut into the same shards** as its
-  records: the plan over :meth:`ColumnarSource.rows` equals the plan
-  over the records shard for shard, and each row shard encodes to the
-  records shard's bytes.
+  records: the plan :func:`~repro.pipeline.parallel.shard_store` cuts
+  from the chunk columns equals the plan over the records shard for
+  shard, and each store shard encodes to the records shard's bytes.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ import hypothesis.strategies as st
 from hypothesis import given, settings
 
 from repro.log import LogRecord
-from repro.pipeline.parallel import shard_index, shard_records
+from repro.pipeline.parallel import shard_index, shard_records, shard_store
 from repro.store import ColumnarSource, write_columnar
 from repro.store.columnar import decode_shard, encode_shard
 
@@ -295,12 +295,12 @@ class TestStoreCutShards:
             write_columnar(records, directory, chunk_records=chunk_records)
             source = ColumnarSource(directory)
             stored = [record for chunk in source.open_chunks() for record in chunk]
-            row_plan = shard_records(source.rows(), workers)
+            row_plan = shard_store(source, workers)
         record_plan = shard_records(stored, workers)
 
         assert len(row_plan) == len(record_plan)
         for row_shard, record_shard in zip(row_plan, record_plan):
             assert len(row_shard) == len(record_shard)
-            for row, record in zip(row_shard, record_shard):
-                assert same_record(row.record(), record), (row, record)
+            for row, record in zip(row_shard.chunk(), record_shard):
+                assert same_record(row, record), (row, record)
             assert encode_shard(row_shard) == encode_shard(record_shard)

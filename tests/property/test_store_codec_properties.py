@@ -9,8 +9,8 @@ built on it:
   raw key as its template and the exact token texts as its constants,
   and :func:`decode_sql` is the exact inverse; every text it refuses is
   refused by :func:`encode_sql` too (the writers store it verbatim);
-* a store round trip (:func:`write_columnar` → records and rows of a
-  :class:`ColumnarSource`) and a shard round trip
+* a store round trip (:func:`write_columnar` → records and chunk
+  columns of a :class:`ColumnarSource`) and a shard round trip
   (:func:`encode_shard` → :func:`decode_shard`) give back every record
   exactly — marker-bearing, control-byte and odd-typed ones included;
 * the shape rule (:class:`StoredSplits`) never vouches for a stored
@@ -32,6 +32,7 @@ from repro.skeleton.cache import _raw_scan
 from repro.store import ColumnarSource, write_columnar
 from repro.store.columnar import (
     StoredSplits,
+    StoreShard,
     decode_shard,
     decode_sql,
     encode_shard,
@@ -163,6 +164,14 @@ class TestTextCodec:
 # Store and shard round trips
 
 
+def store_shard(source: ColumnarSource) -> StoreShard:
+    """Every row of ``source`` as one shard, from its chunk columns."""
+    shard = StoreShard(source.template_texts())
+    for columns in source.chunk_columns():
+        shard.extend(columns)
+    return shard
+
+
 class TestRoundTrips:
     @given(records=record_lists, chunk_records=st.integers(1, 7))
     @settings(max_examples=60, deadline=None)
@@ -172,11 +181,11 @@ class TestRoundTrips:
             write_columnar(records, store, chunk_records=chunk_records)
             source = ColumnarSource(store)
             stored = [record for chunk in source.open_chunks() for record in chunk]
-            rows = list(source.rows())
+            rows = store_shard(source).chunk()
         assert len(stored) == len(rows) == len(records)
         for original, restored, row in zip(records, stored, rows):
             assert same_record(original, restored), (original, restored)
-            assert same_record(original, row.record()), (original, row)
+            assert same_record(original, row), (original, row)
 
     @given(records=record_lists)
     @settings(max_examples=150, deadline=None)
@@ -193,11 +202,10 @@ class TestRoundTrips:
             store = f"{work}/log.columnar"
             write_columnar(records, store, chunk_records=4)
             source = ColumnarSource(store)
-            rows = list(source.rows())
+            rows = store_shard(source)
             stored = [record for chunk in source.open_chunks() for record in chunk]
-        # Byte equality against the records read back: odd-typed rows
-        # ride a pickled side list, whose bytes depend on which of its
-        # strings are shared objects.
+        # Byte equality against the records read back: the store keeps
+        # values, not which of them were one object.
         buffer = encode_shard(rows)
         assert buffer == encode_shard(stored)
         for original, back in zip(records, decode_shard(buffer)):

@@ -232,6 +232,8 @@ class TestPostParseFacts:
         )
         direct = fresh_parse(rec)
         assert query.filter_column() == direct.filter_column() == "objid"
+        assert query.filter_column_name() == direct.filter_column_name() == "ObjID"
+        assert query.__dict__["_entry"].column_name == "ObjID"
         assert query.filter_value() == direct.filter_value()
         assert query.filter_value().value == "b'c"
         assert cache.materialised == 0
@@ -263,6 +265,7 @@ class TestPostParseFacts:
         direct = fresh_parse(rec)
         assert query.where_constants() == direct.where_constants()
         assert query.filter_column() == "objid"
+        assert query.filter_column_name() == "objid"
         assert query.filter_value() == direct.filter_value()
         assert cache.materialised == 1
 

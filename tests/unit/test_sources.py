@@ -171,3 +171,33 @@ class TestAsSource:
             resolved, owned = as_source(value)
             assert isinstance(resolved, LogSource) and owned is True
             assert resolved.read().records() == log.records()
+
+
+class TestStoreReadTime:
+    """Every executor books the time it spends loading and decoding a
+    store's chunks into the ledger's ``store`` stage, and reads each
+    chunk once."""
+
+    @pytest.mark.parametrize(
+        "execution",
+        [
+            "batch",
+            "streaming",
+            repro.ExecutionConfig(mode="parallel", workers=1),
+            repro.ExecutionConfig(mode="parallel", workers=2),
+        ],
+        ids=["batch", "streaming", "parallel-1", "parallel-2"],
+    )
+    def test_store_stage_times_each_chunk_read_once(self, tmp_path, execution):
+        log = make_log(60)
+        store = tmp_path / "log.columnar"
+        write_columnar(log, store, chunk_records=7)
+        source = ColumnarSource(store)
+        result = repro.clean(source, execution=execution)
+        stage = result.metrics.stages["store"]
+        assert stage.counters["chunks_read"] == source.chunk_count() == 9
+        assert stage.calls == source.chunk_count()
+        assert stage.wall_seconds > 0
+        assert stage.wall_seconds == source.read_seconds
+        assert "store" not in result.metrics.comparable()
+        assert result.clean_log == repro.clean(log).clean_log

@@ -12,7 +12,7 @@ from repro.store.columnar import (
     FORMAT_VERSION,
     VERBATIM_TEMPLATE,
     ColumnarWriter,
-    StoreRow,
+    StoreShard,
     chunk_file_name,
     decode_shard,
     decode_sql,
@@ -196,29 +196,49 @@ class TestOddTypedRecords:
             ["SELECT a FROM t WHERE id = 7"],
         )
 
-    def test_rows_pack_exactly_like_their_records(self, tmp_path):
-        """Odd-typed rows pack to the same bytes, with the same field
-        types, as ``encode_shard`` packs the records themselves."""
+    def test_store_shard_packs_exactly_like_its_records(self, tmp_path):
+        """Odd-typed rows cut from the chunk columns pack to the same
+        bytes, with the same field types, as ``encode_shard`` packs the
+        records themselves."""
         records = odd_typed_records() + sample_records()
         store = tmp_path / "odd.columnar"
         write_columnar(records, store, chunk_records=3)
         source = ColumnarSource(store)
-        rows = list(source.rows())
-        assert all(type(row) is StoreRow for row in rows)
+        shard = StoreShard(source.template_texts())
+        for columns in source.chunk_columns():
+            shard.extend(columns)
+        assert len(shard) == len(records)
         stored = [record for chunk in source.open_chunks() for record in chunk]
-        buffer = encode_shard(rows)
+        buffer = encode_shard(shard)
         assert buffer == encode_shard(stored)
         for original, restored in zip(records, decode_shard(buffer)):
             assert same_fields(original, restored), (original, restored)
 
-    def test_row_materialises_its_record(self, tmp_path):
+    def test_store_shard_chunk_is_its_records(self, tmp_path):
         records = odd_typed_records() + sample_records()
         store = tmp_path / "odd.columnar"
         write_columnar(records, store, chunk_records=5)
-        rows = list(ColumnarSource(store).rows())
-        for original, row in zip(records, rows):
-            assert row.user_key() == original.user_key()
-            assert same_fields(original, row.record()), (original, row)
+        source = ColumnarSource(store)
+        shard = StoreShard(source.template_texts())
+        for columns in source.chunk_columns():
+            shard.extend(columns)
+        chunk = shard.chunk()
+        assert len(chunk) == len(records)
+        for original, record in zip(records, chunk):
+            assert same_fields(original, record), (original, record)
+        splits = chunk.take_splits()
+        # A split the shape rule vouches for is the raw scan's; verbatim
+        # rows and the escaped quote have none.
+        bound = 0
+        for record in chunk:
+            split = splits.split_of(record)
+            if type(record.sql) is not str or "''" in record.sql:
+                assert split is None, record
+            elif split is not None:
+                raw = _raw_scan(record.sql)
+                assert split == (raw[0], raw[2])
+                bound += 1
+        assert bound == 6
 
 
 class TestCrashSafety:
@@ -334,6 +354,21 @@ class TestNativeBind:
             for position, record in enumerate(chunk)
         )
         assert splits.raw_split(len(chunk), chunk[0]) is None
+
+    def test_a_decoded_shard_binds_by_identity_in_any_order(self, tmp_path):
+        records, store = self.store(tmp_path)
+        source = ColumnarSource(store)
+        buffer = encode_shard(records)
+        assert type(buffer) is bytes
+        chunk = decode_shard(buffer)
+        assert chunk == records
+        splits = chunk.take_splits()
+        for record in reversed(chunk):
+            raw = _raw_scan(record.sql)
+            assert splits.split_of(record) == (raw[0], raw[2])
+        # an equal record that is not one of the shard's has no split
+        assert splits.split_of(LogRecord(*vars(chunk[0]).values())) is None
+        assert source.chunks_read == 0
 
     def test_streaming_a_store_skips_the_raw_scan(self, tmp_path, monkeypatch):
         import repro
