@@ -50,7 +50,18 @@ def normalize_statement_text(sql: str) -> str:
     Identity is deliberately textual (not skeleton-based): a reload sends
     byte-identical SQL.  We only collapse whitespace so that logs that
     re-wrap long statements do not hide duplicates.
+
+    A printable string's only whitespace is the ASCII space, so one
+    with no doubled, leading or trailing space is already normal and
+    comes back as itself, without the split and the join.
     """
+    if (
+        sql.isprintable()
+        and "  " not in sql
+        and not sql.startswith(" ")
+        and not sql.endswith(" ")
+    ):
+        return sql
     return " ".join(sql.split())
 
 
@@ -80,11 +91,11 @@ def delete_duplicates(
 
     A record is a duplicate iff an identical statement (after whitespace
     normalisation) from the same user occurred at most ``threshold``
-    seconds before it.  Each *kept* occurrence restarts the clock, so a
-    slow steady stream of reloads spaced below the threshold collapses to
-    the first one only when each reload lands within ``threshold`` of the
-    previously *seen* one — matching the paper's "small difference in
-    time" reading and keeping the pass O(n).
+    seconds before it.  Every occurrence restarts the clock, removed
+    ones included, so a slow steady stream of reloads each within
+    ``threshold`` of the previously *seen* one collapses to its first
+    statement however long it runs — matching the paper's "small
+    difference in time" reading and keeping the pass O(n).
 
     The single-pass rule assumes per-user timestamps are non-decreasing;
     an out-of-order input (clock skew, raw merged shards passed as a
@@ -116,7 +127,11 @@ def delete_duplicates(
             continue
         last_seen[key] = record.timestamp
         kept.append(record)
-    return DedupResult(log=QueryLog(kept), removed=removed, threshold=threshold)
+    # ``_in_log_order`` hands the records over in log order, so the
+    # kept ones are already in order.
+    return DedupResult(
+        log=QueryLog._in_order(kept), removed=removed, threshold=threshold
+    )
 
 
 def threshold_sweep(log: QueryLog, thresholds=(1.0, 2.0, 5.0, 10.0, math.inf)):

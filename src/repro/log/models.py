@@ -80,10 +80,25 @@ class QueryLog:
     a thin, immutable-ish container: the pipeline stages consume one log
     and produce a new one, so each intermediate artifact of Fig. 1
     (original / pre-clean / parsed / clean) is a separate ``QueryLog``.
+
+    The constructor sorts (stably, by :func:`record_order_key`).  A stage
+    whose output is an in-order subsequence of a log — records dropped,
+    or statement texts replaced in place — builds it with
+    :meth:`_in_order` instead, since sorting it again would return the
+    same order.
     """
 
     def __init__(self, records: Iterable[LogRecord] = ()) -> None:
         self._records: List[LogRecord] = sorted(records, key=record_order_key)
+
+    @classmethod
+    def _in_order(cls, records: Iterable[LogRecord]) -> "QueryLog":
+        """A log of ``records`` as given, unsorted: only for records that
+        are an in-order subsequence of a ``QueryLog`` (texts may have been
+        replaced; timestamps and seqs may not)."""
+        log = cls.__new__(cls)
+        log._records = list(records)
+        return log
 
     # ------------------------------------------------------------------
     # Container protocol
@@ -163,11 +178,15 @@ class QueryLog:
 
     def filter(self, keep: Callable[[LogRecord], bool]) -> "QueryLog":
         """New log with only the records satisfying ``keep``."""
-        return QueryLog(record for record in self._records if keep(record))
+        return QueryLog._in_order(
+            record for record in self._records if keep(record)
+        )
 
     def map_sql(self, fn: Callable[[LogRecord], str]) -> "QueryLog":
         """New log with every statement text passed through ``fn``."""
-        return QueryLog(record.with_sql(fn(record)) for record in self._records)
+        return QueryLog._in_order(
+            record.with_sql(fn(record)) for record in self._records
+        )
 
     def without_metadata(self) -> "QueryLog":
         """Copy of the log stripped down to statements + timestamps —

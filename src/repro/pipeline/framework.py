@@ -80,11 +80,17 @@ class ParseStageResult:
     syntax_errors: List[Tuple[LogRecord, str]] = field(default_factory=list)
     non_select: List[LogRecord] = field(default_factory=list)
     quarantined: List[LogRecord] = field(default_factory=list)
+    #: whether the parse input was a :class:`QueryLog`: ``queries`` are
+    #: then its records' queries in its order.
+    from_log: bool = field(default=False, repr=False, compare=False)
 
     @property
     def parsed_log(self) -> QueryLog:
         """The parsed query log as a plain log (SELECTs that parsed)."""
-        return QueryLog(query.record for query in self.queries)
+        records = (query.record for query in self.queries)
+        if self.from_log:
+            return QueryLog._in_order(records)
+        return QueryLog(records)
 
 
 @dataclass
@@ -305,7 +311,12 @@ def validate_stage(
             record for record in log if validate_record(record, policy, channel)
         ]
         dropped = len(log) - len(kept)
-        result = log if dropped == 0 else QueryLog(kept)
+        if dropped == 0:
+            result = log
+        elif isinstance(log, QueryLog):
+            result = QueryLog._in_order(kept)
+        else:
+            result = QueryLog(kept)
     recorder.count("validate", "records_in", len(kept) + dropped)
     recorder.count("validate", "records_out", len(kept))
     recorder.count("validate", "records_quarantined", dropped)
@@ -518,7 +529,7 @@ def parse_log(
     the store's shape rule vouches for it.
     """
     recorder = recorder or NULL
-    result = ParseStageResult()
+    result = ParseStageResult(from_log=isinstance(log, QueryLog))
     if interner is None:
         interner = TemplateInterner()
     base_interned = len(interner)

@@ -157,7 +157,11 @@ def solve(
             records.append(record.with_sql(replacement_at[record.seq]))
         else:
             records.append(record)
-    result.log = QueryLog(records)
+    # A subsequence of ``log`` with texts replaced in place: in order.
+    if isinstance(log, QueryLog):
+        result.log = QueryLog._in_order(records)
+    else:
+        result.log = QueryLog(records)
     return result
 
 

@@ -68,6 +68,7 @@ import gc
 import pickle
 import re
 from collections import OrderedDict
+from itertools import accumulate
 from typing import Callable, Iterable, Iterator, List, Optional, Tuple, Union
 
 from ..log.models import LogRecord
@@ -977,9 +978,11 @@ _RAW_LITERAL = re.compile(
     r"(?:[eE][+-]?[0-9]+)?(?![A-Za-z0-9_\#\$])))"
 )
 
-#: ``(raw_key, spans, constants)`` for one statement text, or ``None``
+#: ``(raw_key, parts, constants)`` for one statement text, or ``None``
 #: when the text contains control characters the scanner refuses.
-RawTemplate = Tuple[str, Tuple[Tuple[int, int], ...], List[Tuple[str, str]]]
+#: ``parts`` is the scan's capturing split of the text: the text between
+#: literals at the even indexes, the literals themselves at the odd ones.
+RawTemplate = Tuple[str, List[str], List[Tuple[str, str]]]
 
 
 def _raw_scan(text: str) -> Optional[RawTemplate]:
@@ -992,28 +995,40 @@ def _raw_scan(text: str) -> Optional[RawTemplate]:
     format — same unquoting, same ``''`` collapse — so a verified raw
     key can feed :meth:`_Entry.bind` directly.
 
-    The capturing split alternates the text between literals with the
-    literals themselves; each literal is swapped for its placeholder in
-    place, and the spans follow from the running part lengths.
+    A printable text holds no control byte, so only a non-printable one
+    is searched for them.  A text without a quote has number literals
+    only: its key is the text between them joined by the number
+    placeholder.  The split itself is returned untouched; the literal
+    spans follow from its part lengths (:func:`_raw_spans`), which only
+    an admission into the raw memo reads.
     """
-    if _FP_UNSAFE.search(text):
+    if not text.isprintable() and _FP_UNSAFE.search(text):
         return None
     parts = _RAW_LITERAL.split(text)
-    spans: List[Tuple[int, int]] = []
+    if "'" not in text:
+        return (
+            _FP_NUMBER.join(parts[0::2]),
+            parts,
+            [("number", token) for token in parts[1::2]],
+        )
+    key = parts.copy()
     constants: List[Tuple[str, str]] = []
-    start = len(parts[0])
     for index in range(1, len(parts), 2):
         token = parts[index]
-        end = start + len(token)
-        spans.append((start, end))
         if token[0] == "'":
             constants.append(("string", token[1:-1].replace("''", "'")))
-            parts[index] = _FP_STRING
+            key[index] = _FP_STRING
         else:
             constants.append(("number", token))
-            parts[index] = _FP_NUMBER
-        start = end + len(parts[index + 1])
-    return ("".join(parts), tuple(spans), constants)
+            key[index] = _FP_NUMBER
+    return ("".join(key), parts, constants)
+
+
+def _raw_spans(parts: List[str]) -> Tuple[Tuple[int, int], ...]:
+    """The ``(start, end)`` source span of each literal of a
+    :func:`_raw_scan` split, from the running part lengths."""
+    ends = list(accumulate(map(len, parts)))
+    return tuple(zip(ends[0::2], ends[1::2]))
 
 
 #: What the parse loop caches for one statement text: a prototype
@@ -1271,13 +1286,13 @@ class TemplateCache:
         """
         if raw is None:
             return _UNSAFE
-        raw_key, spans, constants = raw
+        raw_key, parts, constants = raw
         by_raw = self._by_raw
         memo = by_raw.get(raw_key)
         if memo is not None:
             return memo
         memo = _UNSAFE
-        if type(entry) is _Entry and spans == fingerprint.spans:
+        if type(entry) is _Entry and _raw_spans(parts) == fingerprint.spans:
             folds: List[int] = []
             for index, (pair, scanned) in enumerate(
                 zip(constants, fingerprint.constants)

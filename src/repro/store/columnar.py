@@ -132,10 +132,10 @@ def encode_sql(sql: str) -> Tuple[str, List[str]]:
 
     The template is the parse cache's raw key for ``sql`` (see
     :func:`~repro.skeleton.cache._raw_scan`) and the constants are the
-    exact token texts the scan lifted, so :func:`decode_sql` restores
-    the original text exactly.  Raises ``ValueError`` when ``sql`` is
-    not a string or the raw scan refuses it — callers handle both cases
-    with :data:`VERBATIM_TEMPLATE`.
+    exact token texts the scan lifted (the odd parts of its split), so
+    :func:`decode_sql` restores the original text exactly.  Raises
+    ``ValueError`` when ``sql`` is not a string or the raw scan refuses
+    it — callers handle both cases with :data:`VERBATIM_TEMPLATE`.
     """
     if not isinstance(sql, str):
         raise ValueError(f"statement is {type(sql).__name__}, not text")
@@ -144,7 +144,7 @@ def encode_sql(sql: str) -> Tuple[str, List[str]]:
         raise ValueError(
             "statement contains a control byte the raw scan refuses"
         )
-    return raw[0], [sql[start:end] for start, end in raw[1]]
+    return raw[0], raw[1][1::2]
 
 
 def _splice(parts: Sequence[str], constants: Sequence[str]) -> str:

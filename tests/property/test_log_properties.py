@@ -107,6 +107,62 @@ class TestDedupProperties:
         assert [r.timestamp for r in result.log] == [0.0]
 
 
+#: Every character ``str.split`` splits on: ``\t``–``\r``, ``\x1c``–``\x1f``,
+#: the space, and Unicode's spaces and line and paragraph separators.
+SEPARATORS = (
+    "\t\n\v\f\r\x1c\x1d\x1e\x1f \x85\xa0\u1680"
+    + "".join(map(chr, range(0x2000, 0x200B)))
+    + "\u2028\u2029\u202f\u205f\u3000"
+)
+
+#: Text mixing SQL, single and doubled spaces, every separator and any
+#: other character.
+mixed_texts = st.lists(
+    st.one_of(
+        st.sampled_from(list(SEPARATORS)),
+        st.sampled_from(["SELECT", "a", "'x y'", " ", "  ", "=", "1"]),
+        st.characters(),
+    ),
+    max_size=30,
+).map("".join)
+
+#: Printable text whose only whitespace is the ASCII space: the texts
+#: the shortcut may return unchanged.
+printable_texts = st.lists(
+    st.one_of(
+        st.sampled_from(["SELECT", "a", "'x y'", " ", "  ", "=", "1"]),
+        st.characters(
+            blacklist_categories=("Cc", "Cf", "Cs", "Co", "Cn", "Zs", "Zl", "Zp")
+        ),
+    ),
+    max_size=30,
+).map("".join)
+
+
+class TestNormalizeProperties:
+    def test_separators_are_every_split_character(self):
+        splitting = [
+            char
+            for char in map(chr, range(0x110000))
+            if len(("a" + char + "a").split()) == 2
+        ]
+        assert "".join(splitting) == SEPARATORS
+
+    @given(mixed_texts)
+    @settings(max_examples=1000, deadline=None)
+    def test_is_the_split_join(self, text):
+        assert normalize_statement_text(text) == " ".join(text.split())
+
+    @given(printable_texts)
+    @settings(max_examples=500, deadline=None)
+    def test_normal_printable_text_comes_back_as_itself(self, text):
+        assert text.isprintable()
+        normal = normalize_statement_text(text)
+        assert normal == " ".join(text.split())
+        if normal == text:
+            assert normal is text
+
+
 class TestMinerProperties:
     @given(log_entries)
     @settings(max_examples=100, deadline=None)

@@ -4,9 +4,13 @@
 per-record kernel and the columnar store's template codec.  Its pattern
 was restated to open with the character class of a literal's first
 character (so ``re`` can skip non-candidate offsets in C), and the scan
-itself moved from ``finditer`` to a capturing ``split``.  Both are only
-safe if the function is *bit-for-bit* the old one: same raw key, same
-spans, same constants, same refusal of control bytes.
+itself moved from ``finditer`` to a capturing ``split``, which it now
+returns in place of the literal spans (a refusal is tried on
+non-printable texts only, and a quote-free text takes a join).  All of
+that is only safe if the function is *bit-for-bit* the old one: same raw
+key, same spans (derived from the split by
+:func:`~repro.skeleton.cache._raw_spans`), same constants, same refusal
+of control bytes.
 
 The reference is the scan of rev ``484718b``, exec'd straight out of
 git history so it cannot drift along with the code under test.  It is
@@ -15,6 +19,7 @@ checked against the live scan
 * on every text of the E29 bench inputs — the seed-2018-shaped
   SkyServer log and the long-tail log — for two seeds,
 * on Hypothesis strings over the literal grammar's edge pieces, and
+  over non-printable texts free of control bytes, and
 * through the store: a log written with :func:`write_columnar` under
   the frozen scan and under the live one gives identical files.
 """
@@ -66,6 +71,34 @@ def frozen_raw_scan():
     return _frozen_cache["scan"]
 
 
+def live_raw_scan(text: str):
+    """The live scan as the frozen triple ``(raw key, spans, constants)``;
+    its split must be the text itself, cut into parts."""
+    raw = cache._raw_scan(text)
+    if raw is None:
+        return None
+    key, parts, constants = raw
+    assert "".join(parts) == text
+    return (key, cache._raw_spans(parts), constants)
+
+
+def frozen_as_split(text: str):
+    """The frozen scan in the live shape ``(raw key, parts, constants)``,
+    its parts cut out of the text at the frozen spans."""
+    raw = frozen_raw_scan()(text)
+    if raw is None:
+        return None
+    key, spans, constants = raw
+    parts = []
+    end = 0
+    for start, stop in spans:
+        parts.append(text[end:start])
+        parts.append(text[start:stop])
+        end = stop
+    parts.append(text[end:])
+    return (key, parts, constants)
+
+
 def bench_texts(seed: int) -> List[str]:
     """Every statement text of the seed's seed-2018-shaped and long-tail
     logs at the E29 bench size."""
@@ -87,7 +120,7 @@ def bench_texts(seed: int) -> List[str]:
 def test_bench_texts_scan_as_before(seed):
     frozen = frozen_raw_scan()
     texts = bench_texts(seed)
-    mismatches = [text for text in texts if cache._raw_scan(text) != frozen(text)]
+    mismatches = [text for text in texts if live_raw_scan(text) != frozen(text)]
     assert mismatches == []
     assert len(texts) > 60_000
 
@@ -113,7 +146,32 @@ PIECES = [
 @example("\n1\n.5")
 @example("a\x00 1")
 def test_edge_strings_scan_as_before(text):
-    assert cache._raw_scan(text) == frozen_raw_scan()(text)
+    assert live_raw_scan(text) == frozen_raw_scan()(text)
+
+
+#: Characters that make a text non-printable without being a control
+#: byte the scan refuses: the scan must search those texts and accept
+#: them.  ``\t`` and ``\n`` also stop the lookbehind's ``.``.
+NON_PRINTABLE = ["\t", "\n", "\x7f", "\x85", "\xa0", "\u2028"]
+PRINTABLE_PIECES = [piece for piece in PIECES if piece.isprintable()]
+
+
+@settings(max_examples=1000)
+@given(
+    st.lists(st.sampled_from(PRINTABLE_PIECES + NON_PRINTABLE), max_size=16),
+    st.sampled_from(NON_PRINTABLE),
+    st.integers(min_value=0, max_value=16),
+)
+@example(["1"], "\x85", 0)
+@example(["x", "'a", "'"], "\u2028", 2)
+@example(["SELECT a FROM t WHERE b = ", "1.e5"], "\xa0", 1)
+def test_non_printable_texts_scan_as_before(pieces, odd, at):
+    pieces.insert(at, odd)
+    text = "".join(pieces)
+    assert not text.isprintable()
+    live = live_raw_scan(text)
+    assert live is not None
+    assert live == frozen_raw_scan()(text)
 
 
 def _store_files(path: Path) -> dict:
@@ -124,9 +182,8 @@ def test_stores_are_byte_identical(tmp_path, monkeypatch):
     workloads = e29_workloads()
     smoke = workloads.WORKLOADS["seed2018-batch"].size("smoke")
     log = workloads.build_log(workloads.WORKLOADS["seed2018-batch"], 2018, smoke)
-    frozen = frozen_raw_scan()
     write_columnar(log, tmp_path / "live", chunk_records=2048)
-    monkeypatch.setattr(columnar, "_raw_scan", frozen)
+    monkeypatch.setattr(columnar, "_raw_scan", frozen_as_split)
     write_columnar(log, tmp_path / "frozen", chunk_records=2048)
     live_files = _store_files(tmp_path / "live")
     frozen_files = _store_files(tmp_path / "frozen")

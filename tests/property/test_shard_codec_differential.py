@@ -32,6 +32,7 @@ from hypothesis import given, settings
 
 from repro.log import LogRecord
 from repro.pipeline.parallel import shard_records, shard_store
+from repro.skeleton import cache
 from repro.store import ColumnarSource, columnar, write_columnar
 from repro.store.columnar import ROW_COLUMNS, VERBATIM_TEMPLATE, StoreShard
 from tests.frozen import e29_workloads, frozen_source
@@ -42,9 +43,20 @@ FROZEN_REV = "c546b36"
 _loaded = {}
 
 
+def raw_scan_with_spans(text: str):
+    """The live raw scan in the ``(raw key, spans, constants)`` shape
+    the frozen codec reads (the live scan returns its split instead of
+    the spans)."""
+    raw = cache._raw_scan(text)
+    if raw is None:
+        return None
+    return raw[0], cache._raw_spans(raw[1]), raw[2]
+
+
 def frozen_codec():
     """``store/columnar.py`` of :data:`FROZEN_REV`, exec'd from git
-    history; its relative imports resolve to the live package."""
+    history; its relative imports resolve to the live package, its raw
+    scan to :func:`raw_scan_with_spans`."""
     if "columnar" not in _loaded:
         source = frozen_source(
             FROZEN_REV,
@@ -54,6 +66,7 @@ def frozen_codec():
         module = types.ModuleType("repro.store._frozen_columnar")
         module.__package__ = "repro.store"
         exec(compile(source, "frozen_columnar.py", "exec"), module.__dict__)
+        module._raw_scan = raw_scan_with_spans
         _loaded["columnar"] = module
     return _loaded["columnar"]
 

@@ -28,7 +28,7 @@ import hypothesis.strategies as st
 from hypothesis import example, given, settings
 
 from repro.log import LogRecord
-from repro.skeleton.cache import _raw_scan
+from repro.skeleton.cache import _raw_scan, _raw_spans
 from repro.store import ColumnarSource, write_columnar
 from repro.store.columnar import (
     StoredSplits,
@@ -148,7 +148,8 @@ class TestTextCodec:
             raise AssertionError(f"encoded a text the raw scan refuses: {text!r}")
         template, constants = encode_sql(text)
         assert template == raw[0]
-        assert constants == [text[start:end] for start, end in raw[1]]
+        spans = _raw_spans(raw[1])
+        assert constants == [text[start:end] for start, end in spans]
 
     @given(text=statement_texts)
     @settings(max_examples=400, deadline=None)
@@ -340,7 +341,8 @@ class TestShapeRule:
             raw = _raw_scan(text)
             assert raw is not None, text
             assert raw[0] == template, text
-            assert [text[start:end] for start, end in raw[1]] == constants, text
+            spans = _raw_spans(raw[1])
+            assert [text[start:end] for start, end in spans] == constants, text
             assert raw[2] == bound, text
 
     @given(text=statement_texts)

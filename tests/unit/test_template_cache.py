@@ -429,22 +429,22 @@ class TestRawScanAudit:
 
     @pytest.mark.parametrize("text", ALIGNED)
     def test_aligned_spans_and_constants(self, text):
-        from repro.skeleton.cache import _raw_scan
+        from repro.skeleton.cache import _raw_scan, _raw_spans
 
         raw = _raw_scan(text)
         fp = fingerprint_statement(text)
         assert raw is not None and fp is not None
-        assert raw[1] == fp.spans
+        assert _raw_spans(raw[1]) == fp.spans
         assert raw[2] == list(fp.constants)
 
     @pytest.mark.parametrize("text", DIVERGENT)
     def test_divergent_spans_block_admission(self, text):
-        from repro.skeleton.cache import _raw_scan
+        from repro.skeleton.cache import _raw_scan, _raw_spans
 
         raw = _raw_scan(text)
         fp = fingerprint_statement(text)
         assert raw is not None and fp is not None
-        assert raw[1] != fp.spans
+        assert _raw_spans(raw[1]) != fp.spans
 
     def test_scanner_punt_means_no_fingerprint(self):
         # ``1.e`` — an exponent marker with no digits — makes the
