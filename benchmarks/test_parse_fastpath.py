@@ -104,7 +104,7 @@ def test_parse_fastpath(bench_config):
             "warm_speedup": uncached_seconds / warm_seconds,
             "cold_hit_rate": cold_hits / (cold_hits + cold_misses),
             "warm_hit_rate": warm_hits / (warm_hits + warm_misses),
-            "interned_keys": cache.key_entries,
+            "verified_raw_keys": cache.raw_entries,
         },
     }
 
@@ -152,7 +152,7 @@ def test_parse_fastpath(bench_config):
     print_table(
         f"Parse fast path — {report['queries']:,} queries "
         f"(cold hit rate {stage['cold_hit_rate']:.1%}, "
-        f"{stage['interned_keys']} interned keys)",
+        f"{stage['verified_raw_keys']} verified raw keys)",
         ["configuration", "seconds", "stmts/s", "speedup"],
         [
             (

@@ -66,7 +66,7 @@ from .store import (
     write_columnar,
 )
 
-__version__ = "8.0.0"
+__version__ = "9.0.0"
 
 __all__ = [
     "LogRecord",

@@ -69,7 +69,9 @@ def _assemble_time(row: Dict[str, str]) -> Optional[float]:
             int(row.get("mi", "0") or 0),
             int(float(row.get("ss", "0") or 0)),
         )
-    except (KeyError, ValueError):
+    except (KeyError, ValueError, OverflowError):
+        # OverflowError: an infinite ``ss``, or a part too large for
+        # datetime's C ints.
         return None
     return parsed.replace(tzinfo=datetime.timezone.utc).timestamp()
 
@@ -119,7 +121,7 @@ def read_skyserver_csv(path: PathLike) -> QueryLog:
             if row.get("rows"):
                 try:
                     rows_value = int(float(row["rows"]))
-                except ValueError:
+                except (ValueError, OverflowError):  # junk, NaN or inf
                     rows_value = None
             session = row.get("logid") or None
 

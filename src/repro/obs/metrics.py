@@ -100,8 +100,8 @@ STAGE_COUNTERS = {
 #: ``parse_cold`` rides with the cache misses it mirrors, and
 #: ``parse_dict_preloaded`` with how many preloads a run makes: one per
 #: run for every executor (the parallel parent books its run's single
-#: preload; pool workers rebuild theirs from its exported seed and book
-#: none), but a resumed streaming run adds its checkpoint's on top.
+#: preload; pool workers preload theirs from its shipped witnesses and
+#: book none), but a resumed streaming run adds its checkpoint's on top.
 EXECUTOR_DEPENDENT_COUNTERS = {
     "parse": frozenset(
         {

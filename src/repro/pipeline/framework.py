@@ -506,7 +506,7 @@ def parse_log(
     Every emitted query carries the run-scoped ``interned_id`` of its
     template fingerprint, assigned by ``interner`` (one is created for
     this call when the caller has none).  Each record's id is verified
-    against the interner even on a cache hit — a prewarmed or pickled
+    against the interner even on a cache hit — a persistent or preloaded
     :class:`~repro.skeleton.cache.TemplateCache` may carry ids from a
     *previous* run's interner, which must never leak into this one.
 

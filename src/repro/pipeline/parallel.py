@@ -54,13 +54,11 @@ dominates small runs, so every fan-out runs on a reusable pool:
 a process-wide registry, reused across :func:`repro.clean` calls.  Each
 worker keeps a persistent :class:`~repro.skeleton.cache.TemplateCache`
 across shards *and* runs.  A run over a columnar store preloads one
-cache from the store's witnesses and ships its
-:meth:`~repro.skeleton.cache.TemplateCache.export_seed` bytes in every
-shard payload; a worker rebuilds its cache from them
-(:meth:`~repro.skeleton.cache.TemplateCache.from_seed`) whenever the
-seed or the parse knobs differ from the ones its cache was built under.
-A seed therefore never retires a pool: runs over different stores share
-the same warm workers.
+cache from the store's witness texts and ships the same texts in every
+shard payload; a worker preloads a fresh cache from them whenever the
+witnesses or the parse knobs differ from the ones its cache was built
+under.  Witnesses therefore never retire a pool: runs over different
+stores share the same warm workers.
 Outputs stay byte-identical because the cache is correctness-checked
 per hit; only the ``parse_cache_*`` counters (executor-dependent by
 contract) change.  All registry pools are shut down atexit, or earlier
@@ -421,33 +419,26 @@ def shard_store(source: "ColumnarSource", workers: int) -> List[StoreShard]:
 # the *worker* processes: the cache persists across shards and runs.
 
 _WORKER_CACHE: Optional[TemplateCache] = None
-_WORKER_CACHE_KEY: Optional[Tuple[bool, bool, Optional[bytes]]] = None
+_WORKER_CACHE_KEY: Optional[Tuple[bool, bool, Optional[Tuple[str, ...]]]] = None
 
 
 def _process_parse_cache(
-    config: PipelineConfig, seed: Optional[bytes]
+    config: PipelineConfig, witnesses: Optional[Tuple[str, ...]]
 ) -> TemplateCache:
     """This worker's persistent parse cache.
 
     The cache is keyed by the parse knobs it may legally serve and by
-    the run's ``seed`` (the parent's preloaded cache, exported; ``None``
-    when nothing was preloaded) — a change of either rebuilds it rather
-    than risking a stale skeleton (see the invariant on
-    :func:`~repro.pipeline.framework.parse_log`).  The parent built the
-    seed under the run's own knobs, so a seeded cache starts warm.
+    the run's ``witnesses`` (the store's template witness texts;
+    ``None`` when the parent preloaded nothing) — a change of either
+    rebuilds it rather than risking a stale skeleton (see the invariant
+    on :func:`~repro.pipeline.framework.parse_log`).  The rebuilt cache
+    is preloaded from the witnesses under the run's own knobs, so it
+    starts as warm as the parent's.
     """
     global _WORKER_CACHE, _WORKER_CACHE_KEY
-    key = (config.fold_variables, config.strict_triple, seed)
+    key = (config.fold_variables, config.strict_triple, witnesses)
     if _WORKER_CACHE is None or _WORKER_CACHE_KEY != key:
-        cache: Optional[TemplateCache] = None
-        if seed is not None:
-            try:
-                cache = TemplateCache.from_seed(seed)
-            except Exception:  # a bad seed must never fail a shard
-                cache = None
-        if cache is None:
-            cache, _ = open_parse_cache(config, ())
-        _WORKER_CACHE = cache
+        _WORKER_CACHE, _ = open_parse_cache(config, witnesses)
         _WORKER_CACHE_KEY = key
     return _WORKER_CACHE
 
@@ -496,22 +487,23 @@ def _clean_shard_log(
 
 
 def _clean_shard_encoded(
-    payload: Tuple[int, bytes, PipelineConfig, Optional[bytes]]
+    payload: Tuple[int, bytes, PipelineConfig, Optional[Tuple[str, ...]]]
 ) -> ShardReport:
     """Worker body: clean one encoded shard buffer (the pool path).
 
-    ``payload`` is ``(shard, buffer, config, seed)``, where ``buffer``
-    is the :func:`~repro.store.columnar.encode_shard` encoding of the
-    shard's records and ``seed`` the run's exported parse cache (or
-    ``None``).  The worker's persistent parse cache serves every shard
-    it is handed, binding each record by the split the buffer shipped.
+    ``payload`` is ``(shard, buffer, config, witnesses)``, where
+    ``buffer`` is the :func:`~repro.store.columnar.encode_shard`
+    encoding of the shard's records and ``witnesses`` the run's template
+    witness texts (or ``None``).  The worker's persistent parse cache
+    serves every shard it is handed, binding each record by the split
+    the buffer shipped.
     The body is bounded by its shard, so it runs under
     :func:`~repro.skeleton.cache.collector_paused`, like the parent's
     run.
     """
-    shard, buffer, config, seed = payload
+    shard, buffer, config, witnesses = payload
     with collector_paused():
-        cache = _process_parse_cache(config, seed)
+        cache = _process_parse_cache(config, witnesses)
         return _clean_shard_log(shard, decode_shard(buffer), config, cache)
 
 
@@ -698,7 +690,7 @@ class ParallelCleaner:
         shards: List[_Shard],
         workers: int,
         quarantine: QuarantineChannel,
-        seed: Optional[bytes],
+        witnesses: Optional[Tuple[str, ...]],
     ) -> Tuple[List[ShardReport], int, List[int], int]:
         """Fan the shards out over the warm pool, re-queueing failures.
 
@@ -715,9 +707,9 @@ class ParallelCleaner:
         buffer is reused across retries and dropped the moment the shard
         completes.  A shard that fails for good hands the records
         decoded from its buffer to the error policy.  Every payload
-        carries ``seed``, the run's exported parse cache (``None`` when
-        nothing was preloaded).  Returns the reports, the retry count,
-        the failed shards and the bytes shipped.
+        carries ``witnesses``, the run's template witness texts
+        (``None`` when nothing was preloaded).  Returns the reports, the
+        retry count, the failed shards and the bytes shipped.
         """
         execution = self.config.execution
         max_attempts = MAX_SHARD_RETRIES + 1
@@ -765,7 +757,7 @@ class ParallelCleaner:
                     try:
                         future = pool.submit(
                             _clean_shard_encoded,
-                            (shard, buffer, self.config, seed),
+                            (shard, buffer, self.config, witnesses),
                         )
                     except BrokenProcessPool as exc:
                         # A warm worker died while the wave was still
@@ -848,10 +840,9 @@ class ParallelCleaner:
         """Shard, fan out, clean, and re-merge into global time order.
 
         With template witnesses (a columnar store's own) the run
-        preloads one warmed cache and routes it to the shards: a
-        single-shard run cleans with it inline, pool runs ship its
-        exported seed in every shard payload, so the workers' persistent
-        caches start warm.
+        preloads one warmed cache: a single-shard run cleans with it
+        inline, and pool runs ship the witnesses in every shard payload,
+        so the workers' persistent caches start as warm.
         """
         return self._run(lambda workers: shard_records(log, workers))
 
@@ -884,9 +875,11 @@ class ParallelCleaner:
         # shard to overlap with.  An empty log plans no shards at all.
         bytes_shipped = 0
         if shard_count > 1:
-            seed = cache.export_seed() if dict_preloaded else None
+            witnesses = None
+            if dict_preloaded:
+                witnesses = tuple(self._template_witnesses)
             reports, retried, failed, bytes_shipped = self._run_pool(
-                shards, workers, quarantine, seed
+                shards, workers, quarantine, witnesses
             )
         elif shards:
             shard = shards.pop()

@@ -27,11 +27,12 @@ order by :meth:`TemplateCache.fetch`:
   :func:`_raw_scan`); anything else marks the raw key unsafe, and its
   texts go to the text memo instead.
 
-Entries are interned by the scanner's *fingerprint key*
-(:func:`~repro.sqlparser.scanner.scan`), which is where an entry's
-safety is verified; the key is consulted only when :meth:`build`
-admits an entry, so raw keys that differ only in sign or whitespace
-share one entry.
+The raw memo is the one intern table.  Each entry is built from the
+marker rendering of the text that witnessed its raw key, and the
+scanner's *fingerprint key* (:func:`~repro.sqlparser.scanner.scan`)
+only verifies it at build time; it is not kept.  So two spellings of
+one template (differing in sign or whitespace) get two entries, each
+built from a text with its own raw key.
 
 A raw-memo hit emits a :class:`LazyParsedQuery` carrying only the
 interned skeleton and the member's constant vector; the AST, clause
@@ -53,11 +54,10 @@ Correctness rests on one invariant and one escape hatch:
   accepts string-literal aliases.  Instead of enumerating those cases,
   :func:`_entry_from_markers` *verifies* at entry-build time that the
   constants the prototype actually rendered equal the scanner's
-  constant vector, in order.  Any mismatch marks the key **unsafe**,
-  and with it every raw key that maps to it: each new text with such a
-  key takes the full parse path (so does every ``UNION``, which has no
-  marker rendering).  Ambiguity can therefore only ever cost speed,
-  never correctness.
+  constant vector, in order.  Any mismatch marks the text's raw key
+  **unsafe**: each new text with that raw key takes the full parse
+  path (so does every ``UNION``, which has no marker rendering).
+  Ambiguity can therefore only ever cost speed, never correctness.
 """
 
 from __future__ import annotations
@@ -65,7 +65,6 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import gc
-import pickle
 import re
 from collections import OrderedDict
 from itertools import accumulate
@@ -88,10 +87,10 @@ from .features import Predicate, single_equality_filter
 from .fingerprint import template_fingerprint
 from .template import ClauseTexts, QueryTemplate, _clause_strings
 
-#: Bound of each cache level (distinct texts / distinct keys).  A
+#: Bound of each memo (distinct texts / distinct raw keys).  A
 #: constant, not a knob: on a long tail of one-off ad-hoc queries
-#: (15k statements over ~5k Zipf templates) 65,536 entries removed all
-#: 2,254 evictions but only 34 of 5,210 cold builds, with no wall-time
+#: (15k statements over ~5k Zipf templates) 65,536 entries removed
+#: every eviction but only 34 of 5,210 cold builds, with no wall-time
 #: gain beyond run-to-run noise.
 DEFAULT_PARSE_CACHE_SIZE = 4096
 
@@ -757,7 +756,7 @@ def rebind_query(
 
 
 class _Entry:
-    """One interned fingerprint-key class: prototype + splice templates.
+    """One verified raw key's prototype + splice templates.
 
     Beyond the prototype itself the entry precomputes everything a lazy
     bind needs without touching the AST: the shared eager-field dict
@@ -832,11 +831,10 @@ class _Entry:
 
 
 class _UnsafeMarker:
-    """Permanent full-parse marker for an ambiguous fingerprint or raw
-    key."""
+    """Permanent full-parse marker for an ambiguous raw key."""
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return "<unsafe fingerprint key>"
+        return "<unsafe raw key>"
 
     def __reduce__(self):
         return (_unsafe_marker, ())
@@ -918,7 +916,7 @@ def _entry_from_markers(
     splices: Tuple[_Splice, _Splice, _Splice],
     marker: _MarkerFormatter,
 ) -> Optional[_Entry]:
-    """Intern ``proto`` for its fingerprint key, or ``None`` if unsafe.
+    """The interned entry of ``proto``, or ``None`` if unsafe.
 
     The cold path already rendered the statement once with indexed
     markers at the constant leaves, so the splices are given; admission
@@ -1043,12 +1041,11 @@ class TemplateCache:
     memo keeps only what the raw memo cannot serve (failures, and
     prototypes whose raw key is missing or unsafe).  One instance serves
     one executor run (batch), one cleaner instance (streaming) or one
-    worker shard (parallel) — instances are picklable so prewarmed
-    caches can cross process boundaries, but they are never shared
-    concurrently.
+    worker's shards (parallel), and is never shared concurrently.
+    Instances pickle, but a warm dictionary crosses process boundaries
+    as witness texts (:meth:`dict_witnesses`, :meth:`preload`).
 
-    :param max_entries: LRU bound applied to each memo (and to the
-        interned fingerprint keys) independently.
+    :param max_entries: LRU bound applied to each memo independently.
     """
 
     def __init__(self, max_entries: int = DEFAULT_PARSE_CACHE_SIZE) -> None:
@@ -1059,15 +1056,12 @@ class TemplateCache:
         self.max_entries = max_entries
         self.hits = 0
         self.misses = 0
-        #: LRU pops from the text memo, the raw memo and the fingerprint keys.
+        #: LRU pops from the text memo and the raw memo.
         self.evictions = 0
         self._lazy_stats = _LazyStats()
         #: statement text → a failure, or the eager prototype of a text
         #: whose raw key is ``None`` or unsafe.
         self._text: "OrderedDict[str, CacheResult]" = OrderedDict()
-        #: fingerprint key → interned _Entry, or _UNSAFE; read only when
-        #: :meth:`build` admits an entry.
-        self._by_key: "OrderedDict[str, object]" = OrderedDict()
         #: raw template key → (entry, fold indexes) once witness-verified,
         #: or _UNSAFE when the regex strip provably disagrees with the
         #: scanner for this raw key.
@@ -1085,11 +1079,6 @@ class TemplateCache:
     def __len__(self) -> int:
         """Number of texts in the text memo."""
         return len(self._text)
-
-    @property
-    def key_entries(self) -> int:
-        """Number of interned fingerprint keys (safe or unsafe)."""
-        return len(self._by_key)
 
     @property
     def raw_entries(self) -> int:
@@ -1175,10 +1164,10 @@ class TemplateCache:
         yields the template, the clause texts and the interned splice
         :class:`_Entry` together — the legacy parse-then-re-derive path
         case-normalised the tree three times and formatted it four.  On
-        success the entry is interned under its fingerprint key and the
-        text's raw key is witness-verified against it; a text whose raw
-        key is then not verified (none, or unsafe) is admitted into the
-        text memo instead.
+        success a text with a new raw key is witness-verified, and its
+        entry is built from its own markers and interned under that raw
+        key; a text whose raw key is not verified (none, or unsafe) is
+        admitted into the text memo instead.
 
         Failures (:class:`~repro.sqlparser.errors.SqlError` subclasses,
         ``RecursionError``) propagate to the caller, which records them
@@ -1190,7 +1179,7 @@ class TemplateCache:
             raise scanned.error
         fingerprint = scanned.fingerprint
         statement = Parser(scanned.tokens).parse_statement()
-        marker = None
+        marker = splices = None
         if fingerprint is None or isinstance(statement, ast.Union):
             # No marker rendering: without a fingerprint there is no key
             # to intern (and no guarantee the text is free of the marker
@@ -1198,7 +1187,7 @@ class TemplateCache:
             # folds a full statement rendering into its suffix, which
             # isn't worth a marker variant for how rarely unions appear.
             # Both derive exactly as the cacheless path does; a UNION's
-            # key is pinned unsafe below (text memo only).
+            # raw key is pinned unsafe below (text memo only).
             proto = ParsedQuery.from_statement(
                 record,
                 statement,
@@ -1251,17 +1240,9 @@ class TemplateCache:
             )
         memo: object = _UNSAFE
         if fingerprint is not None:
-            by_key = self._by_key
-            entry = by_key.get(fingerprint.key)
-            if entry is None:
-                if marker is not None:
-                    entry = _entry_from_markers(proto, fingerprint, splices, marker)
-                entry = _UNSAFE if entry is None else entry
-                by_key[fingerprint.key] = entry
-                if len(by_key) > self.max_entries:
-                    by_key.popitem(last=False)
-                    self.evictions += 1
-            memo = self._admit_raw(_raw_scan(sql), fingerprint, entry)
+            memo = self._admit_raw(
+                _raw_scan(sql), fingerprint, proto, splices, marker
+            )
         if type(memo) is not tuple:
             self._remember_text(sql, proto)
         return proto
@@ -1270,7 +1251,9 @@ class TemplateCache:
         self,
         raw: Optional[RawTemplate],
         fingerprint: StatementFingerprint,
-        entry: object,
+        proto: ParsedQuery,
+        splices: Optional[Tuple[_Splice, _Splice, _Splice]],
+        marker: Optional[_MarkerFormatter],
     ) -> object:
         """Witness-verify ``raw`` against the scanner, memoise the
         verdict and return the raw key's memo (``_UNSAFE`` for no key).
@@ -1280,9 +1263,10 @@ class TemplateCache:
         the only tolerated difference is a unary minus the scanner
         folded into a number's *value* (its span stays the literal
         alone), which is recorded as a fold index and replayed on every
-        later bind.  Any other disagreement — or an unsafe entry — pins
-        the raw key to the full parse path.  A raw key keeps its first
-        verdict.
+        later bind.  The entry is then built from the witness's own
+        ``marker`` rendering (:func:`_entry_from_markers`).  Any other
+        disagreement — no rendering, or an unsafe entry — pins the raw
+        key to the full parse path.  A raw key keeps its first verdict.
         """
         if raw is None:
             return _UNSAFE
@@ -1292,7 +1276,7 @@ class TemplateCache:
         if memo is not None:
             return memo
         memo = _UNSAFE
-        if type(entry) is _Entry and _raw_spans(parts) == fingerprint.spans:
+        if marker is not None and _raw_spans(parts) == fingerprint.spans:
             folds: List[int] = []
             for index, (pair, scanned) in enumerate(
                 zip(constants, fingerprint.constants)
@@ -1309,7 +1293,9 @@ class TemplateCache:
                 folds = None  # type: ignore[assignment]
                 break
             if folds is not None:
-                memo = (entry, tuple(folds))
+                entry = _entry_from_markers(proto, fingerprint, splices, marker)
+                if entry is not None:
+                    memo = (entry, tuple(folds))
         by_raw[raw_key] = memo
         if len(by_raw) > self.max_entries:
             by_raw.popitem(last=False)
@@ -1329,18 +1315,20 @@ class TemplateCache:
     #
     # The interned template dictionary travels as *witness texts* — SQL
     # strings, not pickled entries — in a columnar store's
-    # ``templates.bin`` and in a streaming checkpoint.  Preloading
+    # ``templates.bin``, in a streaming checkpoint and in every shard
+    # payload of a parallel run over a store.  Preloading
     # re-parses every witness through this cache's own cold path under
     # the current run's knobs, which IS the witness verification:
     # nothing is trusted beyond the SQL text, so a stale or even
     # adversarial dictionary can only cost speed, never output.
 
     def dict_witnesses(self) -> List[str]:
-        """One witness statement text per interned entry."""
+        """One witness statement text per verified raw key: the text
+        its entry was built from."""
         return [
-            entry.proto.record.sql
-            for entry in self._by_key.values()
-            if type(entry) is _Entry
+            memo[0].proto.record.sql
+            for memo in self._by_raw.values()
+            if type(memo) is tuple
         ]
 
     def preload(
@@ -1381,42 +1369,3 @@ class TemplateCache:
         finally:
             self.hits, self.misses, self.evictions = hits, misses, evictions
         return loaded
-
-    # ------------------------------------------------------------------
-    # Pre-seeding (warm worker pools)
-
-    def export_seed(self) -> bytes:
-        """Snapshot the cache's memos as a portable seed.
-
-        The seed is a pickled copy of this cache with its counters
-        zeroed — a parallel run ships it to its pool workers inside
-        every shard payload (:mod:`repro.pipeline.parallel`), so their
-        first shard already hits on every template this cache has
-        interned.  Neither memo holds a lazy query, so the copy shares
-        no materialisation counter with this cache.  The caller owns
-        the correctness contract documented on
-        :func:`~repro.pipeline.framework.parse_log`: a seed must only
-        ever warm caches serving the same ``(fold_variables,
-        strict_triple)`` parse knobs it was built under.
-        """
-        clone = TemplateCache(self.max_entries)
-        clone._text = OrderedDict(self._text)
-        clone._by_key = OrderedDict(self._by_key)
-        clone._by_raw = OrderedDict(self._by_raw)
-        return pickle.dumps(clone, protocol=pickle.HIGHEST_PROTOCOL)
-
-    @classmethod
-    def from_seed(cls, seed: bytes) -> "TemplateCache":
-        """Rebuild a cache from an :meth:`export_seed` blob, with every
-        counter at zero and the seed's bound."""
-        cache = pickle.loads(seed)
-        if not isinstance(cache, cls):
-            raise TypeError(
-                f"seed does not contain a {cls.__name__} "
-                f"(got {type(cache).__name__})"
-            )
-        cache.hits = 0
-        cache.misses = 0
-        cache.evictions = 0
-        cache._lazy_stats = _LazyStats()
-        return cache

@@ -89,7 +89,7 @@ def test_poisoned_store_cleans_alike_from_store_ram_and_batch(policy, tmp_path):
 @pytest.fixture(scope="module")
 def bench_shaped_shards(tmp_path_factory):
     """The smoke ``store-parallel2`` store cut for two workers, encoded,
-    with the run's exported cache seed and config."""
+    with the witnesses and config its shard payloads carry."""
     workloads = e29_workloads()
     workload = workloads.WORKLOADS["store-parallel2"]
     log = workloads.build_log(workload, 2018, workload.size("smoke"))
@@ -97,15 +97,17 @@ def bench_shaped_shards(tmp_path_factory):
     write_columnar(log, store, chunk_records=8192)
     source = ColumnarSource(store)
     config = workloads.pipeline_config()
-    cache, _ = open_parse_cache(config, source.template_witnesses())
+    witnesses = tuple(source.template_witnesses())
+    _, preloaded = open_parse_cache(config, witnesses)
+    assert preloaded > 0
     buffers = [encode_shard(shard) for shard in shard_store(source, 2)]
-    return buffers, cache.export_seed(), config, len(log)
+    return buffers, witnesses, config, len(log)
 
 
 def test_a_worker_shard_binds_by_its_shipped_splits(
     bench_shaped_shards, monkeypatch
 ):
-    buffers, seed, config, rows = bench_shaped_shards
+    buffers, witnesses, config, rows = bench_shaped_shards
     assert len(buffers) >= 2
     scans = []
 
@@ -113,14 +115,17 @@ def test_a_worker_shard_binds_by_its_shipped_splits(
         scans.append(text)
         return raw_scan(text)
 
-    raw_scan = cache_module._raw_scan
-    monkeypatch.setattr(cache_module, "_raw_scan", counted)
     monkeypatch.setattr(parallel, "_WORKER_CACHE", None)
     monkeypatch.setattr(parallel, "_WORKER_CACHE_KEY", None)
+    # The worker's cache is preloaded from the shipped witnesses once,
+    # before its first shard; only the shards' own scans are counted.
+    parallel._process_parse_cache(config, witnesses)
+    raw_scan = cache_module._raw_scan
+    monkeypatch.setattr(cache_module, "_raw_scan", counted)
     # A cold worker scans what its warm cache cannot bind: cold builds,
     # and rows whose split the shape rule did not vouch for.
     cold = [
-        parallel._clean_shard_encoded((index, buffer, config, seed))
+        parallel._clean_shard_encoded((index, buffer, config, witnesses))
         for index, buffer in enumerate(buffers)
     ]
     misses = sum(
@@ -132,7 +137,7 @@ def test_a_worker_shard_binds_by_its_shipped_splits(
     # without one raw scan, every record a hit.
     del scans[:]
     warm = [
-        parallel._clean_shard_encoded((index, buffer, config, seed))
+        parallel._clean_shard_encoded((index, buffer, config, witnesses))
         for index, buffer in enumerate(buffers)
     ]
     assert scans == []

@@ -47,11 +47,13 @@ def cached_parse(cache: TemplateCache, rec: LogRecord) -> ParsedQuery:
     return cached
 
 
-def serving(cache: TemplateCache, seeded: bool) -> TemplateCache:
+def serving(cache: TemplateCache, preloaded: bool) -> TemplateCache:
     """The warmed ``cache`` itself, or — as a parallel worker receives
-    it — a fresh cache revived from the seed in its shard payload."""
-    if seeded:
-        return TemplateCache.from_seed(cache.export_seed())
+    it — a fresh cache preloaded from its witness texts."""
+    if preloaded:
+        fresh = TemplateCache()
+        fresh.preload(cache.dict_witnesses())
+        return fresh
     return cache
 
 
@@ -78,34 +80,34 @@ class TestDelimiterKeys:
                 == fingerprint_statement(other).key
             )
 
-    @pytest.mark.parametrize("seeded", [False, True])
+    @pytest.mark.parametrize("preloaded", [False, True])
     @pytest.mark.parametrize("sql", FORMS)
-    def test_cached_equals_uncached_per_form(self, sql, seeded):
+    def test_cached_equals_uncached_per_form(self, sql, preloaded):
         """Warm each form's own key, then fetch a constant variant (from
-        the warm cache or from its exported seed): the cached instantiation
+        the warm cache or from its witnesses): the cached instantiation
         must equal a fresh full parse, and its clause texts must render
         the same bytes."""
         cache = TemplateCache()
         cached_parse(cache, record(0, sql))
-        cache = serving(cache, seeded)
+        cache = serving(cache, preloaded)
         variant = record(1, sql.replace("= 1", "= 2"))
         via_cache = cached_parse(cache, variant)
-        assert cache.misses == (0 if seeded else 1)
+        assert cache.misses == (0 if preloaded else 1)
         direct = fresh_parse(variant)
         assert via_cache == direct
         assert via_cache.clauses == direct.clauses
         assert format_sql(via_cache.statement) == format_sql(direct.statement)
 
-    @pytest.mark.parametrize("seeded", [False, True])
-    def test_forms_never_cross_pollinate(self, seeded):
+    @pytest.mark.parametrize("preloaded", [False, True])
+    def test_forms_never_cross_pollinate(self, preloaded):
         """Warm the cache with *all* forms, then fetch variants of each:
         every answer must match its own form's fresh parse (pre-fix the
-        shared key made one form splice another's prototype).  A pool
-        seed must keep the forms apart too."""
+        shared key made one form splice another's prototype).  A worker
+        preloaded from the witnesses must keep the forms apart too."""
         cache = TemplateCache()
         for seq, sql in enumerate(self.FORMS):
             cached_parse(cache, record(seq, sql))
-        cache = serving(cache, seeded)
+        cache = serving(cache, preloaded)
         for seq, sql in enumerate(self.FORMS):
             variant = record(100 + seq, sql.replace("= 1", "= 42"))
             assert cached_parse(cache, variant) == fresh_parse(variant)
@@ -177,15 +179,15 @@ class TestNumberEdges:
             "SELECT a FROM t WHERE b = 1.5e-3",
         ],
     )
-    @pytest.mark.parametrize("seeded", [False, True])
-    def test_accepted_edges_round_trip_through_cache(self, sql, seeded):
+    @pytest.mark.parametrize("preloaded", [False, True])
+    def test_accepted_edges_round_trip_through_cache(self, sql, preloaded):
         """Shapes both sides accept: the cached instantiation of a
-        sibling constant — from the warm cache or from its exported seed —
+        sibling constant — from the warm cache or from its witnesses —
         must be byte-equal to its fresh parse."""
         assert fingerprint_statement(sql) is not None
         cache = TemplateCache()
         cached_parse(cache, record(0, sql))
-        cache = serving(cache, seeded)
+        cache = serving(cache, preloaded)
         sibling = record(1, sql.replace("b =", "b ="))  # same template
         other = record(2, "SELECT a FROM t WHERE b = 7")
         via_cache = cached_parse(cache, other)

@@ -5,7 +5,7 @@ A :class:`TemplateCache` answers raw-memo hits with
 interned skeleton facts and the constant vector; SQL text, AST and
 clause features bind on first access.  These tests pin the binding
 rules, the equality contract against eager queries, the materialisation
-counter, and the cache-lifecycle hygiene (seed export, pickling) the
+counter, and the cache-lifecycle hygiene (pickling) the
 executors rely on.
 """
 
@@ -178,17 +178,17 @@ def assert_materialises_from_derived_plan(query, rec):
 
 
 class TestCacheLifecycle:
-    def test_seed_round_trip_serves_lazy_from_l2(self, lazy_hit):
+    def test_pickle_round_trip_serves_lazy_from_l2(self, lazy_hit):
         cache, _, query = lazy_hit
-        query.statement  # the exporting cache's entry has a plan now
-        revived = TemplateCache.from_seed(cache.export_seed())
-        assert revived.materialised == 0
+        query.statement  # the pickled cache's entry has a plan now
+        revived = pickle.loads(pickle.dumps(cache))
+        assert revived.materialised == cache.materialised == 1
         rec = record(4, SQL_B)
         query = revived.fetch(rec)
         assert type(query) is LazyParsedQuery
         assert_materialises_from_derived_plan(query, rec)
         # Materialisations in the revived cache book to *its* counter.
-        assert revived.materialised == 1
+        assert revived.materialised == 2
         assert cache.materialised == 1
 
     def test_lazy_query_pickles(self, lazy_hit):

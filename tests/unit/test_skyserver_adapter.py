@@ -1,7 +1,14 @@
 """Unit tests for the real-SkyServer log-export adapter."""
 
-import pytest
+import csv
+import tempfile
+from pathlib import Path
 
+import hypothesis.strategies as st
+import pytest
+from hypothesis import given, settings
+
+from repro.log import QueryLog
 from repro.log.skyserver import SkyServerFormatError, read_skyserver_csv
 from repro.pipeline import CleaningPipeline
 
@@ -105,3 +112,52 @@ class TestFailureModes:
             "yy,mm,dd,rows,statement\n2003,1,1,n/a,SELECT 1\n"
         )
         assert read_skyserver_csv(path)[0].rows is None
+
+    @pytest.mark.parametrize("value", ["inf", "1e999"])
+    def test_infinite_rows_value_tolerated(self, tmp_path, value):
+        path = tmp_path / "log.csv"
+        path.write_text(f"yy,mm,dd,rows,statement\n2003,1,1,{value},SELECT 1\n")
+        assert read_skyserver_csv(path)[0].rows is None
+
+    def test_infinite_seconds_is_no_usable_time(self, tmp_path):
+        path = tmp_path / "log.csv"
+        path.write_text("yy,mm,dd,ss,statement\n2003,1,1,1e999,SELECT 1\n")
+        with pytest.raises(SkyServerFormatError, match="time"):
+            read_skyserver_csv(path)
+
+    def test_year_beyond_datetime_is_no_usable_time(self, tmp_path):
+        path = tmp_path / "log.csv"
+        path.write_text("yy,mm,dd,statement\n" + "9" * 20 + ",1,1,SELECT 1\n")
+        with pytest.raises(SkyServerFormatError, match="time"):
+            read_skyserver_csv(path)
+
+
+#: A cell of the numeric columns: arbitrary text, or a spelling at one
+#: of the conversions' edges.
+_CELL = st.one_of(
+    st.text(st.characters(blacklist_categories=("Cs",)), max_size=12),
+    st.sampled_from(
+        ["", "inf", "-inf", "nan", "1e999", "-1e999", "9" * 30, "1e5",
+         "-1", "0", "3", "2003", "12", "31", "59.5", "1_0", " 7 "]
+    ),
+)
+_NUMERIC_COLUMNS = ("rows", "seq", "yy", "mm", "dd", "ss")
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.tuples(*[_CELL] * len(_NUMERIC_COLUMNS)))
+def test_arbitrary_numeric_cells_give_a_log_or_a_format_error(cells):
+    """Whatever text the numeric columns hold, the reader returns a
+    ``QueryLog`` or raises ``SkyServerFormatError``, nothing else."""
+    with tempfile.TemporaryDirectory() as folder:
+        path = Path(folder) / "log.csv"
+        with open(path, "w", newline="", encoding="utf-8") as handle:
+            writer = csv.writer(handle)
+            writer.writerow([*_NUMERIC_COLUMNS, "statement"])
+            writer.writerow([*cells, "SELECT 1"])
+        try:
+            log = read_skyserver_csv(path)
+        except SkyServerFormatError:
+            return
+    assert isinstance(log, QueryLog)
+    assert len(log) == 1

@@ -23,7 +23,11 @@ from repro.patterns.models import ParsedQuery
 from repro.pipeline.config import ExecutionConfig
 from repro.pipeline.framework import parse_log
 from repro.skeleton import build_template
-from repro.skeleton.cache import DEFAULT_PARSE_CACHE_SIZE, TemplateCache
+from repro.skeleton.cache import (
+    DEFAULT_PARSE_CACHE_SIZE,
+    TemplateCache,
+    _raw_scan,
+)
 from repro.sqlparser import SqlError, parse
 from repro.sqlparser.scanner import fingerprint_statement
 from tests.reference import cacheless_run
@@ -122,10 +126,9 @@ class TestTemplateCacheMechanics:
         # Safe successes live in the raw memo only; the text memo holds
         # none of them.
         assert len(cache) == 0
-        assert cache.key_entries == 2
         assert cache.raw_entries == 2
-        # The oldest fingerprint key and the oldest raw key.
-        assert cache.evictions == 2
+        # The oldest raw key.
+        assert cache.evictions == 1
         # The first statement was evicted: a same-template probe misses.
         assert cache.fetch(record("SELECT a FROM t WHERE b = 9")) is None
         # The most recent one is still resident.
@@ -139,7 +142,7 @@ class TestTemplateCacheMechanics:
         ):
             assert cache.fetch(rec) is None
             cache.build(rec)
-        assert cache.key_entries == 1
+        assert len(cache) == 0
         assert cache.raw_entries == 1
         assert cache.evictions == 1  # the first spacing's raw key
         assert cache.fetch(record("SELECT a FROM t WHERE b = 9")) is None
@@ -152,9 +155,60 @@ class TestTemplateCacheMechanics:
         with pytest.raises(SqlError) as raised:
             cache.build(bad)
         cache.store(bad.sql, (raised.value, "parse_error"))
-        assert cache.key_entries == 0
+        assert cache.raw_entries == 0
+        assert len(cache) == 1
         again = cache.fetch(record(bad.sql, seq=1))
         assert isinstance(again, tuple)
+
+
+class TestOneInternTable:
+    """The raw memo is the cache's one intern table: an entry is built
+    from the text that witnessed its raw key, and no other key is kept."""
+
+    SPELLINGS = [
+        "SELECT a FROM t WHERE b = 1",
+        "SELECT a FROM t  WHERE b = 2",  # whitespace variant
+        "SELECT a FROM t WHERE b = -3",  # sign variant
+    ]
+    MEMBERS = [
+        "SELECT a FROM t WHERE b = 41",
+        "SELECT a FROM t  WHERE b = 42",
+        "SELECT a FROM t WHERE b = -43",
+    ]
+
+    def test_every_entry_was_built_from_its_own_raw_key(self):
+        cache = TemplateCache()
+        for rec in records(self.SPELLINGS + STATEMENTS * 2):
+            if cache.fetch(rec) is None:
+                try:
+                    cache.build(rec)
+                except SqlError as error:
+                    cache.store(rec.sql, (error, "parse_error"))
+        verified = {
+            key: memo[0]
+            for key, memo in cache._by_raw.items()
+            if type(memo) is tuple
+        }
+        assert len(verified) == cache.raw_entries > len(self.SPELLINGS)
+        for key, entry in verified.items():
+            assert _raw_scan(entry.proto.record.sql)[0] == key
+
+    def test_spellings_of_one_fingerprint_key_get_their_own_entries(self):
+        keys = {fingerprint_statement(sql).key for sql in self.SPELLINGS}
+        assert len(keys) == 1
+        cache = TemplateCache()
+        for rec in records(self.SPELLINGS):
+            assert cache.fetch(rec) is None
+            cache.build(rec)
+        entries = [memo[0] for memo in cache._by_raw.values()]
+        assert len({id(entry) for entry in entries}) == len(self.SPELLINGS)
+        assert [entry.proto.record.sql for entry in entries] == self.SPELLINGS
+        assert cache.dict_witnesses() == self.SPELLINGS
+        for entry, sql in zip(entries, self.MEMBERS):
+            member = record(sql, seq=10)
+            hit = cache.fetch(member)
+            assert hit is not None and hit == full_parse(member)
+            assert hit.__dict__["_entry"] is entry
 
 
 class TestTextMemoAdmission:

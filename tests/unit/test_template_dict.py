@@ -1,9 +1,10 @@
 """The template dictionary: preload, store witnesses, checkpoint carry.
 
 A run can warm its parse caches from the templates of an earlier run.
-The dictionary travels as witness statements in two carriers: a
+The dictionary travels as witness statements in three carriers: a
 columnar store's ``templates.bin`` (one first-seen statement per stored
-template) and the witness list a streaming checkpoint carries.  The
+template), the witness list a streaming checkpoint carries, and the
+store's witnesses a parallel run ships in every shard payload.  The
 safety contract is that a dictionary can only ever change *speed*:
 every witness re-parses through the run's own cold path on load, and a
 malformed witness list falls back to a cold start — never an exception,
@@ -21,8 +22,11 @@ import pytest
 
 import repro
 from repro.log import LogRecord
-from repro.pipeline.config import ExecutionConfig
-from repro.skeleton.cache import TemplateCache
+from repro.obs import Recorder
+from repro.pipeline import parallel
+from repro.pipeline.config import ExecutionConfig, PipelineConfig
+from repro.pipeline.framework import parse_log
+from repro.skeleton.cache import _UNSAFE, TemplateCache
 from repro.store.columnar import write_columnar
 from repro.store.sources import ColumnarSource
 from repro.workload.generator import generate_log
@@ -68,6 +72,15 @@ def parse_counters(result):
     return result.metrics.as_dict()["stages"]["parse"]["counters"]
 
 
+def raw_verdicts(cache):
+    """The raw memo in LRU order: each key's fold indexes once verified,
+    or ``"unsafe"``."""
+    return [
+        (key, "unsafe" if memo is _UNSAFE else memo[1])
+        for key, memo in cache._by_raw.items()
+    ]
+
+
 class TestPreload:
     def test_preload_is_counter_neutral_and_hits_afterwards(self):
         witnesses = warmed_cache().dict_witnesses()
@@ -86,6 +99,17 @@ class TestPreload:
         cache = TemplateCache()
         loaded = cache.preload(["SELECT '", "SELECT a FROM t WHERE b = 1"])
         assert loaded == 1
+
+    def test_witnesses_preload_the_same_raw_keys(self):
+        cache = TemplateCache()
+        parse_log(generate_log(seed=11, scale=0.03), cache=cache, recorder=Recorder())
+        witnesses = cache.dict_witnesses()
+        assert len(witnesses) == cache.raw_entries > 0
+        fresh = TemplateCache()
+        assert fresh.preload(witnesses) == len(witnesses)
+        assert fresh.raw_entries == cache.raw_entries
+        verified = [item for item in raw_verdicts(cache) if item[1] != "unsafe"]
+        assert sorted(raw_verdicts(fresh)) == sorted(verified)
 
 
 class TestStoreAutoWarm:
@@ -147,6 +171,44 @@ def rewrite_witnesses(store, witnesses):
     payload = json.loads(zlib.decompress(path.read_bytes()))
     payload["witnesses"] = witnesses
     path.write_bytes(zlib.compress(json.dumps(payload).encode("utf-8")))
+
+
+class TestShippedWitnesses:
+    def test_worker_cache_matches_the_parents_preload(self, tmp_path, monkeypatch):
+        """A pool run ships the store's witness texts; a worker preloading
+        them holds the same memos as the parent's preloaded cache."""
+        _, store = write_store(tmp_path)
+        parent_caches, shipped = [], []
+
+        def recording_open(config, witnesses=None, cache=None):
+            opened = open_parse_cache(config, witnesses, cache)
+            parent_caches.append(opened[0])
+            return opened
+
+        def recording_pool(self, shards, workers, quarantine, witnesses):
+            shipped.append(witnesses)
+            return run_pool(self, shards, workers, quarantine, witnesses)
+
+        open_parse_cache = parallel.open_parse_cache
+        run_pool = parallel.ParallelCleaner._run_pool
+        monkeypatch.setattr(parallel, "open_parse_cache", recording_open)
+        monkeypatch.setattr(parallel.ParallelCleaner, "_run_pool", recording_pool)
+        config = PipelineConfig()
+        repro.clean(str(store), config, execution=EXECUTIONS[3])
+        monkeypatch.undo()
+        (parent,) = parent_caches
+        (witnesses,) = shipped
+        assert type(witnesses) is tuple
+        assert witnesses == tuple(ColumnarSource(store).template_witnesses())
+
+        monkeypatch.setattr(parallel, "_WORKER_CACHE", None)
+        monkeypatch.setattr(parallel, "_WORKER_CACHE_KEY", None)
+        worker = parallel._process_parse_cache(config, witnesses)
+        assert worker is not parent
+        assert parent.raw_entries > 0
+        assert list(worker._text) == list(parent._text)
+        assert raw_verdicts(worker) == raw_verdicts(parent)
+        assert (worker.hits, worker.misses, worker.evictions) == (0, 0, 0)
 
 
 class TestMalformedStoreWitnesses:

@@ -2,12 +2,11 @@
 
 Four pieces, bottom up: the in-memory shard codec
 (:func:`repro.store.columnar.encode_shard` and friends), the
-template-cache seed transport
-(:meth:`repro.skeleton.cache.TemplateCache.export_seed`), the warm
-:class:`repro.pipeline.parallel.WorkerPool` registry, and the adaptive
-shard planner — plus end-to-end checks that each shard ships as one
-columnar buffer and that a seeded pool's workers really start their
-parse caches warm.
+template-dictionary transport (witness texts, preloaded by each worker),
+the warm :class:`repro.pipeline.parallel.WorkerPool` registry, and the
+adaptive shard planner — plus end-to-end checks that each shard ships
+as one columnar buffer and that a store run's pool workers really start
+their parse caches warm.
 """
 
 from __future__ import annotations
@@ -19,7 +18,7 @@ import pytest
 import repro
 from repro.log import LogRecord, QueryLog
 from repro.obs import Recorder
-from repro.pipeline import ExecutionConfig, PipelineConfig
+from repro.pipeline import ExecutionConfig, PipelineConfig, parallel
 from repro.pipeline.framework import parse_log
 from repro.pipeline.parallel import (
     WorkerPool,
@@ -116,42 +115,52 @@ class TestShardCodec:
 
 
 # ----------------------------------------------------------------------
-# Template-cache seed transport
+# Template-dictionary transport: witness texts, preloaded per worker
 
 
-def _seeded_cache(records):
+def _warmed_cache(records):
     cache = TemplateCache()
     parse_log(records, cache=cache, recorder=Recorder())
     return cache
 
 
-class TestCacheSeed:
-    def test_from_seed_restores_templates_with_zeroed_counters(self):
+class TestWitnessTransport:
+    def test_worker_cache_restores_templates_with_zeroed_counters(
+        self, monkeypatch
+    ):
         # Safe templates land in the raw memo; a UNION and a syntax
-        # error land in the text memo.  The seed carries both.
+        # error land in the text memo.  Only the raw memo's entries
+        # travel: a witness per verified raw key.
         records = sample_records() + [
             record(12, "SELECT a FROM T UNION SELECT b FROM U"),
             record(13, "SELECT broken FROM WHERE (("),
         ]
-        cache = _seeded_cache(records)
+        cache = _warmed_cache(records)
         assert len(cache) == 2 and cache.raw_entries == 1
         assert cache.misses > 0
 
-        warm = TemplateCache.from_seed(cache.export_seed())
-        assert len(warm) == len(cache)
-        assert warm.key_entries == cache.key_entries
+        monkeypatch.setattr(parallel, "_WORKER_CACHE", None)
+        monkeypatch.setattr(parallel, "_WORKER_CACHE_KEY", None)
+        witnesses = tuple(cache.dict_witnesses())
+        warm = parallel._process_parse_cache(PipelineConfig(), witnesses)
+        assert len(warm) == 0
         assert warm.raw_entries == cache.raw_entries
         assert (warm.hits, warm.misses, warm.evictions) == (0, 0, 0)
-        # every statement the donor saw is a hit in the restored cache
+        # every safe statement the donor saw is a hit in the worker's
+        # cache; the text memo's residents miss
         for rec in records:
-            assert warm.fetch(rec) is not None
-        assert warm.misses == 0
+            assert (warm.fetch(rec) is not None) == (rec.seq < 12)
+        assert warm.misses == 2
 
-    def test_from_seed_rejects_garbage(self):
-        import pickle
-
-        with pytest.raises(Exception):
-            TemplateCache.from_seed(pickle.dumps({"not": "a cache"}))
+    def test_unparsable_witnesses_never_fail_a_worker(self, monkeypatch):
+        monkeypatch.setattr(parallel, "_WORKER_CACHE", None)
+        monkeypatch.setattr(parallel, "_WORKER_CACHE_KEY", None)
+        warm = parallel._process_parse_cache(
+            PipelineConfig(),
+            ("SELECT broken FROM WHERE ((", "SELECT a FROM t WHERE b = 1"),
+        )
+        assert warm.raw_entries == 1
+        assert (warm.hits, warm.misses, warm.evictions) == (0, 0, 0)
 
 
 # ----------------------------------------------------------------------
@@ -319,11 +328,11 @@ class TestSeededPoolEndToEnd:
         execution = ExecutionConfig(mode="parallel", workers=2)
 
         cold = repro.clean(log, PipelineConfig(), execution=execution)
-        # the seed only reaches pool workers: the run must fan out
+        # the witnesses only reach pool workers: the run must fan out
         assert cold.parallel_stats.shard_count >= 2
         assert cold.parallel_stats.stats.parse_cache_misses > 0
 
-        # Fresh workers: a store run ships the seed its witnesses warmed.
+        # Fresh workers: a store run ships its witnesses in every payload.
         shutdown_worker_pools()
         warm = repro.clean(
             _store(records, tmp_path / "log.columnar"),
@@ -334,14 +343,14 @@ class TestSeededPoolEndToEnd:
         assert pstats.parse_dict_preloaded > 0
         assert pstats.parse_cache_misses == 0
         assert pstats.parse_cache_hits > 0
-        # seeding is a pure speed knob: the output is byte-identical
+        # preloading is a pure speed knob: the output is byte-identical
         assert warm.clean_log == cold.clean_log
         assert warm.metrics.comparable() == cold.metrics.comparable()
 
     def test_mismatched_seed_knobs_are_ignored(self, pool_registry, tmp_path):
         records = _varied_records()
         execution = ExecutionConfig(mode="parallel", workers=2)
-        # The store run seeds the workers under fold_variables=True; the
+        # The store run warms the workers under fold_variables=True; the
         # next run uses defaults on the same pool — workers must fall
         # back to a cold cache, not serve stale skeletons.
         seeded = repro.clean(
@@ -381,8 +390,8 @@ class TestSeededPoolEndToEnd:
     def test_store_runs_share_one_pool(self, pool_registry, tmp_path):
         records = sample_records(count=160, users=8)
         execution = ExecutionConfig(mode="parallel", workers=2)
-        # Each store run ships its own seed in the shard payloads; a
-        # different store (a different seed) keeps the warm pool too.
+        # Each store run ships its own witnesses in the shard payloads; a
+        # different store (other witnesses) keeps the warm pool too.
         first = repro.clean(
             _store(records, tmp_path / "a.columnar"),
             PipelineConfig(),
